@@ -7,9 +7,9 @@ formulas for a barium-scale trap and shows the parameter scalings.
 
 import math
 
-import scipy.constants as const
-
 from ionlink.trap import TrapConfig, pseudopotential, secular_frequency
+
+BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
 
 base = TrapConfig.from_lab_units(v0=200.0, f_rf_mhz=20.0, r_um=260.0, eta=0.9, mass_amu=138.0)
 
@@ -22,7 +22,7 @@ print("== pseudopotential profile along x ==")
 print(f"{'x_um':>6} {'psi_J':>12} {'psi/kB_mK':>10}")
 for x_um in (1.0, 5.0, 10.0, 25.0):
     psi = pseudopotential(base, x_um * 1e-6, 0.0)
-    print(f"{x_um:>6.1f} {psi:>12.3e} {psi/const.k*1e3:>10.2f}")
+    print(f"{x_um:>6.1f} {psi:>12.3e} {psi/BOLTZMANN*1e3:>10.2f}")
 print("a ~1 mK ion therefore stays within about a micrometer of the node.\n")
 
 print("== scalings ==")

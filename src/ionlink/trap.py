@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import scipy.constants as const
-
 from .errors import DomainError
 
 __all__ = ["TrapConfig", "pseudopotential", "secular_frequency"]
 
-_AMU = const.physical_constants["atomic mass constant"][0]
+_ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
+_AMU = 1.66053906892e-27  # kg, CODATA 2022 atomic mass constant
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class TrapConfig:
             r=r_um * 1e-6,
             eta=eta,
             mass=mass_amu * _AMU,
-            charge=charge_e * const.e,
+            charge=charge_e * _ELEMENTARY_CHARGE,
         )
 
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ionlink import pump_cycle
 from ionlink.atomic import (
     BranchingModel,
     Level,
@@ -187,3 +190,109 @@ class TestSimulate:
             simulate(PumpCycleConfig(), n_trials=10, seed=-1)
         with pytest.raises(DomainError):
             simulate(PumpCycleConfig(), n_trials=10, seed=0, workers=0)
+
+
+def native_stream(seed, cycle):
+    return np.random.Philox(key=np.array([seed, cycle], dtype=np.uint64))
+
+
+class RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records its size, runs tasks serially."""
+
+    def __init__(self, created, max_workers):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
+    def test_counter_evaluation_matches_native_stream(self, seed):
+        m = 5_000
+        rng = np.random.default_rng(seed % 97)
+        index = np.concatenate([np.arange(12), m - 1 - np.arange(5), rng.integers(0, m, 300)])
+        cycle = rng.choice([0, 1, 999], size=index.size)
+        bits = pump_cycle._philox_bits(seed, cycle, index)
+        for k in (0, 1, 999):
+            here = cycle == k
+            assert (bits[here] == native_stream(seed, k).random_raw(m)[index[here]]).all()
+            uniforms = np.random.Generator(native_stream(seed, k)).random(m)
+            assert ((bits[here] >> 11) * 2.0**-53 == uniforms[index[here]]).all()
+
+    @pytest.mark.parametrize("lo", (0, 1, 2, 3, 4_097, 131_074))
+    def test_jump_and_discard_matches_slicing(self, lo):
+        full = native_stream(2**64 - 1, 999).random_raw(lo + 37)
+        assert (pump_cycle._jumped_bits(2**64 - 1, 999, lo, 37) == full[lo:]).all()
+
+    def test_decay_matches_searchsorted_on_random_models(self):
+        # raw deviates on and one step either side of every edge, plus random ones;
+        # the low 11 bits are the ones Generator.random discards
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            config = PumpCycleConfig(model=random_branching_model(rng))
+            chain = pump_cycle._CompiledChain(config)
+            walker = pump_cycle._Walker(chain, config, n_trials=1, seed=0)
+            steps = np.ceil(np.concatenate(chain.cum) * 2.0**53).astype(np.uint64)
+            steps = np.concatenate([steps, steps - 1, steps + 1,
+                                    rng.integers(0, 2**53, 2_000, dtype=np.uint64)])
+            steps = steps[steps < 2**53]
+            bits = (steps << 11) | rng.integers(0, 2**11, steps.size, dtype=np.uint64)
+            u = (bits >> 11) * 2.0**-53
+            state = rng.integers(0, len(chain.cum), steps.size).astype(np.int8)
+            expected = np.empty_like(state)
+            for i, (cum, dests) in enumerate(zip(chain.cum, chain.dest)):
+                here = state == i
+                channel = np.searchsorted(cum, u[here], side="right")
+                expected[here] = dests[np.minimum(channel, len(dests) - 1)]
+            assert (walker._decay(state, bits) == expected).all()
+
+    @pytest.mark.parametrize("br_650, max_cycles", [(0.2696, 1000), (0.9, 6)])
+    @pytest.mark.parametrize(
+        "chunk, batch, n", [(1_000, 64, 30_001), (4_099, 1 << 14, 30_001), (7, 16, 2_003)]
+    )
+    def test_chunking_does_not_change_results(
+        self, monkeypatch, br_650, max_cycles, chunk, batch, n
+    ):
+        model = BranchingModel(br_493=1.0 - br_650, br_650=br_650, cg=default_barium_model().cg)
+        config = PumpCycleConfig(model=model, max_cycles=max_cycles)
+        reference = simulate(config, n_trials=n, seed=2**64 - 1)
+        monkeypatch.setattr(pump_cycle, "_CHUNK", chunk)
+        monkeypatch.setattr(pump_cycle, "_SPARSE_BATCH", batch)
+        for workers in (1, 2):
+            assert simulate(config, n_trials=n, seed=2**64 - 1, workers=workers) == reference
+
+    @pytest.mark.parametrize(
+        "workers, cpus, n_chunks, pool_size",
+        [(8, 64, 3, 3), (8, 2, 3, 2), (2, 64, 3, 2), (7, 64, 1, None), (8, None, 3, None)],
+    )
+    def test_thread_pool_is_capped(self, monkeypatch, workers, cpus, n_chunks, pool_size):
+        n = 1_000 * (n_chunks - 1) + 1
+        reference = simulate(PumpCycleConfig(), n_trials=n, seed=3)
+        created = []
+        monkeypatch.setattr(pump_cycle, "_CHUNK", 1_000)
+        monkeypatch.setattr(pump_cycle.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(
+            pump_cycle, "ThreadPoolExecutor",
+            lambda max_workers: RecordingExecutor(created, max_workers),
+        )
+        assert simulate(PumpCycleConfig(), n_trials=n, seed=3, workers=workers) == reference
+        assert created == ([] if pool_size is None else [pool_size])
+
+    def test_traced_memory_does_not_grow_with_trials(self):
+        def peak(n_trials):
+            tracemalloc.start()
+            try:
+                simulate(PumpCycleConfig(), n_trials=n_trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # the first call imports numpy.random lazily; that is not growth
+        assert peak(2_000_000) <= 1.5 * peak(200_000)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.constants as const
-
+from ionlink import trap
 from ionlink.errors import DomainError
 from ionlink.trap import TrapConfig, pseudopotential, secular_frequency
+
+ELEMENTARY_CHARGE = 1.602176634e-19
+ATOMIC_MASS = 1.66053906892e-27
 
 
 def random_config(rng):
@@ -14,8 +16,8 @@ def random_config(rng):
         omega_rf=2.0 * math.pi * float(rng.uniform(1.0, 100.0)) * 1e6,
         r=float(rng.uniform(50.0, 1000.0)) * 1e-6,
         eta=float(rng.uniform(0.3, 1.0)),
-        mass=float(rng.uniform(10.0, 200.0)) * const.physical_constants["atomic mass constant"][0],
-        charge=float(rng.integers(1, 4)) * const.e,
+        mass=float(rng.uniform(10.0, 200.0)) * ATOMIC_MASS,
+        charge=float(rng.integers(1, 4)) * ELEMENTARY_CHARGE,
     )
 
 
@@ -102,7 +104,10 @@ class TestValidation:
     def test_lab_unit_constructor(self):
         assert BLADE_TRAP.omega_rf == pytest.approx(2.0 * math.pi * 20e6, rel=1e-15)
         assert BLADE_TRAP.r == pytest.approx(260e-6, rel=1e-15)
-        assert BLADE_TRAP.charge == pytest.approx(const.e, rel=1e-15)
-        assert BLADE_TRAP.mass == pytest.approx(
-            138.0 * const.physical_constants["atomic mass constant"][0], rel=1e-15
-        )
+        assert BLADE_TRAP.charge == pytest.approx(ELEMENTARY_CHARGE, rel=1e-15)
+        assert BLADE_TRAP.mass == pytest.approx(138.0 * ATOMIC_MASS, rel=1e-15)
+
+    def test_pinned_constants_match_scipy(self):
+        const = pytest.importorskip("scipy.constants")
+        assert trap._ELEMENTARY_CHARGE == const.e
+        assert trap._AMU == const.physical_constants["atomic mass constant"][0]
