@@ -19,18 +19,16 @@ Two independent solvers share this chain:
   workers process the trajectories.
 
 The Monte Carlo kernel walks fixed-size chunks of trajectories, so its
-memory does not grow with ``n_trials``.  While many of a chunk's
-trajectories survive, each cycle jumps the ``(seed, k)`` stream to the
-chunk's first element and draws the chunk natively.  Once few survive,
-they are pooled across chunks and their deviates are computed directly
-from the Philox4x64-10 counter of each trajectory (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11).  Chunks are split
-between at most ``workers`` threads and the counts add up as integers.
+memory does not grow with ``n_trials``.  Each cycle jumps the counter of
+the ``(seed, k)`` stream to the chunk's first element (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), draws up to the
+chunk's last surviving trajectory and walks only the survivors.  Chunks
+are split between at most ``workers`` threads and the counts add up as
+integers.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -154,22 +152,6 @@ def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
 _CHUNK = 1 << 17
 """Trajectories walked together by one thread; bounds the kernel's memory."""
 
-_SPARSE_SHARE = 1 / 32
-"""Survivor share of a chunk below which its trajectories leave the dense walk.
-
-A dense cycle draws the chunk's whole stream natively (~8 ns per element
-of the chunk); the sparse walk evaluates Philox in numpy at each survivor's
-counter (~180 ns per survivor).
-"""
-
-_SPARSE_BATCH = 1 << 14
-"""Pooled sparse survivors stepped together: enough to amortise numpy's
-per-call overhead, few enough to keep memory bounded."""
-
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-
 
 def _jumped_bits(seed: int, cycle: int, lo: int, n: int) -> np.ndarray:
     """Raw outputs ``lo .. lo+n-1`` of the ``(seed, cycle)`` Philox stream.
@@ -183,42 +165,11 @@ def _jumped_bits(seed: int, cycle: int, lo: int, n: int) -> np.ndarray:
     return bitgen.random_raw(n)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``a * b``."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LOW32, b >> 32
-    cross = b_hi * a_lo + ((b_lo * a_lo) >> 32)
-    carry = b_lo * a_hi + (cross & _LOW32)
-    return b_hi * a_hi + (cross >> 32) + (carry >> 32), b * np.uint64(a)
-
-
-def _philox_bits(seed: int, cycle: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Raw output ``index[j]`` of the ``(seed, cycle[j])`` Philox stream, for each ``j``.
-
-    Evaluates Philox4x64-10 at counter ``index // 4 + 1`` (numpy bumps the
-    counter before each block of four) and keeps lane ``index % 4``.
-    """
-    index = index.astype(np.uint64)
-    zero = np.zeros_like(index)
-    x0, x1, x2, x3 = (index >> 2) + 1, zero, zero, zero
-    key1 = cycle.astype(np.uint64)
-    for r in range(10):
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
-        k1 = key1 + np.uint64(r * _PHILOX_W[1] % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.choose((index & 3).astype(np.intp), (x0, x1, x2, x3))
-
-
 class _Walker:
     """Walks trajectory chunks of one ``(chain, seed)``; safe to share across threads.
 
     A trajectory's state is the index of its P1/2 sublevel while it survives,
-    or ``_GOOD``/``_BAD``/``_DARK`` once absorbed.  Deviates stay raw 64-bit
-    Philox outputs: ``Generator.random`` would map ``raw`` to
-    ``u = (raw >> 11) * 2**-53``, and ``u >= edge`` holds exactly when
-    ``raw >= ceil(edge * 2**53) << 11``.
+    or ``_GOOD``/``_BAD``/``_DARK`` once absorbed.
     """
 
     def __init__(self, chain: _CompiledChain, config: PumpCycleConfig, n_trials: int, seed: int):
@@ -226,40 +177,38 @@ class _Walker:
         self.n_trials = n_trials
         self.max_cycles = config.max_cycles
         self.start = chain.p_index[chain.start]
-        # A deviate's rank among the union of all decay edges fixes its
-        # channel in every P1/2 state's table, since each state's edges at or
-        # below it are those at or below that rank's largest union edge.
-        edges = np.unique(np.concatenate(chain.cum))
-        floors = np.concatenate(([-np.inf], edges))
-        table = np.array([
-            dests[np.minimum(np.searchsorted(cum, floors, side="right"), len(dests) - 1)]
+        # A deviate's rank among the inner decay edges of all P1/2 states
+        # fixes its channel in each state: the state's edges at or below the
+        # deviate are those at or below the largest union edge it reaches.
+        # Each state's closing edge (1.0) is left out: no deviate reaches it.
+        self.edges = np.unique(np.concatenate([cum[:-1] for cum in chain.cum]))
+        floors = np.concatenate(([-np.inf], self.edges))
+        self.table = np.concatenate([
+            dests[np.searchsorted(cum[:-1], floors, side="right")]
             for cum, dests in zip(chain.cum, chain.dest)
         ])
-        # keep only the edges where some state's destination changes
-        moves = np.flatnonzero((table[:, 1:] != table[:, :-1]).any(axis=0))
-        self.bounds = [np.uint64(math.ceil(edges[j] * 2.0**53) << 11) for j in moves]
-        self.table = table[:, np.concatenate(([0], moves + 1))].ravel()
-        self.stride = len(self.bounds) + 1
 
     def _decay(self, state: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """One decay decision per surviving trajectory from its state and raw deviate."""
+        u = (bits >> np.uint64(11)) * 2.0**-53  # exactly what Generator.random returns
         # int8 suffices: two P1/2 states with at most five decays each
-        row = state * np.int8(self.stride)
-        for bound in self.bounds:
-            row += bits >= bound
-        return self.table[row.astype(np.intp)]
+        row = state * np.int8(len(self.edges) + 1)
+        for edge in self.edges:
+            row += u >= edge
+        return self.table[row]
 
-    def _dense(self, lo: int, hi: int):
-        """Walk trajectories ``lo .. hi-1`` on natively drawn deviates.
+    def _chunk(self, lo: int, hi: int) -> np.ndarray:
+        """Good and bad counts of trajectories ``lo .. hi-1``.
 
-        Returns the good and bad counts, and the survivors ``(index, cycle,
-        state)`` once they are too sparse for whole-chunk draws.
+        Each cycle draws the stream up to the chunk's last survivor and
+        decays only the survivors.
         """
         counts = np.zeros(2, dtype=np.int64)
         state = np.full(hi - lo, self.start, dtype=np.int8)
         pos = None  # every trajectory of the chunk, before the first decay
-        cycle = 0
-        while cycle < self.max_cycles and state.size >= _SPARSE_SHARE * (hi - lo):
+        for cycle in range(self.max_cycles):
+            if not state.size:
+                break
             if pos is None:
                 bits = _jumped_bits(self.seed, cycle, lo, hi - lo)
             else:
@@ -268,49 +217,11 @@ class _Walker:
             counts += np.count_nonzero(state == _GOOD), np.count_nonzero(state == _BAD)
             alive = np.flatnonzero(state >= 0)
             pos, state = (alive if pos is None else pos[alive]), state[alive]
-            cycle += 1
-        if cycle == self.max_cycles:  # cut off without emission: dark
-            pos, state = pos[:0], state[:0]
-        return counts, (pos + lo, np.full(pos.size, cycle), state)
+        return counts  # survivors at the cutoff are dark
 
-    def _sparse(self, index: np.ndarray, cycle: np.ndarray, state: np.ndarray, keep: int):
-        """Step pooled survivors, each at its own cycle, until ``keep`` or fewer remain."""
-        counts = np.zeros(2, dtype=np.int64)
-        while index.size > keep:
-            state = self._decay(state, _philox_bits(self.seed, cycle, index))
-            counts += np.count_nonzero(state == _GOOD), np.count_nonzero(state == _BAD)
-            cycle = cycle + 1
-            alive = np.flatnonzero((state >= 0) & (cycle < self.max_cycles))
-            index, cycle, state = index[alive], cycle[alive], state[alive]
-        return counts, (index, cycle, state)
-
-    def walk(self, starts: range):
-        """Good and bad counts over the chunks beginning at ``starts``.
-
-        The survivors each chunk leaves sparse join one pool, which is
-        stepped whenever it reaches ``_SPARSE_BATCH``.  Returns the counts
-        and the pool still to drain.
-        """
-        counts = np.zeros(2, dtype=np.int64)
-        pool = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int8))
-        for lo in starts:
-            absorbed, survivors = self._dense(lo, min(lo + _CHUNK, self.n_trials))
-            counts += absorbed
-            pool = tuple(np.concatenate(pair) for pair in zip(pool, survivors))
-            if pool[0].size >= _SPARSE_BATCH:
-                absorbed, pool = self._sparse(*pool, keep=_SPARSE_BATCH // 4)
-                counts += absorbed
-        return counts, pool
-
-    def drain(self, parts) -> np.ndarray:
-        """Total good and bad counts of ``walk`` results, draining their pools together.
-
-        One drain instead of one per thread keeps the thin end of the sparse
-        walk, where numpy call overhead dominates, from running per thread.
-        """
-        counts, pools = zip(*parts)
-        pool = tuple(np.concatenate(arrays) for arrays in zip(*pools))
-        return sum(counts) + self._sparse(*pool, keep=0)[0]
+    def walk(self, starts: range) -> np.ndarray:
+        """Good and bad counts over the chunks beginning at ``starts``."""
+        return sum(self._chunk(lo, min(lo + _CHUNK, self.n_trials)) for lo in starts)
 
 
 def simulate(
@@ -343,11 +254,11 @@ def simulate(
         starts = range(0, n_trials, _CHUNK)
         n_threads = min(workers, len(starts), os.cpu_count() or 1)
         if n_threads == 1:
-            good_bad = walker.drain([walker.walk(starts)])
+            good_bad = walker.walk(starts)
         else:
             groups = [starts[i::n_threads] for i in range(n_threads)]
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                good_bad = walker.drain(pool.map(walker.walk, groups))
+                good_bad = sum(pool.map(walker.walk, groups))
     # shelved in an undriven sublevel or cut off at max_cycles: dark
     counts = np.append(good_bad, n_trials - good_bad.sum())
     p = counts / n_trials

@@ -179,6 +179,17 @@ class TestSimulate:
             (mc.p_good * (1.0 - mc.p_good) / 10_000) ** 0.5, rel=1e-12
         )
 
+    @pytest.mark.parametrize("br_650", (0.0, 1e-17, 1e-300))
+    def test_negligible_shelving_means_good_photon(self, br_650):
+        # the S channels fill the unit interval, so the shelf channels' edges
+        # sit at (or round to) 1.0, which no deviate reaches
+        model = BranchingModel(br_493=1.0 - br_650, br_650=br_650, cg=default_barium_model().cg)
+        for workers in (1, 2):
+            mc = simulate(PumpCycleConfig(model=model), n_trials=1_000, seed=2**64 - 1,
+                          workers=workers)
+            assert mc == ChainOutcome(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, n_trials=1_000,
+                                      seed=2**64 - 1)
+
     def test_undrivable_initial_state(self):
         mc = simulate(PumpCycleConfig(initial=D(-1.5)), n_trials=100, seed=0)
         assert (mc.p_good, mc.p_bad, mc.p_dark) == (0.0, 0.0, 1.0)
@@ -213,30 +224,24 @@ class RecordingExecutor:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
-    def test_counter_evaluation_matches_native_stream(self, seed):
-        m = 5_000
-        rng = np.random.default_rng(seed % 97)
-        index = np.concatenate([np.arange(12), m - 1 - np.arange(5), rng.integers(0, m, 300)])
-        cycle = rng.choice([0, 1, 999], size=index.size)
-        bits = pump_cycle._philox_bits(seed, cycle, index)
-        for k in (0, 1, 999):
-            here = cycle == k
-            assert (bits[here] == native_stream(seed, k).random_raw(m)[index[here]]).all()
-            uniforms = np.random.Generator(native_stream(seed, k)).random(m)
-            assert ((bits[here] >> 11) * 2.0**-53 == uniforms[index[here]]).all()
-
     @pytest.mark.parametrize("lo", (0, 1, 2, 3, 4_097, 131_074))
     def test_jump_and_discard_matches_slicing(self, lo):
         full = native_stream(2**64 - 1, 999).random_raw(lo + 37)
-        assert (pump_cycle._jumped_bits(2**64 - 1, 999, lo, 37) == full[lo:]).all()
+        bits = pump_cycle._jumped_bits(2**64 - 1, 999, lo, 37)
+        assert (bits == full[lo:]).all()
+        uniforms = np.random.Generator(native_stream(2**64 - 1, 999)).random(lo + 37)
+        assert ((bits >> 11) * 2.0**-53 == uniforms[lo:]).all()
 
     def test_decay_matches_searchsorted_on_random_models(self):
         # raw deviates on and one step either side of every edge, plus random ones;
         # the low 11 bits are the ones Generator.random discards
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            config = PumpCycleConfig(model=random_branching_model(rng))
+        cg = default_barium_model().cg
+        models = [random_branching_model(rng) for _ in range(20)] + [
+            BranchingModel(br_493=1.0 - br_650, br_650=br_650, cg=cg) for br_650 in (0.0, 1e-17)
+        ]
+        for model in models:
+            config = PumpCycleConfig(model=model)
             chain = pump_cycle._CompiledChain(config)
             walker = pump_cycle._Walker(chain, config, n_trials=1, seed=0)
             steps = np.ceil(np.concatenate(chain.cum) * 2.0**53).astype(np.uint64)
@@ -254,17 +259,12 @@ class TestKernel:
             assert (walker._decay(state, bits) == expected).all()
 
     @pytest.mark.parametrize("br_650, max_cycles", [(0.2696, 1000), (0.9, 6)])
-    @pytest.mark.parametrize(
-        "chunk, batch, n", [(1_000, 64, 30_001), (4_099, 1 << 14, 30_001), (7, 16, 2_003)]
-    )
-    def test_chunking_does_not_change_results(
-        self, monkeypatch, br_650, max_cycles, chunk, batch, n
-    ):
+    @pytest.mark.parametrize("chunk, n", [(1_000, 30_001), (4_099, 30_001), (7, 2_003)])
+    def test_chunking_does_not_change_results(self, monkeypatch, br_650, max_cycles, chunk, n):
         model = BranchingModel(br_493=1.0 - br_650, br_650=br_650, cg=default_barium_model().cg)
         config = PumpCycleConfig(model=model, max_cycles=max_cycles)
         reference = simulate(config, n_trials=n, seed=2**64 - 1)
         monkeypatch.setattr(pump_cycle, "_CHUNK", chunk)
-        monkeypatch.setattr(pump_cycle, "_SPARSE_BATCH", batch)
         for workers in (1, 2):
             assert simulate(config, n_trials=n, seed=2**64 - 1, workers=workers) == reference
 
