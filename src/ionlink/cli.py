@@ -18,7 +18,9 @@ Every capability of the library is reachable from one executable::
 Tabular subcommands default to CSV, scalar ones to JSON; ``--output-format``
 switches either way and ``--output`` redirects to a file.  A ``--config``
 file of ``key = value`` lines supplies defaults that explicit flags
-override.  Exit codes: 0 success, 1 domain or numeric error, 2 usage error.
+override.  JSON output never carries NaN or infinity: a non-finite result
+is an error.  Exit codes: 0 success, 1 domain or numeric error (or an
+output path that cannot be written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -405,13 +407,7 @@ def _run_leaf(args) -> tuple[str, object, tuple[str, ...], str]:
         return ("record", record, (), "json")
 
     if leaf == "emission pattern":
-        if args.theta_step_deg <= 0.0 or args.phi_step_deg <= 0.0:
-            raise DomainError("angular steps must be positive")
-        thetas = [math.radians(min(t * args.theta_step_deg, 180.0))
-                  for t in range(int(180.0 / args.theta_step_deg) + 1)]
-        phis = [math.radians(p * args.phi_step_deg)
-                for p in range(int(math.ceil(360.0 / args.phi_step_deg)))
-                if p * args.phi_step_deg < 360.0]
+        thetas, phis = emission.pattern_grid(args.theta_step_deg, args.phi_step_deg)
         rows = list(emission.pattern_rows(thetas, phis))
         header = ("theta", "phi", "i_pi", "i_sigma_plus", "i_sigma_minus", "overlap_abs")
         return ("table", (header, rows), (), "csv")
@@ -445,12 +441,16 @@ def main(argv=None) -> int:
         options[args._leaf].resolve(args)
         kind, data, footnotes, default_fmt = _run_leaf(args)
         text = _render(kind, data, footnotes, args.output_format or default_fmt)
-        write_output(text, args.output)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        write_output(text, args.output)
+    except OSError as exc:
+        print(f"error: cannot write {args.output or '-'}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

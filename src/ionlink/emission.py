@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ __all__ = [
     "polarization_overlap",
     "collection_fraction",
     "cone_mixing_weight",
+    "pattern_grid",
     "pattern_rows",
 ]
 
@@ -138,20 +140,80 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
     return float((sin2_cos2 / 2.0 * weight).sum() / weight.sum())
 
 
+def pattern_grid(theta_step_deg: float, phi_step_deg: float) -> tuple[list[float], list[float]]:
+    """Export grid in radians: theta over [0, 180] degrees, the pole included,
+    and phi over [0, 360) degrees."""
+    for name, step in (("theta_step_deg", theta_step_deg), ("phi_step_deg", phi_step_deg)):
+        if not (math.isfinite(step) and step > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {step}")
+    thetas = [math.radians(min(t * theta_step_deg, 180.0))
+              for t in range(int(180.0 / theta_step_deg) + 1)]
+    phis = [math.radians(p * phi_step_deg)
+            for p in range(int(math.ceil(360.0 / phi_step_deg)))
+            if p * phi_step_deg < 360.0]
+    return thetas, phis
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """``x ** 2`` on libm ``pow``, as the scalar code computes it.
+
+    numpy's ``x * x`` and ``np.power`` round differently from ``pow(x, 2)``
+    in the last bit for some inputs on SIMD builds, so every square goes
+    through ``math.pow`` (a C-level map, no Python loop body).
+    """
+    flat = values.ravel().tolist()
+    return np.fromiter(map(math.pow, flat, itertools.repeat(2.0)), np.float64,
+                       len(flat)).reshape(values.shape)
+
+
 def pattern_rows(thetas, phis):
     """Emission-pattern samples for export.
 
     Yields ``(theta, phi, i_pi, i_sigma_plus, i_sigma_minus, overlap_abs)``
-    per grid point, intensities from the unnormalized states above.
+    per grid point, theta outermost, intensities from the unnormalized
+    states above.  The numbers are bit-identical to evaluating
+    :func:`pi_emission`, :func:`sigma_emission` and
+    :func:`polarization_overlap` point by point (``tests/oracles.py`` keeps
+    that loop), but only the per-axis factors are scalar code: sin, cos and
+    the pi intensity once per theta, the sigma phases and ``|e_phi|^2``
+    once per phi.  Per point remain products, ``hypot`` and squares.
+    Products run in numpy (IEEE multiplies; the scalar complex products
+    only add signed zeros, which ``hypot`` ignores), ``np.hypot`` is libm's
+    ``hypot`` like ``abs(complex)``, and squares stay on libm ``pow``
+    (:func:`_squares`).  A direction out of range raises before any row is
+    yielded, naming the first grid point the point-by-point loop rejects.
     """
+    thetas = [float(t) for t in thetas]
+    phis = [float(p) for p in phis]
+    if not thetas or not phis:
+        return
+    for phi in phis:
+        EmissionDirection(thetas[0], phi)
     for theta in thetas:
-        for phi in phis:
-            d = EmissionDirection(float(theta), float(phi))
-            yield (
-                d.theta,
-                d.phi,
-                pi_emission(d).intensity,
-                sigma_emission(d, +1).intensity,
-                sigma_emission(d, -1).intensity,
-                abs(polarization_overlap(d, +1)),
-            )
+        EmissionDirection(theta, phis[0])
+
+    pi_states = [pi_emission(EmissionDirection(t, 0.0)) for t in thetas]
+    i_pi = [p.intensity for p in pi_states]
+    minus_sin = np.array([p.e_theta for p in pi_states])[:, None]
+    cos = np.fromiter(map(math.cos, thetas), np.float64, len(thetas))[:, None]
+
+    def sigma_intensity(sign: int):
+        # at theta = 0, e_theta is the phase exp(+-i phi)/sqrt(2) itself
+        states = [sigma_emission(EmissionDirection(0.0, p), sign) for p in phis]
+        phase = np.array([s.e_theta for s in states])
+        e_phi_sq = np.array([abs(s.e_phi) ** 2 for s in states])
+        re, im = cos * phase.real, cos * phase.imag  # e_theta per point
+        return (_squares(np.hypot(re, im)) + e_phi_sq).ravel().tolist(), re, im
+
+    i_sigma_plus, re, im = sigma_intensity(+1)
+    i_sigma_minus, _, _ = sigma_intensity(-1)
+    overlap = np.hypot(minus_sin * re, minus_sin * im).ravel().tolist()
+    n_phi = len(phis)
+    yield from zip(
+        [t for t in thetas for _ in range(n_phi)],
+        phis * len(thetas),
+        [i for i in i_pi for _ in range(n_phi)],
+        i_sigma_plus,
+        i_sigma_minus,
+        overlap,
+    )

@@ -8,8 +8,11 @@ distance the converted channel wins.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NoCrossingError
 from .qfc import ConversionStage, chain_efficiency
@@ -151,9 +154,17 @@ def transmission_curves(
     Returns the CSV header and rows: raw 493 nm and 650 nm traces next to
     the 780/1259/1550 nm converted ones, each multiplied by the quoted
     conversion efficiency so curves are directly comparable.
+
+    Each channel's trace is one array expression with the arithmetic of
+    :func:`transmission` (exponent ``-alpha L / 10`` in numpy, IEEE exact),
+    and the power ``10 ** y`` stays on libm ``pow`` through ``math.pow``:
+    numpy's ``np.power`` rounds differently in the last bit for some
+    exponents on SIMD builds.
     """
-    if max_km < 0.0 or step_km <= 0.0:
-        raise DomainError("max_km must be nonnegative and step_km positive")
+    if not (math.isfinite(max_km) and max_km >= 0.0):
+        raise DomainError(f"max_km must be finite and nonnegative, got {max_km}")
+    if not (math.isfinite(step_km) and step_km > 0.0):
+        raise DomainError(f"step_km must be finite and positive, got {step_km}")
     header = [
         "length_km",
         "t_493",
@@ -164,11 +175,13 @@ def transmission_curves(
     ]
     channels = [standard_channel(nm) for nm in (493, 780, 650, 1259, 1550)]
     scales = [1.0, eta_780, 1.0, eta_1259, eta_1550]
-    rows = []
     n_steps = int(math.floor(max_km / step_km + 1e-9))
-    for i in range(n_steps + 1):
-        length = i * step_km
-        rows.append(
-            [length] + [s * transmission(ch, length) for ch, s in zip(channels, scales)]
-        )
-    return header, rows
+    lengths = [i * step_km for i in range(n_steps + 1)]
+    length_array = np.array(lengths)
+    traces = []
+    for channel, scale in zip(channels, scales):
+        exponents = (-channel.attenuation_db_per_km * length_array / 10.0).tolist()
+        powers = np.fromiter(map(math.pow, itertools.repeat(10.0), exponents),
+                             np.float64, len(exponents))
+        traces.append((scale * powers).tolist())
+    return header, [list(row) for row in zip(lengths, *traces)]

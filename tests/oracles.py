@@ -3,9 +3,14 @@
 Each oracle avoids the code path it checks: geometric series are summed
 term by term, the pump cycle is iterated as an explicit 9-state matrix
 power (drive and decay as separate steps), phase matching is solved by
-bracketed bisection, and sphere integrals are done by quadrature.
+bracketed bisection, and sphere integrals are done by quadrature.  The
+export kernels and renderers are checked against the loops they replaced:
+one scalar evaluation per grid point or table cell.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -17,6 +22,13 @@ from ionlink.atomic import (
     allowed_decays,
     drive_target,
 )
+from ionlink.emission import (
+    EmissionDirection,
+    pi_emission,
+    polarization_overlap,
+    sigma_emission,
+)
+from ionlink.fiber import standard_channel, transmission
 
 
 def geometric_p_good(br_493: float, br_650: float, reinit_sq: float, terms: int = 400) -> float:
@@ -103,3 +115,56 @@ def random_branching_model(rng: np.random.Generator) -> BranchingModel:
             for m, w, s in zip(allowed, weights, signs):
                 cg[(upper, ZeemanState(level, float(m)))] = float(s * math.sqrt(w))
     return BranchingModel(br_493=br_493, br_650=1.0 - br_493, cg=cg)
+
+
+def pattern_rows_per_point(thetas, phis):
+    """Emission-pattern rows from the scalar state functions, one point at a time."""
+    for theta in thetas:
+        for phi in phis:
+            d = EmissionDirection(float(theta), float(phi))
+            yield (
+                d.theta,
+                d.phi,
+                pi_emission(d).intensity,
+                sigma_emission(d, +1).intensity,
+                sigma_emission(d, -1).intensity,
+                abs(polarization_overlap(d, +1)),
+            )
+
+
+def transmission_curve_rows_per_row(max_km, step_km, eta_780=0.05, eta_1259=0.05, eta_1550=0.18):
+    """Rows of ``fiber.transmission_curves``, one ``transmission`` call per cell."""
+    channels = [standard_channel(nm) for nm in (493, 780, 650, 1259, 1550)]
+    scales = [1.0, eta_780, 1.0, eta_1259, eta_1550]
+    n_steps = int(math.floor(max_km / step_km + 1e-9))
+    return [
+        [i * step_km] + [s * transmission(ch, i * step_km) for ch, s in zip(channels, scales)]
+        for i in range(n_steps + 1)
+    ]
+
+
+def format_cell_per_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return str(value)
+
+
+def render_csv_per_cell(columns, rows, footnotes=()) -> str:
+    """CSV through ``csv.writer``, every cell formatted on its own."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format_cell_per_cell(v) for v in row])
+    for note in footnotes:
+        buf.write(f"# {note}\n")
+    return buf.getvalue()
+
+
+def render_json_dumps(payload) -> str:
+    """JSON through ``json.dumps(indent=2)``, refusing NaN and infinities."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -316,3 +316,48 @@ class TestOutputAndConfig:
         _, from_config, _ = run(capsys, "chain", "mc", "--config", str(config))
         _, explicit, _ = run(capsys, "chain", "mc", "--trials", "5000", "--seed", "17")
         assert from_config == explicit
+
+
+class TestFailuresExitOne:
+    """Bad input ends with exit 1 and a one-line message, never a traceback."""
+
+    def assert_one_line_error(self, code, out, err, *fragments):
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.mark.parametrize("argv", [
+        ("fidelity-curve", "--f-max", "nan", "--output-format", "json"),
+        ("fidelity-curve", "--f-max", "inf", "--na-step", "0.5", "--output-format", "json"),
+        ("fiber", "curves", "--eta-780", "nan", "--output-format", "json"),
+        ("trap", "--v0", "nan", "--freq-mhz", "20", "--r-um", "260", "--eta", "0.9",
+         "--mass-amu", "138"),
+    ])
+    def test_non_finite_json_is_refused(self, capsys, argv):
+        self.assert_one_line_error(*run(capsys, *argv), "NaN or infinity")
+
+    def test_non_finite_csv_still_prints(self, capsys):
+        code, out, _ = run(capsys, "fidelity-curve", "--f-max", "nan", "--na-step", "0.5")
+        assert code == 0 and out == "na,fidelity\n0,nan\n0.5,nan\n1,nan\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (("fiber", "curves", "--max-km", "inf"), "max_km"),
+        (("fiber", "curves", "--max-km", "nan"), "max_km"),
+        (("fiber", "curves", "--step-km", "nan"), "step_km"),
+        (("fiber", "curves", "--step-km", "inf"), "step_km"),
+        (("emission", "pattern", "--theta-step-deg", "nan"), "theta_step_deg"),
+        (("emission", "pattern", "--theta-step-deg", "inf"), "theta_step_deg"),
+        (("emission", "pattern", "--theta-step-deg", "0"), "theta_step_deg"),
+        (("emission", "pattern", "--phi-step-deg=-inf"), "phi_step_deg"),
+    ])
+    def test_non_finite_grid_arguments(self, capsys, argv, name):
+        self.assert_one_line_error(*run(capsys, *argv), name)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_path(self, capsys, tmp_path, fmt):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "schemes", "--output-format", fmt, "--output", str(target))
+        self.assert_one_line_error(code, out, err, "cannot write", str(target))
+        code, out, err = run(capsys, "qfc", "table2", "--output", str(tmp_path))
+        self.assert_one_line_error(code, out, err, "cannot write", str(tmp_path))

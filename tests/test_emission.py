@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ from ionlink.emission import (
     EmissionDirection,
     collection_fraction,
     cone_mixing_weight,
+    pattern_grid,
     pattern_rows,
     pi_emission,
     polarization_overlap,
     sigma_emission,
+    _squares,
 )
 from ionlink.errors import DomainError
 
-from oracles import cap_fraction_quadrature, sphere_average
+from oracles import cap_fraction_quadrature, pattern_rows_per_point, sphere_average
 
 HALF_PI = math.pi / 2.0
 
@@ -189,3 +192,77 @@ class TestPatternRows:
         rows = list(pattern_rows(np.linspace(0.0, math.pi, 19), [0.4]))
         for row in rows:
             assert row[3] == pytest.approx(row[4], abs=1e-15)
+
+
+def bits(rows):
+    return np.array(rows, dtype=np.float64).view(np.uint64)
+
+
+class TestPatternKernel:
+    """The array kernel against the point-by-point scalar loop, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [(1.0, 2.0), (5.0, 30.0), (7.0, 13.0), (0.7, 11.0)])
+    def test_export_grids_bit_identical(self, steps):
+        thetas, phis = pattern_grid(*steps)
+        new = list(pattern_rows(thetas, phis))
+        assert bits(new).tolist() == bits(list(pattern_rows_per_point(thetas, phis))).tolist()
+        assert all(type(v) is float for row in new[:50] for v in row)
+
+    def test_random_directions_bit_identical(self):
+        rng = np.random.default_rng(3)
+        thetas = np.concatenate([[0.0, math.pi, HALF_PI], rng.uniform(0.0, math.pi, 200)])
+        phis = np.concatenate([[0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0)],
+                               rng.uniform(0.0, 2.0 * math.pi, 100)])
+        assert (bits(list(pattern_rows(thetas, phis)))
+                == bits(list(pattern_rows_per_point(thetas, phis)))).all()
+
+    def test_is_a_generator_of_tuples(self):
+        rows = pattern_rows([0.0, 1.0], [0.0])
+        assert iter(rows) is rows
+        assert all(isinstance(row, tuple) and len(row) == 6 for row in rows)
+
+    def test_empty_axes_yield_nothing(self):
+        assert list(pattern_rows([], [0.0])) == []
+        assert list(pattern_rows([0.0], [])) == []
+        assert list(pattern_rows([7.0], [])) == []  # no point, so nothing to reject
+
+    @pytest.mark.parametrize("thetas, phis", [
+        ([0.0, 4.0], [0.0, 7.0]),      # phi rejected at the first theta
+        ([4.0, 0.0], [0.0, 7.0]),      # theta rejected at the first point
+        ([0.0, 1.0, -1.0], [0.5, 1.0]),
+        ([0.0, math.nan], [0.0]),
+    ])
+    def test_rejects_the_first_bad_point_of_the_loop(self, thetas, phis):
+        with pytest.raises(DomainError) as expected:
+            list(pattern_rows_per_point(thetas, phis))
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            list(pattern_rows(thetas, phis))
+
+
+def test_squares_round_like_scalar_pow():
+    # numpy's x * x is correctly rounded, libm pow(x, 2) not always; the
+    # scalar code squares with pow, so the kernel must as well
+    x = np.random.default_rng(0).uniform(0.0, 1.0, 200_000)
+    assert bits(_squares(x)).tolist() == bits([v ** 2 for v in x.tolist()]).tolist()
+    assert _squares(x.reshape(400, 500)).shape == (400, 500)
+
+
+class TestPatternGrid:
+    def test_default_grid(self):
+        thetas, phis = pattern_grid(5.0, 30.0)
+        assert len(thetas) == 37 and thetas[-1] == math.pi
+        assert len(phis) == 12 and phis[-1] == math.radians(330.0)
+
+    def test_steps_that_do_not_divide_the_range(self):
+        thetas, phis = pattern_grid(7.0, 13.0)
+        assert thetas[-1] == math.radians(175.0)
+        assert len(phis) == 28 and phis[-1] == math.radians(351.0)
+
+    @pytest.mark.parametrize("theta_step, phi_step, name", [
+        (math.nan, 1.0, "theta_step_deg"), (math.inf, 1.0, "theta_step_deg"),
+        (0.0, 1.0, "theta_step_deg"), (1.0, -2.0, "phi_step_deg"),
+        (1.0, math.nan, "phi_step_deg"), (1.0, -math.inf, "phi_step_deg"),
+    ])
+    def test_non_finite_or_non_positive_steps_rejected(self, theta_step, phi_step, name):
+        with pytest.raises(DomainError, match=name):
+            pattern_grid(theta_step, phi_step)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from ionlink.fiber import (
     transmission_curves,
 )
 from ionlink.qfc import MixKind, load_dispersion, plan_stage
+
+from oracles import transmission_curve_rows_per_row
 
 # frozen closed-form values
 CROSSING_493_TO_780_AT_5PCT = 0.27979139691698524
@@ -173,6 +177,20 @@ class TestCurves:
         for row in beyond:
             assert row[2] > row[1]
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(DomainError):
-            transmission_curves(2.0, 0.0)
+    @pytest.mark.parametrize("max_km, step_km, name", [
+        (2.0, 0.0, "step_km"), (2.0, -0.5, "step_km"), (2.0, math.nan, "step_km"),
+        (2.0, math.inf, "step_km"), (-1.0, 0.01, "max_km"), (math.inf, 0.01, "max_km"),
+        (math.nan, 0.01, "max_km"),
+    ])
+    def test_bad_grid_rejected(self, max_km, step_km, name):
+        with pytest.raises(DomainError, match=name):
+            transmission_curves(max_km, step_km)
+
+    @pytest.mark.parametrize("args", [
+        (200.0, 0.01), (3.7, 0.013, 0.07, 0.11, 0.3), (0.0, 1.0), (1e4, 0.7), (5.0, 7.0),
+    ])
+    def test_rows_bit_identical_to_per_row_loop(self, args):
+        _, rows = transmission_curves(*args)
+        expected = transmission_curve_rows_per_row(*args)
+        assert (np.array(rows).view(np.uint64) == np.array(expected).view(np.uint64)).all()
+        assert all(type(row) is list for row in rows)

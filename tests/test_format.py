@@ -1,0 +1,147 @@
+"""Block renderers against the per-cell reference renderers.
+
+``render_csv``/``render_json`` work column-wise in blocks with a per-bit-
+pattern cache; ``oracles.render_csv_per_cell`` and ``oracles.render_json_dumps``
+are the ``csv.writer``/``json.dumps(indent=2)`` loops they replaced.  The
+property tests shrink the block size so that tables cross block boundaries.
+"""
+
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ionlink import _format
+from ionlink._format import render_csv, render_json, table_payload
+from ionlink.errors import DomainError
+from oracles import render_csv_per_cell, render_json_dumps
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                  1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, 0.1, 1e16)
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+finite_floats = st.one_of(
+    st.sampled_from([x for x in SPECIAL_FLOATS if math.isfinite(x)]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+texts = st.text(alphabet=st.sampled_from(list(',"\n\r \'#ab0.-é€😀\t\\')), max_size=6)
+scalars = st.one_of(
+    floats,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    texts,
+    floats.map(np.float64),
+)
+cells = st.one_of(scalars, st.lists(st.integers(0, 3), max_size=2))
+
+
+MIXED_KINDS = (floats, finite_floats, st.booleans(), st.integers(-3, 3), texts, scalars, cells)
+
+
+@st.composite
+def tables(draw, kinds=MIXED_KINDS):
+    """Columns, rows and footnotes; each column holds one kind of cell."""
+    width = draw(st.integers(0, 4))
+    kinds = [draw(st.sampled_from(kinds)) for _ in range(width)]
+    n_rows = draw(st.integers(0, 12))
+    rows = [tuple(draw(kind) for kind in kinds) for _ in range(n_rows)]
+    if rows and draw(st.integers(0, 4)) == 0:  # a ragged or empty row
+        rows.insert(draw(st.integers(0, len(rows))), tuple(draw(st.lists(scalars, max_size=5))))
+    if rows and draw(st.booleans()):
+        rows = [list(r) for r in rows]
+    columns = draw(st.lists(texts, min_size=width, max_size=width))
+    footnotes = draw(st.lists(texts, max_size=2))
+    return columns, rows, footnotes
+
+
+def block_sizes():
+    return st.sampled_from([1, 2, 3, 5, _format._BLOCK])
+
+
+any_tables = st.one_of(tables(), tables(kinds=(floats, finite_floats)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table=any_tables, block=block_sizes())
+def test_csv_matches_per_cell_renderer(table, block):
+    columns, rows, footnotes = table
+    with mock.patch.object(_format, "_BLOCK", block):
+        assert render_csv(columns, rows, footnotes) == render_csv_per_cell(columns, rows, footnotes)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table=any_tables, block=block_sizes())
+def test_json_matches_json_dumps(table, block):
+    payload = table_payload(*table)
+    try:
+        expected = render_json_dumps(payload)
+    except ValueError:  # NaN or infinity: json refuses, and so must render_json
+        expected = None
+    with mock.patch.object(_format, "_BLOCK", block):
+        if expected is None:
+            with pytest.raises(DomainError, match="NaN or infinity"):
+                render_json(payload)
+        else:
+            assert render_json(payload) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(record=st.dictionaries(texts, st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8), max_size=4))
+def test_records_match_json_dumps(record):
+    try:
+        expected = render_json_dumps(record)
+    except ValueError:
+        with pytest.raises(DomainError):
+            render_json(record)
+        return
+    assert render_json(record) == expected
+
+
+class TestCellTexts:
+    def test_signed_zeros_keep_their_signs(self):
+        rows = [(0.0,), (-0.0,), (0.0,), (-0.0,)]
+        assert render_csv(["x"], rows) == "x\n0\n-0\n0\n-0\n"
+        assert json.loads(render_json(table_payload(["x"], rows)))["rows"] == [[0.0], [-0.0]] * 2
+        assert "-0.0" in render_json(table_payload(["x"], rows))
+
+    def test_equal_numbers_of_other_types_keep_their_texts(self):
+        rows = [(1,), (1.0,), (True,), (np.float64(1.0),)]
+        assert render_csv(["x"], rows) == "x\n1\n1\ntrue\n1\n"
+        text = render_json(table_payload(["x"], rows))
+        assert json.loads(text)["rows"] == [[1], [1.0], [True], [1.0]]
+        assert text == render_json_dumps(table_payload(["x"], rows))
+
+    def test_strings_that_need_quoting(self):
+        rows = [("a,b", 'say "hi"', "two\nlines", "", "é")]
+        assert render_csv(["c"] * 5, rows) == render_csv_per_cell(["c"] * 5, rows)
+        assert render_csv(["c"], [("",)]) == 'c\n""\n'
+
+    def test_empty_tables(self):
+        assert render_csv(["a", "b"], []) == "a,b\n"
+        assert render_csv([], [], ["note"]) == "\n# note\n"
+        for columns, footnotes in ((["a"], ()), ([], ()), (["a"], ["n"])):
+            payload = table_payload(columns, [], footnotes)
+            assert render_json(payload) == render_json_dumps(payload)
+
+    def test_non_finite_csv_cells_print(self):
+        assert render_csv(["x"], [(math.nan,), (math.inf,), (-math.inf,)]) == "x\nnan\ninf\n-inf\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_json_is_refused(self, value):
+        with pytest.raises(DomainError, match="NaN or infinity"):
+            render_json(table_payload(["x", "y"], [(1.0, 2.0), (value, 3.0)]))
+        with pytest.raises(DomainError, match="NaN or infinity"):
+            render_json({"value": value})
+
+    def test_float_blocks_across_block_boundaries(self):
+        rows = [(float(i % 3), -float(i % 3)) for i in range(20)]
+        with mock.patch.object(_format, "_BLOCK", 7):
+            assert render_csv(["a", "b"], rows) == render_csv_per_cell(["a", "b"], rows)
+            payload = table_payload(["a", "b"], rows)
+            assert render_json(payload) == render_json_dumps(payload)
