@@ -48,6 +48,7 @@ __all__ = [
     "load_model",
     "model_to_text",
     "model_from_text",
+    "mj_from_text",
 ]
 
 #: Tolerance for the probability sum rules built into every model.
@@ -266,7 +267,8 @@ def _mj_to_text(mj: float) -> str:
     return f"{'+' if num > 0 else '-'}{abs(num)}/2"
 
 
-def _mj_from_text(text: str) -> float:
+def mj_from_text(text: str) -> float:
+    """Parse a sublevel written as a signed half-integer, e.g. ``+3/2`` -> 1.5."""
     m = re.fullmatch(r"([+-])(\d+)/2", text.strip())
     if not m:
         raise DomainError(f"cannot parse mj value {text!r} (expected e.g. +1/2)")
@@ -316,8 +318,8 @@ def model_from_text(text: str) -> BranchingModel:
         )
         if not m:
             raise DomainError(f"cannot parse amplitude line {line!r}")
-        upper = ZeemanState(Level(m.group(1)), _mj_from_text(m.group(2)))
-        lower = ZeemanState(Level(m.group(3)), _mj_from_text(m.group(4)))
+        upper = ZeemanState(Level(m.group(1)), mj_from_text(m.group(2)))
+        lower = ZeemanState(Level(m.group(3)), mj_from_text(m.group(4)))
         cg[(upper, lower)] = float(m.group(5))
     if header.get("format") != _FORMAT_TAG:
         raise DomainError(f"unknown model file format {header.get('format')!r}")

@@ -143,9 +143,12 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
 def pattern_grid(theta_step_deg: float, phi_step_deg: float) -> tuple[list[float], list[float]]:
     """Export grid in radians: theta over [0, 180] degrees, the pole included,
     and phi over [0, 360) degrees."""
-    for name, step in (("theta_step_deg", theta_step_deg), ("phi_step_deg", phi_step_deg)):
+    for name, step, span in (("theta_step_deg", theta_step_deg, 180.0),
+                             ("phi_step_deg", phi_step_deg, 360.0)):
         if not (math.isfinite(step) and step > 0.0):
             raise DomainError(f"{name} must be finite and positive, got {step}")
+        if not math.isfinite(span / step):
+            raise DomainError(f"{name} {step} is too small: the row count is not finite")
     thetas = [math.radians(min(t * theta_step_deg, 180.0))
               for t in range(int(180.0 / theta_step_deg) + 1)]
     phis = [math.radians(p * phi_step_deg)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoCrossingError
-from .qfc import ConversionStage, chain_efficiency
 
 __all__ = [
     "FiberChannel",
@@ -100,16 +99,17 @@ class LinkBudget:
     fiber: FiberChannel
     length_km: float
     detector_efficiency: float
-    qfc_chain: tuple[ConversionStage, ...] = ()
+    conversion_efficiency: float = 1.0      # of all stages, e.g. qfc.chain_efficiency(stages)
 
     def __post_init__(self) -> None:
-        for name in ("source_rate", "detector_efficiency"):
+        for name in ("source_rate", "detector_efficiency", "conversion_efficiency"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must lie in [0, 1], got {value}")
-        if self.repetition_rate_hz < 0.0 or self.length_km < 0.0:
-            raise DomainError("repetition rate and length must be nonnegative")
-        object.__setattr__(self, "qfc_chain", tuple(self.qfc_chain))
+        for name in ("repetition_rate_hz", "length_km"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def link_rate(
@@ -135,7 +135,7 @@ def end_to_end_rate(budget: LinkBudget) -> float:
     return link_rate(
         budget.source_rate,
         budget.repetition_rate_hz,
-        chain_efficiency(budget.qfc_chain),
+        budget.conversion_efficiency,
         budget.fiber,
         budget.length_km,
         budget.detector_efficiency,
@@ -165,6 +165,8 @@ def transmission_curves(
         raise DomainError(f"max_km must be finite and nonnegative, got {max_km}")
     if not (math.isfinite(step_km) and step_km > 0.0):
         raise DomainError(f"step_km must be finite and positive, got {step_km}")
+    if not math.isfinite(max_km / step_km):
+        raise DomainError(f"step_km {step_km} is too small: the row count is not finite")
     header = [
         "length_km",
         "t_493",

@@ -293,7 +293,9 @@ def scheme_comparison(
 
 def _na_grid(na_step: float) -> np.ndarray:
     if not 0.0 < na_step <= 1.0:
-        raise DomainError(f"NA step must lie in (0, 1], got {na_step}")
+        raise DomainError(f"na_step must lie in (0, 1], got {na_step}")
+    if not math.isfinite(1.0 / na_step):
+        raise DomainError(f"na_step {na_step} is too small: the row count is not finite")
     n = int(round(1.0 / na_step))
     return np.linspace(0.0, n * na_step, n + 1)
 

@@ -306,6 +306,38 @@ class TestOutputAndConfig:
         assert code == 2
         assert "na" in err
 
+    @pytest.mark.parametrize("override", [(), ("--collection", "exact")])
+    def test_bad_config_choice_is_usage_error(self, capsys, tmp_path, override):
+        """A config value is checked as a flag is, even where argv overrides it."""
+        config = tmp_path / "run.conf"
+        config.write_text("collection = bogus\n")
+        code, out, err = run(capsys, "schemes", "--config", str(config), *override)
+        assert code == 2 and out == ""
+        assert "--collection" in err
+
+    TRAP_CONFIG = "v0 = 200\nfreq_mhz = 20\nr-um = 260\neta = 0.9\nmass_amu = 138\n"
+    TRAP_FLAGS = ("--v0", "200", "--freq-mhz", "20", "--r-um", "260", "--mass-amu", "138")
+
+    @pytest.mark.parametrize("config_text, argv, reference", [
+        (TRAP_CONFIG, ("trap",), ("trap", *TRAP_FLAGS, "--eta", "0.9")),
+        (TRAP_CONFIG, ("trap", "--eta", "0.5"), ("trap", *TRAP_FLAGS, "--eta", "0.5")),
+        ("qfc_efficiency = 0.05, 0.18\n", ("fiber", "budget"),
+         ("fiber", "budget", "--qfc-efficiency", "0.05", "--qfc-efficiency", "0.18")),
+        ("qfc_efficiency = 0.05, 0.18\n", ("fiber", "budget", "--qfc-efficiency", "0.5"),
+         ("fiber", "budget", "--qfc-efficiency", "0.5")),
+        ("initial_mj = -3/2\n", ("chain", "exact"), ("chain", "exact", "--initial-mj=-3/2")),
+        ("trials = 5\nscheme = weak\noutput_format = json\noutput = {tmp}/x.csv\n"
+         "config = {tmp}/other.conf\ncommand = trap\n", ("schemes",), ("schemes",)),
+    ])
+    def test_config_contract(self, capsys, tmp_path, config_text, argv, reference):
+        """argv > config > default; only the chosen subcommand's keys are read."""
+        config = tmp_path / "run.conf"
+        config.write_text(config_text.format(tmp=tmp_path))
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *reference)[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
     def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
         code, _out, _err = run(capsys, "schemes", "--config", str(tmp_path / "absent.conf"))
         assert code == 2
@@ -350,9 +382,29 @@ class TestFailuresExitOne:
         (("emission", "pattern", "--theta-step-deg", "inf"), "theta_step_deg"),
         (("emission", "pattern", "--theta-step-deg", "0"), "theta_step_deg"),
         (("emission", "pattern", "--phi-step-deg=-inf"), "phi_step_deg"),
+        (("fiber", "curves", "--step-km", "1e-320"), "step_km"),
+        (("emission", "pattern", "--theta-step-deg", "1e-320"), "theta_step_deg"),
+        (("emission", "pattern", "--phi-step-deg", "1e-320"), "phi_step_deg"),
+        (("fidelity-curve", "--na-step", "1e-320"), "na_step"),
+        (("prob-curve", "--na-step", "1e-320"), "na_step"),
     ])
     def test_non_finite_grid_arguments(self, capsys, argv, name):
         self.assert_one_line_error(*run(capsys, *argv), name)
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (("chain", "exact", "--model", "/nonexistent/model.txt"), "/nonexistent/model.txt"),
+        (("chain", "mc", "--trials", "10", "--model", "/nonexistent/model.txt"),
+         "/nonexistent/model.txt"),
+        (("fiber", "crossing", "--raw-nm", "nan"), "nan nm"),
+        (("fiber", "crossing", "--raw-nm=-inf"), "-inf nm"),
+        (("fiber", "budget", "--fiber-nm", "nan"), "nan nm"),
+        (("fiber", "budget", "--length-km", "nan"), "length_km"),
+        (("fiber", "budget", "--rep-rate-hz", "inf"), "repetition_rate_hz"),
+        (("fiber", "budget", "--source-rate", "2"), "source_rate"),
+        (("fiber", "budget", "--qfc-efficiency", "1.5"), "conversion_efficiency"),
+    ])
+    def test_bad_files_and_link_inputs(self, capsys, argv, fragment):
+        self.assert_one_line_error(*run(capsys, *argv), fragment)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_output_path(self, capsys, tmp_path, fmt):

@@ -262,6 +262,7 @@ class TestPatternGrid:
         (math.nan, 1.0, "theta_step_deg"), (math.inf, 1.0, "theta_step_deg"),
         (0.0, 1.0, "theta_step_deg"), (1.0, -2.0, "phi_step_deg"),
         (1.0, math.nan, "phi_step_deg"), (1.0, -math.inf, "phi_step_deg"),
+        (1e-320, 1.0, "theta_step_deg"), (1.0, 1e-320, "phi_step_deg"),
     ])
     def test_non_finite_or_non_positive_steps_rejected(self, theta_step, phi_step, name):
         with pytest.raises(DomainError, match=name):

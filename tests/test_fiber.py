@@ -15,7 +15,7 @@ from ionlink.fiber import (
     transmission,
     transmission_curves,
 )
-from ionlink.qfc import MixKind, load_dispersion, plan_stage
+from ionlink.qfc import MixKind, chain_efficiency, load_dispersion, plan_stage
 
 from oracles import transmission_curve_rows_per_row
 
@@ -140,7 +140,8 @@ class TestLinkBudget:
     def test_budget_with_conversion_chain(self):
         budget = LinkBudget(
             source_rate=0.085, repetition_rate_hz=1e6, fiber=standard_channel(780),
-            length_km=1.0, detector_efficiency=0.95, qfc_chain=self._chain(),
+            length_km=1.0, detector_efficiency=0.95,
+            conversion_efficiency=chain_efficiency(self._chain()),
         )
         assert end_to_end_rate(budget) == pytest.approx(BUDGET_EXAMPLE_RATE_HZ, rel=1e-12)
 
@@ -155,6 +156,18 @@ class TestLinkBudget:
         with pytest.raises(DomainError):
             LinkBudget(source_rate=1.2, repetition_rate_hz=1e6,
                        fiber=standard_channel(780), length_km=1.0, detector_efficiency=0.9)
+
+    @pytest.mark.parametrize("field, value", [
+        ("conversion_efficiency", 2.0), ("conversion_efficiency", -0.1),
+        ("conversion_efficiency", math.nan), ("source_rate", math.nan),
+        ("detector_efficiency", math.inf), ("repetition_rate_hz", math.inf),
+        ("repetition_rate_hz", -1.0), ("length_km", math.nan), ("length_km", -math.inf),
+    ])
+    def test_non_finite_or_out_of_range_rejected(self, field, value):
+        fields = dict(source_rate=0.085, repetition_rate_hz=1e6, fiber=standard_channel(780),
+                      length_km=1.0, detector_efficiency=0.95)
+        with pytest.raises(DomainError, match=field):
+            LinkBudget(**{**fields, field: value})
 
 
 class TestCurves:
@@ -180,7 +193,7 @@ class TestCurves:
     @pytest.mark.parametrize("max_km, step_km, name", [
         (2.0, 0.0, "step_km"), (2.0, -0.5, "step_km"), (2.0, math.nan, "step_km"),
         (2.0, math.inf, "step_km"), (-1.0, 0.01, "max_km"), (math.inf, 0.01, "max_km"),
-        (math.nan, 0.01, "max_km"),
+        (math.nan, 0.01, "max_km"), (2.0, 1e-320, "step_km"),
     ])
     def test_bad_grid_rejected(self, max_km, step_km, name):
         with pytest.raises(DomainError, match=name):

@@ -299,3 +299,5 @@ class TestCurves:
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             fidelity_curve(0.9, 0.0)
+        with pytest.raises(DomainError, match="na_step"):
+            probability_curve(STRONG, 1e-320)
