@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check
 
 __all__ = [
     "Level",
@@ -164,8 +164,8 @@ def _sublevels(level: Level) -> list[ZeemanState]:
 
 
 def _validate_model(model: BranchingModel) -> None:
-    if not (0.0 <= model.br_493 <= 1.0 and 0.0 <= model.br_650 <= 1.0):
-        raise DomainError("branching fractions must lie in [0, 1]")
+    check("br_493", model.br_493, 0.0, 1.0)
+    check("br_650", model.br_650, 0.0, 1.0)
     if abs(model.br_493 + model.br_650 - 1.0) > NORMALIZATION_TOL:
         raise DomainError(
             f"branching fractions must sum to 1, got {model.br_493 + model.br_650!r}"
@@ -338,4 +338,7 @@ def save_model(model: BranchingModel, path) -> None:
 
 def load_model(path) -> BranchingModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_text(fh.read())
+        try:
+            return model_from_text(fh.read())
+        except ValueError as exc:  # not UTF-8, a bad number or level, or a DomainError
+            raise DomainError(f"model file {path}: {exc}") from exc

@@ -18,13 +18,14 @@ Every capability of the library is reachable from one executable::
 Tabular subcommands default to CSV, scalar ones to JSON; ``--output-format``
 switches either way and ``--output`` redirects to a file.  A ``--config``
 file of ``key = value`` lines supplies defaults for the subcommand's own
-flags, checked as flags are; explicit flags override it.  JSON output never
-carries NaN or infinity: a non-finite result is an error.  Exit codes: 0
-success; 1 domain or numeric error, or a file that cannot be read or
-written (one ``error:`` line); 2 usage error.  A malformed value or unknown
-flag prints argparse's usage synopsis and ``error: argument --na: invalid
-float value: 'banana'``; a missing required flag or config file prints one
-``usage error:`` line.
+flags, checked as flags are; explicit flags override it.  A non-finite or
+out-of-range physics input, a result that over- or underflows and a grid
+above 2**20 rows are refused naming the argument; JSON output never carries
+NaN or infinity.  Exit codes: 0 success; 1 domain or numeric error, or a
+file that cannot be read, parsed or written (one ``error:`` line); 2 usage
+error.  A malformed value or unknown flag prints argparse's usage synopsis
+and ``error: argument --na: invalid float value: 'banana'``; a missing
+required flag or an unreadable config file prints one ``usage error:`` line.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from importlib import metadata
 
-from . import atomic, emission, fiber, pump_cycle, qfc, schemes, trap
+from . import __version__, atomic, emission, fiber, pump_cycle, qfc, schemes, trap
 from ._format import render_csv, render_json, table_payload, write_output
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check
 
 __all__ = ["main"]
 
@@ -51,11 +51,7 @@ _DRIVES = {
 
 
 def _version_string() -> str:
-    try:
-        package_version = metadata.version("ionlink")
-    except metadata.PackageNotFoundError:
-        package_version = "unknown"
-    return f"ionlink {package_version} (dispersion-data {qfc.dispersion_data_version()})"
+    return f"ionlink {__version__} (dispersion-data {qfc.dispersion_data_version()})"
 
 
 class _UsageError(Exception):
@@ -74,7 +70,7 @@ def _read_config(path: str) -> dict[str, str]:
                 if not sep:
                     raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -212,7 +208,8 @@ def _fiber_budget(args):
         fiber=_channel(args.fiber_nm, args.db_per_km),
         length_km=args.length_km,
         detector_efficiency=args.detector,
-        conversion_efficiency=math.prod(args.qfc_efficiency, start=1.0),
+        conversion_efficiency=math.prod(
+            (check("qfc_efficiency", e, 0.0, 1.0) for e in args.qfc_efficiency), start=1.0),
     )
     return {
         "source_rate": budget.source_rate,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check, steps
 
 __all__ = [
     "EmissionDirection",
@@ -49,8 +49,7 @@ class EmissionDirection:
     phi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
+        check("theta", self.theta, 0.0, math.pi)
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise DomainError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
@@ -103,8 +102,7 @@ class CollectionOptic:
     na: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.na <= 1.0:
-            raise DomainError(f"numerical aperture must lie in (0, 1], got {self.na}")
+        check("NA", self.na, 0.0, 1.0, open_lo=True)
 
 
 def collection_fraction(
@@ -112,9 +110,7 @@ def collection_fraction(
     model: CollectionModel = CollectionModel.QUADRATIC,
 ) -> float:
     """Fraction of the full sphere captured by the optic."""
-    na = optic.na if isinstance(optic, CollectionOptic) else float(optic)
-    if not 0.0 <= na <= 1.0:
-        raise DomainError(f"numerical aperture must lie in [0, 1], got {na}")
+    na = check("NA", optic.na if isinstance(optic, CollectionOptic) else float(optic), 0.0, 1.0)
     if model is CollectionModel.QUADRATIC:
         return na * na / 4.0
     return (1.0 - math.sqrt(1.0 - na * na)) / 2.0
@@ -128,9 +124,7 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
     monotonically with NA, mirroring how a larger aperture admits more
     polarization mixing.  It is not the coefficient of any fidelity formula.
     """
-    if not 0.0 < na <= 1.0:
-        raise DomainError(f"numerical aperture must lie in (0, 1], got {na}")
-    beta = math.asin(na)
+    beta = math.asin(check("NA", na, 0.0, 1.0, open_lo=True))
     alpha = (np.arange(n_polar) + 0.5) * (beta / n_polar)
     psi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
     a, p = np.meshgrid(alpha, psi, indexing="ij")
@@ -143,14 +137,9 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
 def pattern_grid(theta_step_deg: float, phi_step_deg: float) -> tuple[list[float], list[float]]:
     """Export grid in radians: theta over [0, 180] degrees, the pole included,
     and phi over [0, 360) degrees."""
-    for name, step, span in (("theta_step_deg", theta_step_deg, 180.0),
-                             ("phi_step_deg", phi_step_deg, 360.0)):
-        if not (math.isfinite(step) and step > 0.0):
-            raise DomainError(f"{name} must be finite and positive, got {step}")
-        if not math.isfinite(span / step):
-            raise DomainError(f"{name} {step} is too small: the row count is not finite")
-    thetas = [math.radians(min(t * theta_step_deg, 180.0))
-              for t in range(int(180.0 / theta_step_deg) + 1)]
+    n_theta = int(steps("theta_step_deg", theta_step_deg, 180.0)) + 1
+    steps("phi_step_deg", phi_step_deg, 360.0 * n_theta)  # the cap is on theta x phi rows
+    thetas = [math.radians(min(t * theta_step_deg, 180.0)) for t in range(n_theta)]
     phis = [math.radians(p * phi_step_deg)
             for p in range(int(math.ceil(360.0 / phi_step_deg)))
             if p * phi_step_deg < 360.0]

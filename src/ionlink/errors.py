@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range check on inputs."""
+
+import math
+
+#: Most rows a grid export may have: 8x the 0.5 x 1 degree emission grid.
+MAX_ROWS = 2**20
 
 
 class DomainError(ValueError):
@@ -15,3 +20,25 @@ class NoCrossingError(DomainError):
 
 class NumericError(RuntimeError):
     """A linear solve or other numerical step failed on malformed input."""
+
+
+def check(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
+          open_lo: bool = False) -> float:
+    """``value`` if it is finite and lies in [lo, hi] ((lo, hi] when ``open_lo``).
+
+    NaN and +-inf always fail.  The DomainError names ``name`` and the value.
+    """
+    if not (math.isfinite(value) and (lo < value if open_lo else lo <= value) and value <= hi):
+        raise DomainError(
+            f"{name} out of range: {value} (must be finite and lie in "
+            f"{'(' if open_lo else '['}{lo:g}, {hi:g}{')' if hi == math.inf else ']'})"
+        )
+    return value
+
+
+def steps(name: str, step: float, span: float, hi: float = math.inf) -> float:
+    """``span / step`` for a grid step in (0, hi], at most :data:`MAX_ROWS`."""
+    n = span / check(name, step, 0.0, hi, open_lo=True)
+    if not n < MAX_ROWS:
+        raise DomainError(f"{name} {step} is too small: the grid would exceed {MAX_ROWS} rows")
+    return n

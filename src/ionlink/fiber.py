@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoCrossingError
+from .errors import DomainError, NoCrossingError, check, steps
 
 __all__ = [
     "FiberChannel",
@@ -45,10 +45,8 @@ class FiberChannel:
     attenuation_db_per_km: float
 
     def __post_init__(self) -> None:
-        if self.wavelength_nm <= 0.0:
-            raise DomainError("wavelength must be positive")
-        if self.attenuation_db_per_km < 0.0:
-            raise DomainError("attenuation must be nonnegative (loss is a positive number)")
+        check("wavelength_nm", self.wavelength_nm, open_lo=True)
+        check("attenuation_db_per_km", self.attenuation_db_per_km)  # loss is positive
 
 
 def standard_channel(wavelength_nm: int) -> FiberChannel:
@@ -64,9 +62,7 @@ def standard_channel(wavelength_nm: int) -> FiberChannel:
 
 def transmission(fiber: FiberChannel, length_km: float) -> float:
     """Power transmission fraction 10^(-alpha L / 10)."""
-    if length_km < 0.0:
-        raise DomainError("length must be nonnegative")
-    return 10.0 ** (-fiber.attenuation_db_per_km * length_km / 10.0)
+    return 10.0 ** (-fiber.attenuation_db_per_km * check("length_km", length_km) / 10.0)
 
 
 def conversion_crossing(
@@ -77,8 +73,7 @@ def conversion_crossing(
     Solves efficiency * 10^(-a_c L / 10) = 10^(-a_r L / 10):
     L = 10 log10(1/efficiency) / (a_r - a_c).  Unit efficiency crosses at 0.
     """
-    if not 0.0 < efficiency <= 1.0:
-        raise DomainError(f"efficiency must lie in (0, 1], got {efficiency}")
+    check("efficiency", efficiency, 0.0, 1.0, open_lo=True)
     delta = raw.attenuation_db_per_km - converted.attenuation_db_per_km
     if delta <= 0.0:
         raise NoCrossingError(
@@ -87,7 +82,8 @@ def conversion_crossing(
         )
     if efficiency == 1.0:
         return 0.0
-    return 10.0 * math.log10(1.0 / efficiency) / delta
+    crossing_km = 10.0 * math.log10(1.0 / efficiency) / delta
+    return check(f"crossing_km at efficiency {efficiency}", crossing_km)
 
 
 @dataclass(frozen=True)
@@ -103,13 +99,9 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         for name in ("source_rate", "detector_efficiency", "conversion_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {value}")
+            check(name, getattr(self, name), 0.0, 1.0)
         for name in ("repetition_rate_hz", "length_km"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+            check(name, getattr(self, name))
 
 
 def link_rate(
@@ -161,12 +153,9 @@ def transmission_curves(
     numpy's ``np.power`` rounds differently in the last bit for some
     exponents on SIMD builds.
     """
-    if not (math.isfinite(max_km) and max_km >= 0.0):
-        raise DomainError(f"max_km must be finite and nonnegative, got {max_km}")
-    if not (math.isfinite(step_km) and step_km > 0.0):
-        raise DomainError(f"step_km must be finite and positive, got {step_km}")
-    if not math.isfinite(max_km / step_km):
-        raise DomainError(f"step_km {step_km} is too small: the row count is not finite")
+    n_steps = int(math.floor(steps("step_km", step_km, check("max_km", max_km)) + 1e-9))
+    scales = [1.0, check("eta_780", eta_780, 0.0, 1.0), 1.0,
+              check("eta_1259", eta_1259, 0.0, 1.0), check("eta_1550", eta_1550, 0.0, 1.0)]
     header = [
         "length_km",
         "t_493",
@@ -176,8 +165,6 @@ def transmission_curves(
         f"t_1550_x{eta_1550:g}",
     ]
     channels = [standard_channel(nm) for nm in (493, 780, 650, 1259, 1550)]
-    scales = [1.0, eta_780, 1.0, eta_1259, eta_1550]
-    n_steps = int(math.floor(max_km / step_km + 1e-9))
     lengths = [i * step_km for i in range(n_steps + 1)]
     length_array = np.array(lengths)
     traces = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ChainError, DomainError
+from .errors import ChainError, DomainError, check
 
 __all__ = [
     "C_NM_THZ",
@@ -75,8 +75,8 @@ class LightField:
     role: FieldRole = FieldRole.INPUT
 
     def __post_init__(self) -> None:
-        if self.frequency_thz <= 0.0 or self.wavelength_nm <= 0.0:
-            raise DomainError("wavelength and frequency must be positive")
+        check("wavelength_nm", self.wavelength_nm, open_lo=True)
+        check("frequency_thz", self.frequency_thz, open_lo=True)
         if abs(self.wavelength_nm * self.frequency_thz - C_NM_THZ) > _DUALITY_RTOL * C_NM_THZ:
             raise DomainError(
                 f"wavelength {self.wavelength_nm} nm and frequency "
@@ -85,15 +85,11 @@ class LightField:
 
     @classmethod
     def from_wavelength_nm(cls, nm: float, role: FieldRole = FieldRole.INPUT) -> "LightField":
-        if nm <= 0.0:
-            raise DomainError(f"wavelength must be positive, got {nm}")
-        return cls(nm, C_NM_THZ / nm, role)
+        return cls(nm, C_NM_THZ / check("wavelength_nm", nm, open_lo=True), role)
 
     @classmethod
     def from_frequency_thz(cls, thz: float, role: FieldRole = FieldRole.INPUT) -> "LightField":
-        if thz <= 0.0:
-            raise DomainError(f"frequency must be positive, got {thz}")
-        return cls(C_NM_THZ / thz, thz, role)
+        return cls(C_NM_THZ / check("frequency_thz", thz, open_lo=True), thz, role)
 
 
 class MixKind(enum.Enum):
@@ -152,7 +148,10 @@ class DispersionModel:
             )
         lam_um = wavelength_nm / 1000.0
         t_c = self.temperature_k - 273.15
-        n = _INDEX_FORMS[self.form](self.coefficients, lam_um, t_c)
+        try:
+            n = _INDEX_FORMS[self.form](self.coefficients, lam_um, t_c)
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise DomainError(f"dispersion model {self.material} cannot be evaluated: {exc!r}") from exc
         if not math.isfinite(n) or not 1.0 < n < 4.0:
             raise DomainError(
                 f"dispersion model {self.material} returned non-physical index {n} "
@@ -215,17 +214,24 @@ def load_dispersion(name_or_path: str) -> DispersionModel:
                 f"unknown dispersion model {name_or_path!r}: not a bundled name "
                 f"({', '.join(sorted(set(_PACKAGED_MODELS)))}) and no such file"
             ) from exc
-    if payload.get("form") not in _INDEX_FORMS:
-        raise DomainError(f"unsupported dispersion form {payload.get('form')!r}")
-    return DispersionModel(
-        material=payload["material"],
-        form=payload["form"],
-        coefficients=payload["coefficients"],
-        valid_range_nm=tuple(payload["valid_range_nm"]),
-        temperature_k=payload["reference_temperature_k"],
-        version=payload["version"],
-        notes=payload.get("notes", ""),
-    )
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise DomainError(f"cannot parse dispersion file {name_or_path}: {exc}") from exc
+    form = payload.get("form") if isinstance(payload, dict) else None
+    if form not in _INDEX_FORMS:
+        raise DomainError(f"unsupported dispersion form {form!r} in {name_or_path}")
+    try:
+        lo, hi = payload["valid_range_nm"]
+        return DispersionModel(
+            material=payload["material"],
+            form=form,
+            coefficients=payload["coefficients"],
+            valid_range_nm=(check("valid_range_nm", lo), check("valid_range_nm", hi)),
+            temperature_k=check("reference_temperature_k", payload["reference_temperature_k"]),
+            version=payload["version"],
+            notes=payload.get("notes", ""),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # a key missing, or not a number
+        raise DomainError(f"malformed dispersion file {name_or_path}: {exc!r}") from exc
 
 
 def dispersion_data_version() -> str:
@@ -259,12 +265,10 @@ class ConversionStage:
                 f"energy conservation violated: output {self.output.frequency_thz} THz, "
                 f"expected {expected} THz for {self.kind.value.upper()}"
             )
-        if self.poling_period_um <= 0.0:
-            raise DomainError("poling period must be positive")
+        check("poling_period_um", self.poling_period_um, open_lo=True)
         if self.poling_order < 1 or self.poling_order % 2 == 0:
             raise DomainError(f"poling order must be an odd positive integer, got {self.poling_order}")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise DomainError(f"efficiency must lie in [0, 1], got {self.efficiency}")
+        check("efficiency", self.efficiency, 0.0, 1.0)
 
 
 def _bulk_mismatch_per_um(
@@ -327,6 +331,7 @@ def noise_audit(stage: ConversionStage, srs_threshold_thz: float = 5.0) -> list[
     SRS_RISK when the output sits within ``srs_threshold_thz`` of the pump;
     a single PASS finding otherwise.
     """
+    check("srs_threshold_thz", srs_threshold_thz)
     nu_in = stage.input.frequency_thz
     nu_p = stage.pump.frequency_thz
     nu_out = stage.output.frequency_thz

@@ -27,7 +27,7 @@ import numpy as np
 
 from .atomic import BranchingModel, Level, ZeemanState
 from .emission import CollectionModel, collection_fraction
-from .errors import DomainError
+from .errors import DomainError, check, steps
 
 __all__ = [
     "BASIS_LABELS",
@@ -187,9 +187,7 @@ def geometric_branch_probabilities(
 
 def reexcitation_mixture(p_good: float, p_bad: float) -> TwoQubitState:
     """Classical mixture of the two Bell pairings with normalized weights."""
-    if p_good < 0.0 or p_bad < 0.0:
-        raise DomainError("branch probabilities must be nonnegative")
-    total = p_good + p_bad
+    total = check("p_good", p_good) + check("p_bad", p_bad)
     if total <= 0.0:
         raise DomainError("at least one branch probability must be positive")
     w_good = p_good / total
@@ -208,26 +206,19 @@ class SchemeSpec:
 
     def __post_init__(self) -> None:
         for field in ("excite_prob", "s_decay_prob", "max_fidelity"):
-            value = getattr(self, field)
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{field} must lie in [0, 1], got {value}")
+            check(field, getattr(self, field), 0.0, 1.0)
 
 
-# Canonical operating points.  The d-shelving success 0.947 is the summed
-# branch probabilities 0.844 + 0.103 of the repeated-excitation cycle and
-# 0.891 their normalized good-branch weight; weak/strong emit straight off
-# the P level, so their success carries the bare 0.7304 branching ratio.
+# Canonical operating points.  The d-shelving row is the paper's: 0.947 =
+# 0.844 + 0.103, where 0.103 is the chance of ever reaching the wrong P1/2
+# sublevel (not of emitting from it), and 0.891 = 0.844 / 0.947.  The chain
+# (pump_cycle.solve_exact) gives 0.92363 and good weight 0.91400; tests pin
+# the gap.  weak/strong emit straight off the P level: bare 0.7304 branching.
 D_SHELVING = SchemeSpec("d-shelving", 1.0, 0.947, 0.891)
 WEAK = SchemeSpec("weak", 0.2, 0.7304, 1.0)
 STRONG = SchemeSpec("strong", 1.0, 0.7304, 1.0)
 
 SCHEMES = {s.name: s for s in (D_SHELVING, WEAK, STRONG)}
-
-
-def _check_na(na: float) -> float:
-    if not 0.0 <= na <= 1.0:
-        raise DomainError(f"NA out of range: {na} (must lie in [0, 1])")
-    return float(na)
 
 
 def fidelity_at_na(
@@ -240,7 +231,7 @@ def fidelity_at_na(
     F = F_max - 0.24 * (captured solid-angle fraction); with the default
     quadratic model the fraction is NA^2/4.
     """
-    na = _check_na(na)
+    check("max_fidelity", max_fidelity, 0.0, 1.0)
     return max_fidelity - POLARIZATION_MIXING_COEFF * collection_fraction(na, collection)
 
 
@@ -253,17 +244,13 @@ def entanglement_probability(
 
     P = P_excite * P_s * NA^2/4 for the quadratic collection model.
     """
-    na = _check_na(na)
     return spec.excite_prob * spec.s_decay_prob * collection_fraction(na, collection)
 
 
 def double_excitation_probability(pulse_duration_s: float, lifetime_s: float) -> float:
     """Probability 1 - exp(-dt/tau) of a second excitation during a pulse."""
-    if pulse_duration_s < 0.0:
-        raise DomainError("pulse duration must be nonnegative")
-    if lifetime_s <= 0.0:
-        raise DomainError("lifetime must be positive")
-    return -math.expm1(-pulse_duration_s / lifetime_s)
+    check("pulse_duration_s", pulse_duration_s)
+    return -math.expm1(-pulse_duration_s / check("lifetime_s", lifetime_s, open_lo=True))
 
 
 class SchemeRow(NamedTuple):
@@ -277,7 +264,6 @@ def scheme_comparison(
     na: float, collection: CollectionModel = CollectionModel.QUADRATIC
 ) -> list[SchemeRow]:
     """Side-by-side success probability and fidelity of all schemes at one NA."""
-    na = _check_na(na)
     rows = []
     for spec in (D_SHELVING, WEAK, STRONG):
         rows.append(
@@ -292,11 +278,7 @@ def scheme_comparison(
 
 
 def _na_grid(na_step: float) -> np.ndarray:
-    if not 0.0 < na_step <= 1.0:
-        raise DomainError(f"na_step must lie in (0, 1], got {na_step}")
-    if not math.isfinite(1.0 / na_step):
-        raise DomainError(f"na_step {na_step} is too small: the row count is not finite")
-    n = int(round(1.0 / na_step))
+    n = int(round(steps("na_step", na_step, 1.0, hi=1.0)))
     return np.linspace(0.0, n * na_step, n + 1)
 
 

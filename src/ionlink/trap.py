@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import check
 
 __all__ = ["TrapConfig", "pseudopotential", "secular_frequency"]
 
@@ -38,11 +38,9 @@ class TrapConfig:
     charge: float      # ion charge, C
 
     def __post_init__(self) -> None:
-        for name in ("v0", "omega_rf", "r", "eta", "mass", "charge"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be strictly positive")
-        if self.eta > 1.0:
-            raise DomainError("eta cannot exceed 1 (perfect hyperbolic geometry)")
+        for name in ("v0", "omega_rf", "r", "mass", "charge"):
+            check(name, getattr(self, name), open_lo=True)
+        check("eta", self.eta, 0.0, 1.0, open_lo=True)  # 1: perfect hyperbolic geometry
 
     @classmethod
     def from_lab_units(
@@ -65,16 +63,27 @@ class TrapConfig:
         )
 
 
+def _positive(quantity: str, config: TrapConfig, evaluate) -> float:
+    """``evaluate()``, rejected where it over- or underflows for this config."""
+    try:
+        value = evaluate()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan  # no float result
+    return check(f"{quantity} of {config}", value, open_lo=True)
+
+
 def pseudopotential(config: TrapConfig, x: float, y: float):
     """Ponderomotive pseudopotential energy at radial offset (x, y), in joules."""
-    scale = (config.charge * config.v0 * config.eta) ** 2 / (
-        4.0 * config.mass * config.r**4 * config.omega_rf**2
-    )
+    scale = _positive("pseudopotential scale", config, lambda: (
+        (config.charge * config.v0 * config.eta) ** 2
+        / (4.0 * config.mass * config.r**4 * config.omega_rf**2)
+    ))
     return scale * (x * x + y * y)
 
 
 def secular_frequency(config: TrapConfig) -> float:
     """Radial secular angular frequency, rad/s."""
-    return (config.charge * config.v0 * config.eta) / (
-        math.sqrt(2.0) * config.mass * config.r**2 * config.omega_rf
-    )
+    return _positive("secular frequency", config, lambda: (
+        (config.charge * config.v0 * config.eta)
+        / (math.sqrt(2.0) * config.mass * config.r**2 * config.omega_rf)
+    ))

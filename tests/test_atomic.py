@@ -214,6 +214,20 @@ class TestSerialization:
         with pytest.raises(DomainError):
             model_from_text(text)
 
+    @pytest.mark.parametrize("content, fragment", [
+        (b"\xff\xfe", "codec can't decode"),
+        (b"format = branching-model/1\nbr_493 = abc\nbr_650 = 0.3\n[cg]\n", "could not convert"),
+        (b"format = branching-model/1\nbr_493 = 0.7\nbr_650 = 0.3\n[cg]\n"
+         b"Q12 +1/2 -> S12 +1/2 : 0.5\n", "'Q12' is not a valid Level"),
+        (b"format = branching-model/1\nbr_493 = nan\nbr_650 = 0.3\n[cg]\n", "br_493 out of range"),
+    ])
+    def test_malformed_file_names_the_path(self, tmp_path, content, fragment):
+        path = tmp_path / "model.txt"
+        path.write_bytes(content)
+        with pytest.raises(DomainError, match=fragment) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"model file {path}: ")
+
     def test_random_model_round_trip(self):
         rng = np.random.default_rng(3)
         m = random_branching_model(rng)

@@ -2,10 +2,19 @@ import csv
 import io
 import json
 import math
+import re
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import ionlink
 from ionlink.cli import main
+
+
+TRAP = ("trap", "--v0", "200", "--freq-mhz", "20", "--r-um", "260", "--eta", "0.9",
+        "--mass-amu", "138")
+QFC_PLAN = ("qfc", "plan", "--input-nm", "650", "--pump-nm", "1343", "--material", "ppln")
 
 
 def run(capsys, *argv):
@@ -209,6 +218,13 @@ class TestQfc:
         assert code == 0
         assert "dispersion-data 2026.08" in out
 
+    def test_version_is_the_package_version(self, capsys):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        assert ionlink.__version__ == version
+        _, out, _ = run(capsys, "--version")
+        assert out.startswith(f"ionlink {version} (")
+
 
 class TestFiber:
     def test_curves_header_and_values(self, capsys):
@@ -338,6 +354,13 @@ class TestOutputAndConfig:
         assert out == run(capsys, *reference)[1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
+    def test_non_utf8_config_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"na = 0.5 # \xe9\n")
+        code, out, err = run(capsys, "schemes", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: cannot read config file {path}") and err.count("\n") == 1
+
     def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
         code, _out, _err = run(capsys, "schemes", "--config", str(tmp_path / "absent.conf"))
         assert code == 2
@@ -359,19 +382,45 @@ class TestFailuresExitOne:
         for fragment in fragments:
             assert fragment in err
 
-    @pytest.mark.parametrize("argv", [
-        ("fidelity-curve", "--f-max", "nan", "--output-format", "json"),
-        ("fidelity-curve", "--f-max", "inf", "--na-step", "0.5", "--output-format", "json"),
-        ("fiber", "curves", "--eta-780", "nan", "--output-format", "json"),
-        ("trap", "--v0", "nan", "--freq-mhz", "20", "--r-um", "260", "--eta", "0.9",
-         "--mass-amu", "138"),
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, name", [
+        # non-finite or out-of-range physics inputs
+        (("fidelity-curve", "--f-max", "nan"), "max_fidelity"),
+        (("fidelity-curve", "--f-max", "inf", "--na-step", "0.5"), "max_fidelity"),
+        (("fidelity-curve", "--f-max", "7"), "max_fidelity"),
+        (TRAP + ("--v0", "nan"), "v0"),
+        (TRAP + ("--v0", "inf"), "v0"),
+        (TRAP + ("--eta", "nan"), "eta"),
+        (("fiber", "curves", "--eta-780", "nan"), "eta_780"),
+        (("fiber", "curves", "--eta-1550", "-3"), "eta_1550"),
+        (("fiber", "budget", "--db-per-km", "inf"), "attenuation_db_per_km"),
+        (QFC_PLAN + ("--srs-threshold-thz", "nan"), "srs_threshold_thz"),
+        # finite inputs whose result over- or underflows
+        (TRAP + ("--freq-mhz", "1e-320"), "omega_rf"),
+        (TRAP + ("--r-um", "1e-300"), "r=1e-306"),
+        (TRAP + ("--r-um", "1e300"), "r=1e+294"),
+        (("fiber", "crossing", "--efficiency", "1e-320"), "efficiency 1e-320"),
+        # grids above 2**20 rows
+        (("fidelity-curve", "--na-step", "1e-300"), "na_step"),
+        (("prob-curve", "--na-step", "1e-7"), "na_step"),
+        (("fiber", "curves", "--step-km", "1e-300"), "step_km"),
+        (("fiber", "curves", "--max-km", "1048576", "--step-km", "1"), "step_km"),
+        (("emission", "pattern", "--theta-step-deg", "1e-300"), "theta_step_deg"),
+        (("emission", "pattern", "--theta-step-deg", "0.01", "--phi-step-deg", "1"),
+         "phi_step_deg"),
     ])
-    def test_non_finite_json_is_refused(self, capsys, argv):
-        self.assert_one_line_error(*run(capsys, *argv), "NaN or infinity")
+    def test_bad_physics_input_is_refused(self, capsys, argv, name, fmt):
+        self.assert_one_line_error(*run(capsys, *argv, "--output-format", fmt), name)
 
-    def test_non_finite_csv_still_prints(self, capsys):
-        code, out, _ = run(capsys, "fidelity-curve", "--f-max", "nan", "--na-step", "0.5")
-        assert code == 0 and out == "na,fidelity\n0,nan\n0.5,nan\n1,nan\n"
+    def test_non_finite_json_result_is_refused(self, capsys, tmp_path):
+        """A dispersion file's material is free text, so a NaN there is left to
+        the JSON renderer's own check."""
+        payload = json.loads(
+            resources.files("ionlink.data").joinpath("ppln_mgo_cln.json").read_text())
+        path = tmp_path / "nan-material.json"
+        path.write_text(json.dumps({**payload, "material": math.nan}))
+        argv = QFC_PLAN[:-1] + (str(path),)
+        self.assert_one_line_error(*run(capsys, *argv), "NaN or infinity")
 
     @pytest.mark.parametrize("argv, name", [
         (("fiber", "curves", "--max-km", "inf"), "max_km"),
@@ -401,10 +450,26 @@ class TestFailuresExitOne:
         (("fiber", "budget", "--length-km", "nan"), "length_km"),
         (("fiber", "budget", "--rep-rate-hz", "inf"), "repetition_rate_hz"),
         (("fiber", "budget", "--source-rate", "2"), "source_rate"),
-        (("fiber", "budget", "--qfc-efficiency", "1.5"), "conversion_efficiency"),
+        (("fiber", "budget", "--qfc-efficiency", "1.5"), "qfc_efficiency"),
+        (("fiber", "budget", "--qfc-efficiency", "2", "--qfc-efficiency", "0.1"), "qfc_efficiency"),
     ])
     def test_bad_files_and_link_inputs(self, capsys, argv, fragment):
         self.assert_one_line_error(*run(capsys, *argv), fragment)
+
+    @pytest.mark.parametrize("flag, content, fragment", [
+        ("--model", b"\xff\xfe", "codec can't decode"),
+        ("--model", b"format = branching-model/1\nbr_493 = abc\nbr_650 = 0.3\n[cg]\n",
+         "could not convert"),
+        ("--material", b'{"form": "mgo', "cannot parse dispersion file"),
+        ("--material", b"\xff\xfe", "cannot parse dispersion file"),
+        ("--material", b"[1, 2]", "unsupported dispersion form"),
+        ("--material", b'{"form": "mgo_cln_e"}', "KeyError('valid_range_nm')"),
+    ])
+    def test_malformed_input_files(self, capsys, tmp_path, flag, content, fragment):
+        path = tmp_path / "malformed"
+        path.write_bytes(content)
+        head = ("chain", "exact") if flag == "--model" else QFC_PLAN[:-2]
+        self.assert_one_line_error(*run(capsys, *head, flag, str(path)), fragment, str(path))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_output_path(self, capsys, tmp_path, fmt):

@@ -165,6 +165,12 @@ class TestCollectionFraction:
         with pytest.raises(DomainError):
             collection_fraction(1.5)
 
+    @pytest.mark.parametrize("na", [math.nan, math.inf, -math.inf])
+    def test_non_finite_aperture_rejected(self, na):
+        for call in (collection_fraction, CollectionOptic, cone_mixing_weight):
+            with pytest.raises(DomainError, match="^NA out of range"):
+                call(na)
+
 
 class TestConeMixing:
     def test_monotone_in_aperture(self):
@@ -263,6 +269,8 @@ class TestPatternGrid:
         (0.0, 1.0, "theta_step_deg"), (1.0, -2.0, "phi_step_deg"),
         (1.0, math.nan, "phi_step_deg"), (1.0, -math.inf, "phi_step_deg"),
         (1e-320, 1.0, "theta_step_deg"), (1.0, 1e-320, "phi_step_deg"),
+        (1e-300, 1.0, "theta_step_deg"), (0.0001, 30.0, "theta_step_deg"),
+        (0.01, 1.0, "phi_step_deg"),  # 18001 x 360 rows: the cap is on the product
     ])
     def test_non_finite_or_non_positive_steps_rejected(self, theta_step, phi_step, name):
         with pytest.raises(DomainError, match=name):

@@ -44,6 +44,15 @@ class TestChannels:
         with pytest.raises(DomainError):
             FiberChannel(493.0, -50.0)
 
+    @pytest.mark.parametrize("wavelength_nm, attenuation, name", [
+        (math.nan, 1.0, "wavelength_nm"), (math.inf, 1.0, "wavelength_nm"),
+        (0.0, 1.0, "wavelength_nm"), (780.0, math.inf, "attenuation_db_per_km"),
+        (780.0, math.nan, "attenuation_db_per_km"),
+    ])
+    def test_non_finite_channel_rejected(self, wavelength_nm, attenuation, name):
+        with pytest.raises(DomainError, match=f"^{name} out of range"):
+            FiberChannel(wavelength_nm, attenuation)
+
 
 class TestTransmission:
     def test_visible_over_one_km(self):
@@ -67,9 +76,10 @@ class TestTransmission:
             product = transmission(ch, l1) * transmission(ch, l2)
             assert combined == pytest.approx(product, rel=1e-12)
 
-    def test_negative_length_rejected(self):
-        with pytest.raises(DomainError):
-            transmission(standard_channel(493), -1.0)
+    @pytest.mark.parametrize("length_km", [-1.0, math.nan, math.inf])
+    def test_negative_length_rejected(self, length_km):
+        with pytest.raises(DomainError, match="length_km"):
+            transmission(standard_channel(493), length_km)
 
 
 class TestCrossing:
@@ -102,6 +112,11 @@ class TestCrossing:
             conversion_crossing(standard_channel(493), standard_channel(780), 0.0)
         with pytest.raises(DomainError):
             conversion_crossing(standard_channel(493), standard_channel(780), 1.5)
+
+    def test_non_finite_crossing_rejected(self):
+        # 1/efficiency overflows to inf for a subnormal efficiency
+        with pytest.raises(DomainError, match="crossing_km at efficiency 1e-320 out of range: inf"):
+            conversion_crossing(standard_channel(493), standard_channel(780), 1e-320)
 
 
 class TestLinkRate:
@@ -193,11 +208,18 @@ class TestCurves:
     @pytest.mark.parametrize("max_km, step_km, name", [
         (2.0, 0.0, "step_km"), (2.0, -0.5, "step_km"), (2.0, math.nan, "step_km"),
         (2.0, math.inf, "step_km"), (-1.0, 0.01, "max_km"), (math.inf, 0.01, "max_km"),
-        (math.nan, 0.01, "max_km"), (2.0, 1e-320, "step_km"),
+        (math.nan, 0.01, "max_km"), (2.0, 1e-320, "step_km"), (2.0, 1e-300, "step_km"),
+        (2.0**20, 1.0, "step_km"),
     ])
     def test_bad_grid_rejected(self, max_km, step_km, name):
         with pytest.raises(DomainError, match=name):
             transmission_curves(max_km, step_km)
+
+    @pytest.mark.parametrize("name", ["eta_780", "eta_1259", "eta_1550"])
+    @pytest.mark.parametrize("value", [-3.0, 1.5, math.nan, math.inf])
+    def test_bad_efficiency_scale_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} out of range"):
+            transmission_curves(2.0, 0.5, **{name: value})
 
     @pytest.mark.parametrize("args", [
         (200.0, 0.01), (3.7, 0.013, 0.07, 0.11, 0.3), (0.0, 1.0), (1e4, 0.7), (5.0, 7.0),

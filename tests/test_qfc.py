@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ GOLDEN_PERIOD_650_PPLN = 12.537762022437104
 GOLDEN_PERIOD_780_PPLN = 19.66848842824558
 
 
+def _ppln_payload():
+    return json.loads(resources.files("ionlink.data").joinpath("ppln_mgo_cln.json").read_text())
+
+
 def field(nm, role=FieldRole.INPUT):
     return LightField.from_wavelength_nm(nm, role)
 
@@ -63,6 +68,15 @@ class TestLightField:
             LightField.from_wavelength_nm(-5.0)
         with pytest.raises(DomainError):
             LightField.from_frequency_thz(0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(DomainError, match="^wavelength_nm out of range"):
+            LightField.from_wavelength_nm(value)
+        with pytest.raises(DomainError, match="^frequency_thz out of range"):
+            LightField.from_frequency_thz(value)
+        with pytest.raises(DomainError, match="out of range"):
+            LightField(value, 500.0)
 
 
 class TestMixingOutputs:
@@ -143,6 +157,43 @@ class TestDispersionModels:
         path.write_text(json.dumps(payload))
         model = load_dispersion(str(path))
         assert model.index(587.6) == pytest.approx(1.5168, abs=2e-4)
+
+    @pytest.mark.parametrize("content, fragment", [
+        (b'{"form": "mgo', "cannot parse dispersion file"),
+        (b"\xff\xfe", "cannot parse dispersion file"),
+        (b"[1, 2]", "unsupported dispersion form None"),
+        (b'{"form": "mgo_cln_e"}', "KeyError\\('valid_range_nm'\\)"),
+    ])
+    def test_malformed_file_names_the_path(self, tmp_path, content, fragment):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(DomainError, match=fragment) as info:
+            load_dispersion(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("valid_range_nm", 5, "malformed dispersion file"),
+        ("valid_range_nm", [1.0, 2.0, 3.0], "malformed dispersion file"),
+        ("reference_temperature_k", "hot", "malformed dispersion file"),
+        ("reference_temperature_k", math.nan, "reference_temperature_k out of range"),
+    ])
+    def test_malformed_fields_rejected_on_load(self, tmp_path, key, value, fragment):
+        payload = _ppln_payload()
+        payload[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DomainError, match=fragment):
+            load_dispersion(str(path))
+
+    @pytest.mark.parametrize("coefficients", [{}, [1.0], {"a1": "x"}])
+    def test_malformed_coefficients_rejected_on_use(self, tmp_path, coefficients):
+        payload = _ppln_payload()
+        payload["coefficients"] = coefficients
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        model = load_dispersion(str(path))
+        with pytest.raises(DomainError, match="cannot be evaluated"):
+            model.index(650.0)
 
     def test_data_version_exposed(self):
         assert dispersion_data_version() == "2026.08"
@@ -257,6 +308,11 @@ class TestStageValidation:
         with pytest.raises(DomainError):
             ConversionStage(field(493.0), field(1343.0, FieldRole.PUMP), out,
                             MixKind.DFG, 7.4, efficiency=1.5)
+        for kwargs in ({"efficiency": math.nan}, {"poling_period_um": math.inf}):
+            with pytest.raises(DomainError, match=f"^{next(iter(kwargs))} out of range"):
+                ConversionStage(**{**dict(input=field(493.0), pump=field(1343.0, FieldRole.PUMP),
+                                          output=out, kind=MixKind.DFG, poling_period_um=7.4),
+                                   **kwargs})
 
     def test_even_poling_order_rejected(self):
         out = dfg_output(field(493.0), field(1343.0))
@@ -286,6 +342,12 @@ class TestNoiseAudit:
     def test_clean_stage_passes(self):
         stage, findings = plan_stage(650.0, 1343.0, MixKind.DFG, load_dispersion("ppln"))
         assert [f.code for f in findings] == ["PASS"]
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_bad_threshold_rejected(self, threshold):
+        stage, _ = plan_stage(650.0, 1343.0, MixKind.DFG, load_dispersion("ppln"))
+        with pytest.raises(DomainError, match="^srs_threshold_thz out of range"):
+            noise_audit(stage, threshold)
 
     def test_threshold_is_configurable(self):
         stage, _ = plan_stage(650.0, 1343.0, MixKind.DFG, load_dispersion("ppln"))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ionlink.atomic import BranchingModel, default_barium_model
 from ionlink.emission import CollectionModel
 from ionlink.errors import DomainError
+from ionlink.pump_cycle import PumpCycleConfig, solve_exact
 from ionlink.schemes import (
     D_SHELVING,
     SCHEMES,
@@ -173,6 +176,8 @@ class TestMixture:
             reexcitation_mixture(0.0, 0.0)
         with pytest.raises(DomainError):
             reexcitation_mixture(-0.1, 0.5)
+        with pytest.raises(DomainError, match="p_bad"):
+            reexcitation_mixture(0.5, math.nan)
 
 
 class TestFidelityVsAperture:
@@ -198,6 +203,9 @@ class TestFidelityVsAperture:
             fidelity_at_na(0.9, 1.5)
         with pytest.raises(DomainError):
             fidelity_at_na(0.9, -0.1)
+        for max_fidelity in (math.nan, math.inf, 7.0, -0.1):
+            with pytest.raises(DomainError, match="max_fidelity"):
+                fidelity_at_na(max_fidelity, 0.5)
 
 
 class TestEntanglementProbability:
@@ -248,6 +256,10 @@ class TestDoubleExcitation:
             double_excitation_probability(1.0, 0.0)
         with pytest.raises(DomainError):
             double_excitation_probability(-1.0, 1.0)
+        with pytest.raises(DomainError, match="lifetime_s"):
+            double_excitation_probability(1.0, math.nan)
+        with pytest.raises(DomainError, match="pulse_duration_s"):
+            double_excitation_probability(math.inf, 1.0)
 
 
 class TestSchemeTable:
@@ -280,6 +292,23 @@ class TestSchemeTable:
     def test_spec_bounds(self):
         with pytest.raises(DomainError):
             SchemeSpec("broken", 1.2, 0.5, 0.9)
+        with pytest.raises(DomainError, match="max_fidelity"):
+            SchemeSpec("broken", 1.0, 0.5, math.nan)
+
+    def test_d_shelving_row_is_the_paper_row_not_the_chain(self):
+        """The row adds the probability of ever reaching the wrong P1/2 sublevel
+        (0.103) to p_good; the absorbing chain counts only photons emitted
+        from it, so its success and good weight differ from the row's."""
+        model = default_barium_model()
+        chain = solve_exact(PumpCycleConfig(model=model))
+        success = chain.p_good + chain.p_bad
+        assert success == pytest.approx(0.92363, abs=5e-6)
+        assert chain.p_good / success == pytest.approx(0.91400, abs=5e-6)
+        assert (D_SHELVING.s_decay_prob, D_SHELVING.max_fidelity) == (0.947, 0.891)
+        ever_bad = (model.br_650 / 3.0) / (1.0 - model.br_650 / 2.0)
+        assert chain.p_good + ever_bad == pytest.approx(D_SHELVING.s_decay_prob, abs=2e-3)
+        assert D_SHELVING.s_decay_prob - success == pytest.approx(0.02337, abs=5e-5)
+        assert D_SHELVING.max_fidelity - chain.p_good / success == pytest.approx(-0.02300, abs=5e-5)
 
 
 class TestCurves:
@@ -301,3 +330,6 @@ class TestCurves:
             fidelity_curve(0.9, 0.0)
         with pytest.raises(DomainError, match="na_step"):
             probability_curve(STRONG, 1e-320)
+        for step in (1e-300, 1e-7, 2.0, math.nan):
+            with pytest.raises(DomainError, match="na_step"):
+                fidelity_curve(0.9, step)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,26 @@ class TestValidation:
     def test_eta_capped_at_one(self):
         with pytest.raises(DomainError):
             TrapConfig(v0=100.0, omega_rf=1e8, r=1e-4, eta=1.1, mass=1e-25, charge=1e-19)
+
+    @pytest.mark.parametrize("name", ["v0", "omega_rf", "r", "eta", "mass", "charge"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, name, value):
+        fields = dict(v0=100.0, omega_rf=1e8, r=1e-4, eta=0.9, mass=1e-25, charge=1e-19)
+        with pytest.raises(DomainError, match=f"^{name} out of range"):
+            TrapConfig(**{**fields, name: value})
+
+    @pytest.mark.parametrize("lab_units, name", [
+        ({"f_rf_mhz": 1e-320}, "omega_rf"),   # the denominator underflows to 0
+        ({"r_um": 1e-300}, "r=1e-306"),       # r**2 underflows to 0
+        ({"r_um": 1e300}, "r=1e+294"),        # r**2 overflows
+    ])
+    def test_over_or_underflow_is_domain_error(self, lab_units, name):
+        config = TrapConfig.from_lab_units(
+            **{**dict(v0=200.0, f_rf_mhz=20.0, r_um=260.0, eta=0.9, mass_amu=138.0), **lab_units})
+        with pytest.raises(DomainError, match=re.escape(name)):
+            secular_frequency(config)
+        with pytest.raises(DomainError, match=re.escape(name)):
+            pseudopotential(config, 1e-6, 0.0)
 
     def test_lab_unit_constructor(self):
         assert BLADE_TRAP.omega_rf == pytest.approx(2.0 * math.pi * 20e6, rel=1e-15)
