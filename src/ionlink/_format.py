@@ -2,26 +2,20 @@
 
 CSV cells use 6 significant digits; JSON numbers use Python's shortest
 round-trip representation.  Both are stable across runs and platforms.
-JSON carries no NaN or infinity: a non-finite number raises
-:class:`DomainError` on every path.
+Neither carries NaN or infinity: a non-finite float raises
+:class:`DomainError` with one message in both formats.
 
-Tables are rendered ``_BLOCK`` rows at a time, and the block texts are
-joined once at the end; no whole-table intermediate is built.  The bytes
-are those of the per-cell renderers they replace (``csv.writer`` over
-:func:`format_cell`, and ``json.dumps(indent=2)``; ``tests/oracles.py``
-keeps both as the reference):
-
-* A block whose cells are all exact ``float`` (every large grid) is
-  rendered column-wise, each distinct 64-bit pattern of a column formatted
-  once.  The key is the bit pattern, not the value: ``0.0 == -0.0`` print
-  differently.  Other blocks, e.g. one mixing ``1``, ``1.0`` and
-  ``True``, are rendered cell by cell.
-* Float texts contain no character that CSV quotes, so float blocks are
-  joined directly; every other block still goes through ``csv.writer``.
-* JSON float rows are joined with the separators ``json.dumps`` uses at
-  ``indent=2`` and encoded as it encodes floats (``float.__repr__``).  A
-  table with any other block, and every non-table payload, goes through
-  ``json.dumps`` itself.
+A table is its header and then its rows, ``_BLOCK`` rows at a time, with
+the bytes of the per-cell renderers they replace (``csv.writer`` over
+:func:`format_cell`, and ``json.dumps(indent=2)``, kept in
+``tests/oracles.py`` as the reference).  A block whose cells are all exact
+``float`` (every large grid) is rendered column-wise: each distinct 64-bit
+pattern of a column is formatted once (the bit pattern, since ``0.0 ==
+-0.0`` print differently), and the texts, which hold nothing CSV quotes,
+are joined directly.  Any other block goes row by row through
+``csv.writer``, or through ``json.dumps`` re-indented to the row's depth.
+JSON tables are the :func:`table_payload` type; any other payload is
+encoded by one ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -43,8 +37,21 @@ __all__ = ["format_cell", "render_csv", "render_json", "table_payload", "write_o
 #: Rows rendered per block: large enough to amortise the per-column numpy
 #: calls, small enough that a block's cell strings stay within a few MB.
 _BLOCK = 4096
-_NON_FINITE = ("the result holds NaN or infinity, which JSON cannot represent "
-               "(--output-format csv prints it)")
+_NON_FINITE = "the result holds NaN or infinity, which neither CSV nor JSON output carries"
+
+
+def _finite(values: list[float]) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise DomainError(_NON_FINITE)
+    return values
+
+
+def _csv_floats(values: list[float]) -> list[str]:
+    return list(map(format, _finite(values), itertools.repeat(".6g")))
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    return list(map(float.__repr__, _finite(values)))
 
 
 def format_cell(value) -> str:
@@ -53,18 +60,8 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".6g")
+        return _csv_floats([value])[0]
     return str(value)
-
-
-def _csv_floats(values: list[float]) -> list[str]:
-    return list(map(format, values, itertools.repeat(".6g")))
-
-
-def _json_floats(values: list[float]) -> list[str]:
-    if not all(map(math.isfinite, values)):
-        raise ValueError(values)  # as json.dumps(allow_nan=False) refuses them
-    return list(map(float.__repr__, values))
 
 
 def _blocks(rows: Iterable) -> Iterable[list]:
@@ -106,47 +103,45 @@ def render_csv(columns: Sequence[str], rows: Iterable[Sequence], footnotes: Sequ
     return buf.getvalue()
 
 
-def _json_table(payload) -> str | None:
-    """``json.dumps(payload, indent=2)`` for a columns/rows[/footnotes] table
-    whose rows are all exact floats; ``None`` for any other payload."""
-    if not isinstance(payload, dict) or list(payload) not in (
-            ["columns", "rows"], ["columns", "rows", "footnotes"]):
-        return None
-    rows = payload["rows"]
-    if not isinstance(rows, (list, tuple)):
-        return None
+class _Table(dict):
+    """A ``columns``/``rows``[/``footnotes``] payload; its rows are a list."""
 
-    def nested(value) -> str:  # a value encoded on its own, moved to depth 1
-        return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
-    parts = ['{\n  "columns": ', nested(payload["columns"]), ',\n  "rows": [']
-    for i, block in enumerate(_blocks(rows)):
+def _dumps(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested ``depth`` levels deep."""
+    try:
+        text = json.dumps(value, indent=2, allow_nan=False)
+    except ValueError as exc:  # a non-finite float, refused as json refuses it
+        raise DomainError(_NON_FINITE) from exc
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _json_rows(rows: list) -> list[str]:
+    """Parts of the text of ``rows`` as :func:`_dumps` encodes them at depth 1."""
+    parts = []
+    for block in _blocks(rows):
         texts = _float_columns(block, _json_floats)
+        parts.append(",\n    " if parts else "[\n    ")
         if texts is None:
-            return None
-        # a row is "[\n      a,\n      b\n    ]" and rows are apart by ",\n    "
-        cells = map(",\n      ".join, zip(*texts))
-        parts += [",\n    [\n      " if i else "\n    [\n      ",
-                  "\n    ],\n    [\n      ".join(cells), "\n    ]"]
-    parts.append("\n  ]" if rows else "]")
-    if "footnotes" in payload:
-        parts += [',\n  "footnotes": ', nested(payload["footnotes"])]
-    parts.append("\n}\n")
-    return "".join(parts)
+            parts.append(",\n    ".join(_dumps(row, 2) for row in block))
+        else:  # a row is "[\n      a,\n      b\n    ]" and rows are apart by ",\n    "
+            cells = map(",\n      ".join, zip(*texts))
+            parts += ["[\n      ", "\n    ],\n    [\n      ".join(cells), "\n    ]"]
+    return parts + ["\n  ]"] if parts else ["[]"]
 
 
 def render_json(payload) -> str:
-    try:
-        text = _json_table(payload)
-        if text is None:
-            text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # a non-finite float, refused as json refuses it
-        raise DomainError(_NON_FINITE) from exc
-    return text
+    if not isinstance(payload, _Table):
+        return _dumps(payload, 0) + "\n"
+    parts = []  # joined once: the text is not copied as it grows
+    for key, value in payload.items():
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
+        parts += _json_rows(value) if key == "rows" else [_dumps(value, 1)]
+    return "".join(parts + ["\n}\n"])
 
 
 def table_payload(columns: Sequence[str], rows: Iterable[Sequence], footnotes: Sequence[str] = ()) -> dict:
-    payload = {"columns": list(columns), "rows": list(rows)}
+    payload = _Table(columns=list(columns), rows=list(rows))
     if footnotes:
         payload["footnotes"] = list(footnotes)
     return payload

@@ -20,12 +20,13 @@ switches either way and ``--output`` redirects to a file.  A ``--config``
 file of ``key = value`` lines supplies defaults for the subcommand's own
 flags, checked as flags are; explicit flags override it.  A non-finite or
 out-of-range physics input, a result that over- or underflows and a grid
-above 2**20 rows are refused naming the argument; JSON output never carries
-NaN or infinity.  Exit codes: 0 success; 1 domain or numeric error, or a
-file that cannot be read, parsed or written (one ``error:`` line); 2 usage
-error.  A malformed value or unknown flag prints argparse's usage synopsis
-and ``error: argument --na: invalid float value: 'banana'``; a missing
-required flag or an unreadable config file prints one ``usage error:`` line.
+above 2**20 rows are refused naming the argument; neither CSV nor JSON
+output carries NaN or infinity.  Exit codes: 0 success; 1 domain or numeric
+error, or a file that cannot be read, parsed or written (one ``error:``
+line); 2 usage error.  A malformed value or unknown flag prints argparse's
+usage synopsis and ``error: argument --na: invalid float value: 'banana'``;
+a missing required flag or an unreadable config file prints one ``usage
+error:`` line.
 """
 
 from __future__ import annotations
@@ -410,7 +411,8 @@ def main(argv=None) -> int:
     try:
         write_output(text, args.output)
     except OSError as exc:
-        print(f"error: cannot write {args.output or '-'}: {exc.strerror or exc}", file=sys.stderr)
+        target = "-" if args.output is None else args.output
+        print(f"error: cannot write {target!r}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,11 +8,8 @@ distance the converted channel wins.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, NoCrossingError, check, steps
 
@@ -145,13 +142,8 @@ def transmission_curves(
 
     Returns the CSV header and rows: raw 493 nm and 650 nm traces next to
     the 780/1259/1550 nm converted ones, each multiplied by the quoted
-    conversion efficiency so curves are directly comparable.
-
-    Each channel's trace is one array expression with the arithmetic of
-    :func:`transmission` (exponent ``-alpha L / 10`` in numpy, IEEE exact),
-    and the power ``10 ** y`` stays on libm ``pow`` through ``math.pow``:
-    numpy's ``np.power`` rounds differently in the last bit for some
-    exponents on SIMD builds.
+    conversion efficiency so curves are directly comparable.  Each cell is
+    the efficiency times :func:`transmission`'s own expression.
     """
     n_steps = int(math.floor(steps("step_km", step_km, check("max_km", max_km)) + 1e-9))
     scales = [1.0, check("eta_780", eta_780, 0.0, 1.0), 1.0,
@@ -166,11 +158,6 @@ def transmission_curves(
     ]
     channels = [standard_channel(nm) for nm in (493, 780, 650, 1259, 1550)]
     lengths = [i * step_km for i in range(n_steps + 1)]
-    length_array = np.array(lengths)
-    traces = []
-    for channel, scale in zip(channels, scales):
-        exponents = (-channel.attenuation_db_per_km * length_array / 10.0).tolist()
-        powers = np.fromiter(map(math.pow, itertools.repeat(10.0), exponents),
-                             np.float64, len(exponents))
-        traces.append((scale * powers).tolist())
+    traces = [[scale * 10.0 ** (-channel.attenuation_db_per_km * km / 10.0) for km in lengths]
+              for channel, scale in zip(channels, scales)]
     return header, [list(row) for row in zip(lengths, *traces)]

@@ -232,7 +232,7 @@ def simulate(
     Parameters
     ----------
     n_trials : int
-        Number of independent trajectories.
+        Number of independent trajectories, below 2**63 (counts are int64).
     seed : int
         64-bit unsigned stream key.  Identical (seed, config, n_trials)
         give bit-identical results for any ``workers`` value.
@@ -241,8 +241,8 @@ def simulate(
         and at ``os.cpu_count()``.  Purely a throughput knob; the counts
         reduce by plain summation.
     """
-    if n_trials < 1:
-        raise DomainError("n_trials must be at least 1")
+    if not 1 <= n_trials < 2**63:
+        raise DomainError("n_trials must be at least 1 and below 2**63")
     if not 0 <= seed < 2**64:
         raise DomainError("seed must fit in an unsigned 64-bit integer")
     if workers < 1:

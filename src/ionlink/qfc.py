@@ -221,6 +221,9 @@ def load_dispersion(name_or_path: str) -> DispersionModel:
         raise DomainError(f"unsupported dispersion form {form!r} in {name_or_path}")
     try:
         lo, hi = payload["valid_range_nm"]
+        for key in ("material", "version"):
+            if not isinstance(payload[key], str):
+                raise TypeError(f"{key} must be a string, got {payload[key]!r}")
         return DispersionModel(
             material=payload["material"],
             form=form,
@@ -230,7 +233,7 @@ def load_dispersion(name_or_path: str) -> DispersionModel:
             version=payload["version"],
             notes=payload.get("notes", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:  # a key missing, or not a number
+    except (KeyError, TypeError, ValueError) as exc:  # a key missing, or not a number or string
         raise DomainError(f"malformed dispersion file {name_or_path}: {exc!r}") from exc
 
 
@@ -266,9 +269,13 @@ class ConversionStage:
                 f"expected {expected} THz for {self.kind.value.upper()}"
             )
         check("poling_period_um", self.poling_period_um, open_lo=True)
-        if self.poling_order < 1 or self.poling_order % 2 == 0:
-            raise DomainError(f"poling order must be an odd positive integer, got {self.poling_order}")
+        _check_order(self.poling_order)
         check("efficiency", self.efficiency, 0.0, 1.0)
+
+
+def _check_order(poling_order: int) -> None:
+    if poling_order < 1 or poling_order % 2 == 0:
+        raise DomainError(f"poling order must be an odd positive integer, got {poling_order}")
 
 
 def _bulk_mismatch_per_um(
@@ -300,10 +307,10 @@ def solve_poling_period(
 
     Lambda = 2 pi m / (k_in - k_pump - k_out); the first-order period is
     computed once and scaled by the order, so the order-m period is exactly
-    m times the order-1 period.
+    m times the order-1 period.  An order whose period is not a finite
+    float is refused.
     """
-    if poling_order < 1 or poling_order % 2 == 0:
-        raise DomainError(f"poling order must be an odd positive integer, got {poling_order}")
+    _check_order(poling_order)
     bulk = _bulk_mismatch_per_um(input_field, pump, output, dispersion)
     if bulk <= 0.0:
         raise DomainError(
@@ -311,7 +318,13 @@ def solve_poling_period(
             f"poling period with the k_in - k_pump - k_out convention (mismatch "
             f"{bulk * 1e6} 1/m <= 0)"
         )
-    return poling_order * (2.0 * math.pi / bulk)
+    try:
+        period = poling_order * (2.0 * math.pi / bulk)
+    except OverflowError:  # an order beyond the float range
+        period = math.inf
+    if period == math.inf:
+        raise DomainError("poling order too large: its poling period exceeds the float range")
+    return period
 
 
 # ---------------------------------------------------------------------------

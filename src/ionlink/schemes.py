@@ -277,9 +277,12 @@ def scheme_comparison(
     return rows
 
 
-def _na_grid(na_step: float) -> np.ndarray:
-    n = int(round(steps("na_step", na_step, 1.0, hi=1.0)))
-    return np.linspace(0.0, n * na_step, n + 1)
+def _na_curve(value_at, na_step: float) -> list[tuple[float, float]]:
+    """(na, value_at(na)) on the grid 0, na_step, ... up to NA 1."""
+    n = int(math.floor(steps("na_step", na_step, 1.0, hi=1.0) + 1e-9))
+    # the tolerance may keep a last point a rounding error above 1: it is NA 1
+    nas = [min(na, 1.0) for na in np.linspace(0.0, n * na_step, n + 1).tolist()]
+    return [(na, value_at(na)) for na in nas]
 
 
 def fidelity_curve(
@@ -288,10 +291,7 @@ def fidelity_curve(
     collection: CollectionModel = CollectionModel.QUADRATIC,
 ) -> list[tuple[float, float]]:
     """(na, fidelity) samples over NA in [0, 1]."""
-    return [
-        (float(na), fidelity_at_na(max_fidelity, min(float(na), 1.0), collection))
-        for na in _na_grid(na_step)
-    ]
+    return _na_curve(lambda na: fidelity_at_na(max_fidelity, na, collection), na_step)
 
 
 def probability_curve(
@@ -300,7 +300,4 @@ def probability_curve(
     collection: CollectionModel = CollectionModel.QUADRATIC,
 ) -> list[tuple[float, float]]:
     """(na, probability) samples over NA in [0, 1]."""
-    return [
-        (float(na), entanglement_probability(spec, min(float(na), 1.0), collection))
-        for na in _na_grid(na_step)
-    ]
+    return _na_curve(lambda na: entanglement_probability(spec, na, collection), na_step)

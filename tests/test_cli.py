@@ -90,6 +90,12 @@ class TestCurves:
         assert len(rows) == 11
         assert float(rows[-1][1]) == pytest.approx(0.7304 / 4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("command", ["fidelity-curve", "prob-curve"])
+    def test_no_na_above_one(self, capsys, command):
+        for step, last in (("0.6", "0.6"), ("0.65", "0.65"), ("0.18", "0.9"), ("0.15", "0.9")):
+            _, rows, _ = parse_csv(run(capsys, command, "--na-step", step)[1])
+            assert rows[-1][0] == last
+
     def test_f_max_override(self, capsys):
         _, out, _ = run(capsys, "fidelity-curve", "--f-max", "1.0", "--na-step", "0.5")
         _, rows, _ = parse_csv(out)
@@ -408,19 +414,22 @@ class TestFailuresExitOne:
         (("emission", "pattern", "--theta-step-deg", "1e-300"), "theta_step_deg"),
         (("emission", "pattern", "--theta-step-deg", "0.01", "--phi-step-deg", "1"),
          "phi_step_deg"),
+        # integers beyond what the computation can hold
+        (("chain", "mc", "--trials", "1" + "0" * 30), "n_trials"),
+        (QFC_PLAN + ("--order", "1" * 400), "poling order"),
     ])
     def test_bad_physics_input_is_refused(self, capsys, argv, name, fmt):
         self.assert_one_line_error(*run(capsys, *argv, "--output-format", fmt), name)
 
     def test_non_finite_json_result_is_refused(self, capsys, tmp_path):
-        """A dispersion file's material is free text, so a NaN there is left to
-        the JSON renderer's own check."""
+        """A dispersion file's material must be a string, so a NaN there is
+        refused on load, before it reaches any renderer."""
         payload = json.loads(
             resources.files("ionlink.data").joinpath("ppln_mgo_cln.json").read_text())
         path = tmp_path / "nan-material.json"
         path.write_text(json.dumps({**payload, "material": math.nan}))
         argv = QFC_PLAN[:-1] + (str(path),)
-        self.assert_one_line_error(*run(capsys, *argv), "NaN or infinity")
+        self.assert_one_line_error(*run(capsys, *argv), "malformed dispersion file", str(path))
 
     @pytest.mark.parametrize("argv, name", [
         (("fiber", "curves", "--max-km", "inf"), "max_km"),
@@ -478,3 +487,7 @@ class TestFailuresExitOne:
         self.assert_one_line_error(code, out, err, "cannot write", str(target))
         code, out, err = run(capsys, "qfc", "table2", "--output", str(tmp_path))
         self.assert_one_line_error(code, out, err, "cannot write", str(tmp_path))
+
+    def test_empty_output_path_is_named(self, capsys):
+        code, out, err = run(capsys, "schemes", "--output", "")
+        self.assert_one_line_error(code, out, err, "cannot write '':")

@@ -11,7 +11,9 @@ physics is reached.
 
 Grids are capped at 2**20 rows, so grid steps may be drawn as fine as
 ``1e-300``.  ``--trials`` stays at or below 1e4: the Monte Carlo's memory is
-bounded but its run time grows with the trial count.
+bounded but its run time grows with the trial count.  The integers beyond
+what a count or a period can hold (``1e30`` trials, a 400-digit poling
+order) are refused before any work.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from ionlink.cli import main
 
 NUMBERS = ("nan", "inf", "-inf", "1e-320", "1e-300", "1e300", "0", "-1", "banana", "", "0.05",
            "0.5", "1", "2", "20", "138", "260", "493", "650", "780", "1259", "1343", "1550")
-INTEGERS = ("nan", "1e-320", "0", "-1", "banana", "", "3/2", "1", "2", "3", "7")
-TRIALS = ("0", "-1", "1e4", "banana", "1", "100", "10000")
+INTEGERS = ("nan", "1e-320", "0", "-1", "banana", "", "3/2", "1", "2", "3", "7", "1" * 400)
+TRIALS = ("0", "-1", "1e4", "banana", "1", "100", "10000", "1" + "0" * 30)
 SEEDS = ("0", "-1", "17", "18446744073709551615", "18446744073709551616", "banana")
 NA_STEPS = ("nan", "inf", "-inf", "1e-320", "1e-300", "0", "-1", "banana", "2", "0.5", "0.1",
             "0.01")

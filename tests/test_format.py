@@ -70,7 +70,11 @@ any_tables = st.one_of(tables(), tables(kinds=(floats, finite_floats)))
 def test_csv_matches_per_cell_renderer(table, block):
     columns, rows, footnotes = table
     with mock.patch.object(_format, "_BLOCK", block):
-        assert render_csv(columns, rows, footnotes) == render_csv_per_cell(columns, rows, footnotes)
+        if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+            with pytest.raises(DomainError, match="NaN or infinity"):
+                render_csv(columns, rows, footnotes)
+        else:
+            assert render_csv(columns, rows, footnotes) == render_csv_per_cell(columns, rows, footnotes)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -129,8 +133,12 @@ class TestCellTexts:
             payload = table_payload(columns, [], footnotes)
             assert render_json(payload) == render_json_dumps(payload)
 
-    def test_non_finite_csv_cells_print(self):
-        assert render_csv(["x"], [(math.nan,), (math.inf,), (-math.inf,)]) == "x\nnan\ninf\n-inf\n"
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_csv_cells_are_refused(self, value):
+        with pytest.raises(DomainError, match="NaN or infinity"):
+            render_csv(["x", "y"], [(1.0, 2.0), (value, 3.0)])
+        with pytest.raises(DomainError, match="NaN or infinity"):
+            render_csv(["x", "y"], [(1, "a"), (value, "b")])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
     def test_non_finite_json_is_refused(self, value):
@@ -138,6 +146,30 @@ class TestCellTexts:
             render_json(table_payload(["x", "y"], [(1.0, 2.0), (value, 3.0)]))
         with pytest.raises(DomainError, match="NaN or infinity"):
             render_json({"value": value})
+
+    def test_each_table_row_is_encoded_once(self):
+        """Float blocks are encoded column-wise and other blocks row by row;
+        a mixed block does not send the whole payload back to json.dumps."""
+        rows = [(float(i), 0.5) for i in range(8)] + [(1, "a"), (2.0, None), [3.0]]
+        payload = table_payload(["a", "b"], rows, ["note"])
+        encoded, dumps = [], json.dumps
+
+        def recording_dumps(value, **kwargs):
+            encoded.append(value)
+            return dumps(value, **kwargs)
+
+        with mock.patch.object(_format, "_BLOCK", 4), \
+                mock.patch.object(_format.json, "dumps", recording_dumps):
+            text = render_json(payload)
+        assert text == render_json_dumps(payload)
+        containers = [v for v in encoded if not isinstance(v, str)]  # keys are strings
+        assert containers == [["a", "b"], (1, "a"), (2.0, None), [3.0], ["note"]]
+
+    def test_tables_are_recognised_by_type(self):
+        record = {"columns": ["a"], "rows": "xy"}
+        assert render_json(record) == render_json_dumps(record)
+        table = table_payload(["a"], [[1.0]])
+        assert render_json(dict(table)) == render_json(table) == render_json_dumps(table)
 
     def test_float_blocks_across_block_boundaries(self):
         rows = [(float(i % 3), -float(i % 3)) for i in range(20)]

@@ -202,6 +202,12 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(PumpCycleConfig(), n_trials=10, seed=0, workers=0)
 
+    @pytest.mark.parametrize("n_trials", [2**63, 10**30])
+    def test_trial_count_must_fit_int64(self, n_trials, monkeypatch):
+        monkeypatch.setattr(pump_cycle, "_Walker", None)  # an accepted count fails, not runs
+        with pytest.raises(DomainError, match="n_trials"):
+            simulate(PumpCycleConfig(), n_trials=n_trials, seed=0)
+
 
 def native_stream(seed, cycle):
     return np.random.Philox(key=np.array([seed, cycle], dtype=np.uint64))

@@ -176,6 +176,9 @@ class TestDispersionModels:
         ("valid_range_nm", [1.0, 2.0, 3.0], "malformed dispersion file"),
         ("reference_temperature_k", "hot", "malformed dispersion file"),
         ("reference_temperature_k", math.nan, "reference_temperature_k out of range"),
+        ("material", math.nan, "material must be a string"),
+        ("material", None, "material must be a string"),
+        ("version", 2026.08, "version must be a string"),
     ])
     def test_malformed_fields_rejected_on_load(self, tmp_path, key, value, fragment):
         payload = _ppln_payload()
@@ -238,6 +241,15 @@ class TestPolingPeriod:
         out = dfg_output(field(650.0), field(1343.0))
         with pytest.raises(DomainError):
             solve_poling_period(field(650.0), field(1343.0), out, ppln, poling_order=2)
+
+    def test_order_beyond_float_range_rejected(self):
+        ppln = load_dispersion("ppln")
+        out = dfg_output(field(650.0), field(1343.0))
+        period = solve_poling_period(field(650.0), field(1343.0), out, ppln, poling_order=10**300 + 1)
+        assert math.isfinite(period)
+        for order in (10**308 + 1, int("1" * 400)):
+            with pytest.raises(DomainError, match="poling order too large"):
+                solve_poling_period(field(650.0), field(1343.0), out, ppln, poling_order=order)
 
     def test_unmatchable_ordering_reports_sign_convention(self):
         # SFG puts the output wavevector on top, so the printed convention fails

@@ -325,6 +325,25 @@ class TestCurves:
         assert curve[0][1] == 0.0
         assert curve[-1][1] == pytest.approx(STRONG.excite_prob * STRONG.s_decay_prob / 4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("step, n_rows", [(0.6, 2), (0.65, 2), (0.18, 6), (0.15, 7)])
+    def test_grid_stops_at_na_one(self, step, n_rows):
+        """Steps that do not divide 1 stop at the last multiple below it, and
+        each printed NA is the one evaluated."""
+        fidelities = fidelity_curve(0.891, step)
+        probabilities = probability_curve(STRONG, step)
+        assert [na for na, _ in fidelities] == [na for na, _ in probabilities]
+        assert len(fidelities) == n_rows
+        for i, (na, value) in enumerate(fidelities):
+            assert na == pytest.approx(i * step, rel=1e-12) and na <= 1.0
+            assert value == fidelity_at_na(0.891, na)
+        for na, value in probabilities:
+            assert value == entanglement_probability(STRONG, na)
+
+    def test_point_within_tolerance_of_one_is_na_one(self):
+        step = 0.3333333334  # three steps overshoot 1 by 2e-10, inside the grid tolerance
+        assert fidelity_curve(0.891, step)[-1] == (1.0, fidelity_at_na(0.891, 1.0))
+        assert probability_curve(STRONG, step)[-1] == (1.0, entanglement_probability(STRONG, 1.0))
+
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             fidelity_curve(0.9, 0.0)
