@@ -1,6 +1,6 @@
 """Planning toolkit for a trapped Ba+ ion-photon quantum network link.
 
-Subpackages by capability:
+Modules by capability:
 
 * :mod:`ionlink.atomic` - level structure, decay amplitudes, branching model
 * :mod:`ionlink.schemes` - entanglement schemes, fidelity and probability vs NA
@@ -10,75 +10,57 @@ Subpackages by capability:
 * :mod:`ionlink.qfc` - three-wave-mixing conversion stages and poling design
 * :mod:`ionlink.fiber` - attenuation, crossover distances, link budgets
 * :mod:`ionlink.cli` - the ``ionlink`` command-line front end
+
+The modules and the names below are imported on first access (PEP 562), so
+``import ionlink`` loads neither them nor numpy.  Numpy is loaded only by
+code that builds an array: :mod:`ionlink.pump_cycle`, the emission grid and
+cone kernels, :class:`~ionlink.schemes.TwoQubitState` and the NA curves,
+and the renderer of an all-float table.
 """
 
-from .atomic import (
-    BranchingModel,
-    DecayChannel,
-    Level,
-    Polarization,
-    ZeemanState,
-    allowed_decays,
-    default_barium_model,
-    load_model,
-    save_model,
-)
-from .emission import (
-    CollectionModel,
-    CollectionOptic,
-    EmissionDirection,
-    PolarizationVector,
-    collection_fraction,
-    pi_emission,
-    polarization_overlap,
-    sigma_emission,
-)
-from .errors import ChainError, DomainError, NoCrossingError, NumericError
-from .fiber import (
-    FiberChannel,
-    LinkBudget,
-    conversion_crossing,
-    end_to_end_rate,
-    link_rate,
-    standard_channel,
-    transmission,
-)
-from .pump_cycle import ChainOutcome, PumpCycleConfig, simulate, solve_exact
-from .qfc import (
-    ConversionStage,
-    DispersionModel,
-    LightField,
-    MixKind,
-    NoiseFinding,
-    chain_efficiency,
-    dfg_output,
-    load_dispersion,
-    noise_audit,
-    plan_stage,
-    qpm_residual,
-    sfg_output,
-    solve_poling_period,
-    standard_conversion_table,
-)
-from .schemes import (
-    D_SHELVING,
-    SCHEMES,
-    STRONG,
-    WEAK,
-    BranchProbabilities,
-    CycleAmplitudes,
-    SchemeSpec,
-    TwoQubitState,
-    bad_state,
-    double_excitation_probability,
-    entanglement_probability,
-    fidelity,
-    fidelity_at_na,
-    geometric_branch_probabilities,
-    good_state,
-    reexcitation_mixture,
-    scheme_comparison,
-)
-from .trap import TrapConfig, pseudopotential, secular_frequency
-
 __version__ = "0.1.0"
+
+#: The names ``ionlink`` exports, by the module that defines them.
+_EXPORTS = {
+    "atomic": (
+        "BranchingModel", "DecayChannel", "Level", "Polarization", "ZeemanState",
+        "allowed_decays", "default_barium_model", "load_model", "save_model",
+    ),
+    "emission": (
+        "CollectionModel", "CollectionOptic", "EmissionDirection", "PolarizationVector",
+        "collection_fraction", "pi_emission", "polarization_overlap", "sigma_emission",
+    ),
+    "errors": ("ChainError", "DomainError", "NoCrossingError", "NumericError"),
+    "fiber": (
+        "FiberChannel", "LinkBudget", "conversion_crossing", "end_to_end_rate", "link_rate",
+        "standard_channel", "transmission",
+    ),
+    "pump_cycle": ("ChainOutcome", "PumpCycleConfig", "simulate", "solve_exact"),
+    "qfc": (
+        "ConversionStage", "DispersionModel", "LightField", "MixKind", "NoiseFinding",
+        "chain_efficiency", "dfg_output", "load_dispersion", "noise_audit", "plan_stage",
+        "qpm_residual", "sfg_output", "solve_poling_period", "standard_conversion_table",
+    ),
+    "schemes": (
+        "D_SHELVING", "SCHEMES", "STRONG", "WEAK", "BranchProbabilities", "CycleAmplitudes",
+        "SchemeSpec", "TwoQubitState", "bad_state", "double_excitation_probability",
+        "entanglement_probability", "fidelity", "fidelity_at_na",
+        "geometric_branch_probabilities", "good_state", "reexcitation_mixture",
+        "scheme_comparison",
+    ),
+    "trap": ("TrapConfig", "pseudopotential", "secular_frequency"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # binds the module here; unlike importlib's, this import shows in -X importtime
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if name in _MODULE_OF:
+        value = globals()[name] = getattr(__getattr__(_MODULE_OF[name]), name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

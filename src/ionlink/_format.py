@@ -28,14 +28,14 @@ import math
 import sys
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = ["format_cell", "render_csv", "render_json", "table_payload", "write_output"]
 
 #: Rows rendered per block: large enough to amortise the per-column numpy
 #: calls, small enough that a block's cell strings stay within a few MB.
+#: Numpy is imported by the first all-float block only: ``schemes``, ``qfc
+#: table2`` and a record holding a string render without loading it.
 _BLOCK = 4096
 _NON_FINITE = "the result holds NaN or infinity, which neither CSV nor JSON output carries"
 
@@ -72,6 +72,8 @@ def _blocks(rows: Iterable) -> Iterable[list]:
 
 def _float_texts(column: tuple, render_floats) -> list[str]:
     """Texts of an all-``float`` column: each distinct bit pattern is rendered once."""
+    import numpy as np
+
     bits = np.array(column, dtype=np.float64).view(np.uint64)
     unique, inverse = np.unique(bits, return_inverse=True)
     texts = np.array(render_floats(unique.view(np.float64).tolist()), dtype=object)

@@ -35,7 +35,7 @@ import argparse
 import math
 import sys
 
-from . import __version__, atomic, emission, fiber, pump_cycle, qfc, schemes, trap
+from . import __version__, atomic, emission, fiber, qfc, schemes, trap
 from ._format import render_csv, render_json, table_payload, write_output
 from .errors import DomainError, NumericError, check
 
@@ -83,7 +83,11 @@ def _channel(nm: float, override_db_per_km) -> fiber.FiberChannel:
     return fiber.standard_channel(round(nm) if math.isfinite(nm) else nm)
 
 
-def _chain_config(args, **cutoff) -> pump_cycle.PumpCycleConfig:
+# Only the chain commands import pump_cycle, and numpy with it, and only when
+# they run; like every handler they call their layer through its module.
+def _chain_config(args, **cutoff):
+    from . import pump_cycle
+
     model = atomic.load_model(args.model) if args.model else atomic.default_barium_model()
     drive = _DRIVES[args.drive]
     if args.initial_mj is None:
@@ -123,10 +127,14 @@ def _prob_curve(args):
 
 
 def _chain_exact(args):
+    from . import pump_cycle
+
     return pump_cycle.solve_exact(_chain_config(args)).as_dict()
 
 
 def _chain_mc(args):
+    from . import pump_cycle
+
     outcome = pump_cycle.simulate(_chain_config(args, max_cycles=args.max_cycles),
                                   n_trials=args.trials, seed=args.seed, workers=args.threads)
     return outcome.as_dict()

@@ -19,10 +19,12 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, check, steps
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EmissionDirection",
@@ -124,6 +126,8 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
     monotonically with NA, mirroring how a larger aperture admits more
     polarization mixing.  It is not the coefficient of any fidelity formula.
     """
+    import numpy as np
+
     beta = math.asin(check("NA", na, 0.0, 1.0, open_lo=True))
     alpha = (np.arange(n_polar) + 0.5) * (beta / n_polar)
     psi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
@@ -153,6 +157,8 @@ def _squares(values: np.ndarray) -> np.ndarray:
     in the last bit for some inputs on SIMD builds, so every square goes
     through ``math.pow`` (a C-level map, no Python loop body).
     """
+    import numpy as np
+
     flat = values.ravel().tolist()
     return np.fromiter(map(math.pow, flat, itertools.repeat(2.0)), np.float64,
                        len(flat)).reshape(values.shape)
@@ -175,6 +181,8 @@ def pattern_rows(thetas, phis):
     (:func:`_squares`).  A direction out of range raises before any row is
     yielded, naming the first grid point the point-by-point loop rejects.
     """
+    import numpy as np
+
     thetas = [float(t) for t in thetas]
     phis = [float(p) for p in phis]
     if not thetas or not phis:

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .atomic import BranchingModel, Level, ZeemanState
 from .emission import CollectionModel, collection_fraction
 from .errors import DomainError, check, steps
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BASIS_LABELS",
@@ -76,6 +77,8 @@ class TwoQubitState:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise DomainError(f"density matrix must be 4x4, got shape {rho.shape}")
@@ -90,11 +93,13 @@ class TwoQubitState:
 
     @property
     def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
+        return float((self.rho @ self.rho).trace().real)
 
     @classmethod
     def from_vector(cls, amplitudes) -> "TwoQubitState":
         """Rank-1 state from a (not necessarily normalized) ket."""
+        import numpy as np
+
         psi = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(psi)
         if norm == 0.0:
@@ -117,7 +122,7 @@ def fidelity(target: TwoQubitState, actual: TwoQubitState) -> float:
     """Overlap <psi| rho |psi> of a pure target with the produced state."""
     if abs(target.purity - 1.0) > _PURITY_TOL:
         raise DomainError(f"target state must be pure, purity={target.purity!r}")
-    value = float(np.real(np.trace(target.rho @ actual.rho)))
+    value = float((target.rho @ actual.rho).trace().real)
     return min(max(value, 0.0), 1.0)
 
 
@@ -279,6 +284,8 @@ def scheme_comparison(
 
 def _na_curve(value_at, na_step: float) -> list[tuple[float, float]]:
     """(na, value_at(na)) on the grid 0, na_step, ... up to NA 1."""
+    import numpy as np
+
     n = int(math.floor(steps("na_step", na_step, 1.0, hi=1.0) + 1e-9))
     # the tolerance may keep a last point a rounding error above 1: it is NA 1
     nas = [min(na, 1.0) for na in np.linspace(0.0, n * na_step, n + 1).tolist()]

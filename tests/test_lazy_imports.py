@@ -1,0 +1,131 @@
+"""Start-up contract: ``import ionlink`` is lazy and scalar subcommands never load numpy.
+
+Each check runs in a fresh interpreter, since the test process itself has
+long since imported numpy and every ionlink module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: What ``from ionlink import *`` binds: the exported names and the modules.
+STAR_NAMES = sorted("""
+    BranchProbabilities BranchingModel ChainError ChainOutcome CollectionModel CollectionOptic
+    ConversionStage CycleAmplitudes D_SHELVING DecayChannel DispersionModel DomainError
+    EmissionDirection FiberChannel Level LightField LinkBudget MixKind NoCrossingError
+    NoiseFinding NumericError Polarization PolarizationVector PumpCycleConfig SCHEMES STRONG
+    SchemeSpec TrapConfig TwoQubitState WEAK ZeemanState allowed_decays atomic bad_state
+    chain_efficiency collection_fraction conversion_crossing default_barium_model dfg_output
+    double_excitation_probability emission end_to_end_rate entanglement_probability errors
+    fiber fidelity fidelity_at_na geometric_branch_probabilities good_state link_rate
+    load_dispersion load_model noise_audit pi_emission plan_stage polarization_overlap
+    pseudopotential pump_cycle qfc qpm_residual reexcitation_mixture save_model
+    scheme_comparison schemes secular_frequency sfg_output sigma_emission simulate solve_exact
+    solve_poling_period standard_channel standard_conversion_table transmission trap
+""".split())
+
+TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
+
+#: (argv, exit code, numpy loaded afterwards), run in this order in one process.
+COMMANDS = [
+    ("--version", 0, False),
+    (TRAP, 0, False),
+    ("schemes", 0, False),
+    ("schemes --output-format json", 0, False),
+    ("qfc plan --input-nm 650 --pump-nm 1343 --material ppln", 0, False),
+    ("qfc table2", 0, False),
+    ("fiber crossing", 0, False),
+    ("fiber budget", 0, False),
+    ("trap --v0 200", 2, False),          # a missing required flag
+    ("schemes --na banana", 2, False),    # argparse's own usage error
+    ("schemes --na 2", 1, False),         # a domain error
+    ("chain exact", 0, True),             # the first command that builds an array
+]
+
+
+def run_fresh(code: str) -> dict:
+    """Runs ``code`` in a new interpreter on this checkout; returns the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_scalar_commands_and_package_import_never_load_numpy():
+    report = run_fresh(f"""
+        import contextlib, io, json, sys
+
+        import ionlink
+        report = {{"numpy_after_import": "numpy" in sys.modules,
+                   "atomic": ionlink.atomic.__name__}}
+        try:
+            ionlink.no_such_name
+        except AttributeError:
+            report["unknown"] = "AttributeError"
+
+        from ionlink.cli import main
+        report["commands"] = []
+        for argv, _, _ in {COMMANDS!r}:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv.split())
+            report["commands"].append([argv, code, "numpy" in sys.modules])
+
+        from ionlink import simulate
+        report["simulate"] = simulate is sys.modules["ionlink.pump_cycle"].simulate
+        namespace = {{}}
+        exec("from ionlink import *", namespace)
+        report["star"] = sorted(set(namespace) - {{"__builtins__"}})
+        print(json.dumps(report))
+    """)
+    assert report["numpy_after_import"] is False
+    assert report["atomic"] == "ionlink.atomic"
+    assert report.get("unknown") == "AttributeError"
+    assert report["commands"] == [list(command) for command in COMMANDS]
+    assert report["simulate"] is True
+    assert len(STAR_NAMES) == 74
+    assert report["star"] == STAR_NAMES
+
+
+def test_chain_commands_call_the_module_attributes_a_tracer_patches():
+    """A tracer patches ``ionlink.pump_cycle`` after ``cli`` is loaded (``cli``
+    imports it only when a chain command runs), and the ``_format`` functions
+    where ``cli`` binds them; both routes must reach the patched functions."""
+    report = run_fresh("""
+        import contextlib, io, json, sys
+
+        from ionlink import _format, cli
+        report = {"pump_cycle_loaded": "ionlink.pump_cycle" in sys.modules,
+                  "format": [name for name in ("render_csv", "render_json", "table_payload",
+                                               "write_output")
+                             if vars(cli).get(name) is getattr(_format, name)]}
+
+        from ionlink import pump_cycle
+        calls = []
+
+        def patch(name):
+            original = getattr(pump_cycle, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            setattr(pump_cycle, name, wrapper)
+
+        patch("simulate")
+        patch("solve_exact")
+        codes = []
+        for argv in (["chain", "mc", "--trials", "1000"], ["chain", "exact"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        report.update(codes=codes, calls=calls)
+        print(json.dumps(report))
+    """)
+    assert report["pump_cycle_loaded"] is False
+    assert report["format"] == ["render_csv", "render_json", "table_payload", "write_output"]
+    assert report["codes"] == [0, 0]
+    assert report["calls"] == ["simulate", "solve_exact"]
