@@ -41,10 +41,6 @@ from .errors import DomainError, NumericError, check
 
 __all__ = ["main"]
 
-_COLLECTION = {
-    "quadratic": emission.CollectionModel.QUADRATIC,
-    "exact": emission.CollectionModel.EXACT_SOLID_ANGLE,
-}
 _DRIVES = {
     "sigma-minus": atomic.Polarization.SIGMA_MINUS,
     "sigma-plus": atomic.Polarization.SIGMA_PLUS,
@@ -100,7 +96,7 @@ def _chain_config(args, **cutoff):
 
 
 def _schemes(args):
-    rows = schemes.scheme_comparison(args.na, _COLLECTION[args.collection])
+    rows = schemes.scheme_comparison(args.na, emission.CollectionModel(args.collection))
     notes = [
         "probability = pe_ps x collected solid-angle fraction; "
         f"fidelity = max fidelity - 0.24 x fraction ({args.collection} model)",
@@ -116,13 +112,13 @@ def _schemes(args):
 
 def _fidelity_curve(args):
     f_max = args.f_max if args.f_max is not None else schemes.SCHEMES[args.scheme].max_fidelity
-    pairs = schemes.fidelity_curve(f_max, args.na_step, _COLLECTION[args.collection])
+    pairs = schemes.fidelity_curve(f_max, args.na_step, emission.CollectionModel(args.collection))
     return ("na", "fidelity"), pairs, ()
 
 
 def _prob_curve(args):
     spec = schemes.SCHEMES[args.scheme]
-    pairs = schemes.probability_curve(spec, args.na_step, _COLLECTION[args.collection])
+    pairs = schemes.probability_curve(spec, args.na_step, emission.CollectionModel(args.collection))
     return ("na", "probability"), pairs, ()
 
 
@@ -266,21 +262,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="key = value file supplying defaults; flags override")
         return p.add_argument
 
+    collection_models = [model.value for model in emission.CollectionModel]
     flag = leaf(commands, "schemes", "compare excitation schemes at one NA", _schemes)
     flag("--na", type=float, default=0.6, help="collection numerical aperture")
-    flag("--collection", default="quadratic", choices=_COLLECTION,
+    flag("--collection", default="quadratic", choices=collection_models,
          help="solid-angle fraction model")
 
     flag = leaf(commands, "fidelity-curve", "fidelity vs NA sweep", _fidelity_curve)
     flag("--scheme", default="d-shelving", choices=schemes.SCHEMES)
     flag("--f-max", type=float, help="override the scheme's zero-NA fidelity")
     flag("--na-step", type=float, default=0.01)
-    flag("--collection", default="quadratic", choices=_COLLECTION)
+    flag("--collection", default="quadratic", choices=collection_models)
 
     flag = leaf(commands, "prob-curve", "entanglement probability vs NA sweep", _prob_curve)
     flag("--scheme", default="d-shelving", choices=schemes.SCHEMES)
     flag("--na-step", type=float, default=0.01)
-    flag("--collection", default="quadratic", choices=_COLLECTION)
+    flag("--collection", default="quadratic", choices=collection_models)
 
     chain = group("chain", "pump-cycle branch probabilities")
     exact = leaf(chain, "exact", "absorbing-chain linear solve", _chain_exact)

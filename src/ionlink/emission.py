@@ -173,13 +173,17 @@ def pattern_rows(thetas, phis):
     :func:`pi_emission`, :func:`sigma_emission` and
     :func:`polarization_overlap` point by point (``tests/oracles.py`` keeps
     that loop), but only the per-axis factors are scalar code: sin, cos and
-    the pi intensity once per theta, the sigma phases and ``|e_phi|^2``
-    once per phi.  Per point remain products, ``hypot`` and squares.
-    Products run in numpy (IEEE multiplies; the scalar complex products
-    only add signed zeros, which ``hypot`` ignores), ``np.hypot`` is libm's
-    ``hypot`` like ``abs(complex)``, and squares stay on libm ``pow``
-    (:func:`_squares`).  A direction out of range raises before any row is
-    yielded, naming the first grid point the point-by-point loop rejects.
+    the pi intensity once per theta, the sigma phase and ``|e_phi|^2`` once
+    per phi.  One sigma pass serves both sigma columns: sigma-'s phase is
+    sigma+'s conjugate, and the intensities take only magnitudes.  Per point
+    remain products, ``hypot`` and squares.  Products run in numpy (IEEE
+    multiplies; the scalar complex products only add signed zeros, which
+    ``hypot`` ignores), ``np.hypot`` is libm's ``hypot`` like
+    ``abs(complex)``, and squares stay on libm ``pow`` (:func:`_squares`).
+    Each axis value is checked once, as its factors are built, in the
+    point-by-point loop's order: the first theta, every phi, then the other
+    thetas.  So a direction out of range raises before any row is yielded,
+    naming the first grid point the point-by-point loop rejects.
     """
     import numpy as np
 
@@ -187,33 +191,24 @@ def pattern_rows(thetas, phis):
     phis = [float(p) for p in phis]
     if not thetas or not phis:
         return
-    for phi in phis:
-        EmissionDirection(thetas[0], phi)
-    for theta in thetas:
-        EmissionDirection(theta, phis[0])
-
-    pi_states = [pi_emission(EmissionDirection(t, 0.0)) for t in thetas]
+    pi_states = [pi_emission(EmissionDirection(thetas[0], 0.0))]
+    # at theta = 0, e_theta is the phase exp(i phi)/sqrt(2) itself
+    sigma = [sigma_emission(EmissionDirection(0.0, p), +1) for p in phis]
+    pi_states += [pi_emission(EmissionDirection(t, 0.0)) for t in thetas[1:]]
     i_pi = [p.intensity for p in pi_states]
     minus_sin = np.array([p.e_theta for p in pi_states])[:, None]
     cos = np.fromiter(map(math.cos, thetas), np.float64, len(thetas))[:, None]
-
-    def sigma_intensity(sign: int):
-        # at theta = 0, e_theta is the phase exp(+-i phi)/sqrt(2) itself
-        states = [sigma_emission(EmissionDirection(0.0, p), sign) for p in phis]
-        phase = np.array([s.e_theta for s in states])
-        e_phi_sq = np.array([abs(s.e_phi) ** 2 for s in states])
-        re, im = cos * phase.real, cos * phase.imag  # e_theta per point
-        return (_squares(np.hypot(re, im)) + e_phi_sq).ravel().tolist(), re, im
-
-    i_sigma_plus, re, im = sigma_intensity(+1)
-    i_sigma_minus, _, _ = sigma_intensity(-1)
+    phase = np.array([s.e_theta for s in sigma])
+    e_phi_sq = np.array([abs(s.e_phi) ** 2 for s in sigma])
+    re, im = cos * phase.real, cos * phase.imag  # e_theta per point
+    i_sigma = (_squares(np.hypot(re, im)) + e_phi_sq).ravel().tolist()
     overlap = np.hypot(minus_sin * re, minus_sin * im).ravel().tolist()
     n_phi = len(phis)
     yield from zip(
         [t for t in thetas for _ in range(n_phi)],
         phis * len(thetas),
         [i for i in i_pi for _ in range(n_phi)],
-        i_sigma_plus,
-        i_sigma_minus,
+        i_sigma,
+        i_sigma,
         overlap,
     )

@@ -109,7 +109,10 @@ def link_rate(
     length_km: float,
     detector_efficiency: float,
 ) -> float:
-    """Delivered rate in Hz for a scalar conversion efficiency."""
+    """Delivered rate in Hz for a scalar conversion efficiency; the inputs are
+    checked as :class:`LinkBudget` checks them."""
+    LinkBudget(source_rate, repetition_rate_hz, fiber, length_km, detector_efficiency,
+               conversion_efficiency)
     return (
         repetition_rate_hz
         * source_rate

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,16 +81,7 @@ class ChainOutcome:
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "p_good": self.p_good,
-            "p_bad": self.p_bad,
-            "p_dark": self.p_dark,
-            "se_good": self.se_good,
-            "se_bad": self.se_bad,
-            "se_dark": self.se_dark,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class _CompiledChain:
@@ -98,10 +89,7 @@ class _CompiledChain:
 
     def __init__(self, config: PumpCycleConfig):
         self.start = drive_target(config.initial, config.drive)
-        p_states = sorted(
-            {ZeemanState(Level.P12, +0.5), ZeemanState(Level.P12, -0.5)},
-            key=lambda z: -z.mj,
-        )
+        p_states = [ZeemanState(Level.P12, +0.5), ZeemanState(Level.P12, -0.5)]
         self.p_index = {state: i for i, state in enumerate(p_states)}
         self.probs: list[np.ndarray] = []
         self.cum: list[np.ndarray] = []
@@ -115,10 +103,8 @@ class _CompiledChain:
                 else:
                     target = drive_target(lower, config.drive)
                     dests.append(_DARK if target is None else self.p_index[target])
-            edges = np.cumsum(probs)
-            edges[-1] = 1.0  # close the unit interval against rounding
             self.probs.append(np.asarray(probs))
-            self.cum.append(edges)
+            self.cum.append(np.cumsum(probs))
             self.dest.append(np.asarray(dests, dtype=np.int8))
 
 
@@ -180,7 +166,8 @@ class _Walker:
         # A deviate's rank among the inner decay edges of all P1/2 states
         # fixes its channel in each state: the state's edges at or below the
         # deviate are those at or below the largest union edge it reaches.
-        # Each state's closing edge (1.0) is left out: no deviate reaches it.
+        # Each state's closing edge (its total, 1 up to rounding) is left out:
+        # a deviate past the inner edges takes the last channel.
         self.edges = np.unique(np.concatenate([cum[:-1] for cum in chain.cum]))
         floors = np.concatenate(([-np.inf], self.edges))
         self.table = np.concatenate([

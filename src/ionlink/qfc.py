@@ -392,10 +392,7 @@ def chain_efficiency(stages: Sequence[ConversionStage]) -> float:
                 f"stage output {first.output.wavelength_nm} nm does not feed the next "
                 f"input {second.input.wavelength_nm} nm (gap {gap} nm)"
             )
-    total = 1.0
-    for stage in stages:
-        total *= stage.efficiency
-    return total
+    return math.prod((stage.efficiency for stage in stages), start=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ class TestLinkBudget:
 
     @pytest.mark.parametrize("field, value", [
         ("conversion_efficiency", 2.0), ("conversion_efficiency", -0.1),
-        ("conversion_efficiency", math.nan), ("source_rate", math.nan),
+        ("conversion_efficiency", math.nan), ("source_rate", math.nan), ("source_rate", 2.0),
         ("detector_efficiency", math.inf), ("repetition_rate_hz", math.inf),
         ("repetition_rate_hz", -1.0), ("length_km", math.nan), ("length_km", -math.inf),
     ])
@@ -183,6 +183,8 @@ class TestLinkBudget:
                       length_km=1.0, detector_efficiency=0.95)
         with pytest.raises(DomainError, match=field):
             LinkBudget(**{**fields, field: value})
+        with pytest.raises(DomainError, match=field):
+            link_rate(**{"conversion_efficiency": 1.0, **fields, field: value})
 
 
 class TestCurves:

@@ -44,6 +44,8 @@ COMMANDS = [
     ("trap --v0 200", 2, False),          # a missing required flag
     ("schemes --na banana", 2, False),    # argparse's own usage error
     ("schemes --na 2", 1, False),         # a domain error
+    ("fiber crossing --output-format csv", 0, False),  # one-row records
+    ("fiber budget --output-format csv", 0, False),
     ("chain exact", 0, True),             # the first command that builds an array
 ]
 
