@@ -16,6 +16,18 @@ which hold nothing CSV quotes, are joined directly.  Any other block goes
 row by row through ``csv.writer``, or through ``json.dumps`` re-indented to
 the row's depth.  JSON tables are the :func:`table_payload` type; any other
 payload is encoded by one ``json.dumps``.
+
+Both renderers are generators that stream: a table's rows may be any
+iterable, pulled ``_BLOCK`` at a time, and each block's text is yielded as
+soon as it is rendered, so memory is bounded by the block rather than the
+table.  The first text holds the header together with the first block, and
+the last the closing text and footnotes; a record is one text.
+:func:`write_output` writes each text as it arrives, and ``"".join(...)``
+gives the whole document.  A non-finite cell in the first block, or in a
+record, raises before anything is yielded, so nothing is written; one in a
+later block would raise after earlier blocks were written.  The commands'
+inputs are range-checked up front so that no table cell is non-finite
+(``tests/test_cli.py`` pins that for every table subcommand).
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -92,23 +104,30 @@ def _float_columns(block: list, render_floats) -> list[list[str]] | None:
     return [_float_texts(column, render_floats) for column in zip(*block)]
 
 
-def render_csv(columns: Sequence[str], rows: Iterable[Sequence], footnotes: Sequence[str] = ()) -> str:
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for block in _blocks(rows):
-        texts = _float_columns(block, _csv_floats)
-        if texts is None:
-            writer.writerows([format_cell(v) for v in row] for row in block)
-        else:  # float texts hold no character csv would quote
-            buf.write("\n".join(map(",".join, zip(*texts))) + "\n")
-    for note in footnotes:
-        buf.write(f"# {note}\n")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
+def _csv_rows(block: list) -> str:
+    texts = _float_columns(block, _csv_floats)
+    if texts is None:
+        return _csv_text([format_cell(v) for v in row] for row in block)
+    return "\n".join(map(",".join, zip(*texts))) + "\n"  # nothing csv would quote
+
+
+def render_csv(columns: Sequence[str], rows: Iterable[Sequence],
+               footnotes: Sequence[str] = ()) -> Iterator[str]:
+    text = _csv_text([columns])  # held back until the first block is ready
+    for block in _blocks(rows):
+        yield text + _csv_rows(block)
+        text = ""
+    yield text + "".join(f"# {note}\n" for note in footnotes)
+
+
 class _Table(dict):
-    """A ``columns``/``rows``[/``footnotes``] payload; its rows are a list."""
+    """A ``columns``/``rows``[/``footnotes``] payload; its rows may be any iterable."""
 
 
 def _dumps(value, depth: int) -> str:
@@ -120,40 +139,48 @@ def _dumps(value, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def _json_rows(rows: list) -> list[str]:
-    """Parts of the text of ``rows`` as :func:`_dumps` encodes them at depth 1."""
-    parts = []
-    for block in _blocks(rows):
-        texts = _float_columns(block, _json_floats)
-        parts.append(",\n    " if parts else "[\n    ")
-        if texts is None:
-            parts.append(",\n    ".join(_dumps(row, 2) for row in block))
-        else:  # a row is "[\n      a,\n      b\n    ]" and rows are apart by ",\n    "
-            cells = map(",\n      ".join, zip(*texts))
-            parts += ["[\n      ", "\n    ],\n    [\n      ".join(cells), "\n    ]"]
-    return parts + ["\n  ]"] if parts else ["[]"]
+def _json_rows(block: list) -> str:
+    """The rows of ``block`` as :func:`_dumps` encodes them at depth 2, comma-separated."""
+    texts = _float_columns(block, _json_floats)
+    if texts is None:
+        return ",\n    ".join(_dumps(row, 2) for row in block)
+    # a row is "[\n      a,\n      b\n    ]"
+    cells = map(",\n      ".join, zip(*texts))
+    return "[\n      " + "\n    ],\n    [\n      ".join(cells) + "\n    ]"
 
 
-def render_json(payload) -> str:
+def render_json(payload) -> Iterator[str]:
     if not isinstance(payload, _Table):
-        return _dumps(payload, 0) + "\n"
-    parts = []  # joined once: the text is not copied as it grows
-    for key, value in payload.items():
-        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
-        parts += _json_rows(value) if key == "rows" else [_dumps(value, 1)]
-    return "".join(parts + ["\n}\n"])
+        yield _dumps(payload, 0) + "\n"
+        return
+    text = ""  # held back until the next block is ready
+    for i, (key, value) in enumerate(payload.items()):
+        text += f"{',' if i else '{'}\n  {json.dumps(key)}: "
+        if key != "rows":
+            text += _dumps(value, 1)
+            continue
+        separator = "[\n    "
+        for block in _blocks(value):
+            yield text + separator + _json_rows(block)
+            text, separator = "", ",\n    "
+        text += "[]" if separator == "[\n    " else "\n  ]"
+    yield text + "\n}\n"
 
 
 def table_payload(columns: Sequence[str], rows: Iterable[Sequence], footnotes: Sequence[str] = ()) -> dict:
-    payload = _Table(columns=list(columns), rows=list(rows))
+    payload = _Table(columns=list(columns), rows=rows)
     if footnotes:
         payload["footnotes"] = list(footnotes)
     return payload
 
 
-def write_output(text: str, path: str | None) -> None:
+def write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Writes ``chunks`` as they come.  ``path`` is opened only once the first
+    chunk is ready, so a run that fails before then leaves no file behind."""
+    chunks = iter(chunks)
+    first = next(chunks, "")
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(itertools.chain((first,), chunks))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(itertools.chain((first,), chunks))

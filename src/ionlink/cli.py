@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Iterator
 
 from . import __version__, atomic, emission, fiber, qfc, schemes, trap
 from ._format import render_csv, render_json, table_payload, write_output
@@ -231,7 +232,7 @@ def _fiber_budget(args):
 def _emission_pattern(args):
     thetas, phis = emission.pattern_grid(args.theta_step_deg, args.phi_step_deg)
     header = ("theta", "phi", "i_pi", "i_sigma_plus", "i_sigma_minus", "overlap_abs")
-    return header, list(emission.pattern_rows(thetas, phis)), ()
+    return header, emission.pattern_rows(thetas, phis), ()
 
 
 #: Default of a required flag.  ``_parse`` reports a missing one on one line;
@@ -379,8 +380,9 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     return args
 
 
-def _render(result, fmt: str | None) -> str:
-    """A handler's record (a dict, JSON by default) or table (CSV by default)."""
+def _render(result, fmt: str | None) -> Iterator[str]:
+    """A handler's record (a dict, JSON by default) or table (CSV by default),
+    as the texts the renderer yields block by block."""
     if isinstance(result, dict):
         if fmt != "csv":
             return render_json(result)
@@ -405,19 +407,20 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    try:
-        text = _render(args._run(args), args.output_format)
+    try:  # a table's rows are computed as its blocks are written
+        try:
+            chunks = _render(args._run(args), args.output_format)
+        except OSError as exc:  # a --model or --material file
+            print(f"error: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+        try:
+            write_output(chunks, args.output)
+        except OSError as exc:
+            target = "-" if args.output is None else args.output
+            print(f"error: cannot write {target!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     except (DomainError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a --model or --material file
-        print(f"error: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    try:
-        write_output(text, args.output)
-    except OSError as exc:
-        target = "-" if args.output is None else args.output
-        print(f"error: cannot write {target!r}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._format import _BLOCK
 from .errors import DomainError, check, steps
 
 if TYPE_CHECKING:
@@ -183,7 +184,11 @@ def pattern_rows(thetas, phis):
     Each axis value is checked once, as its factors are built, in the
     point-by-point loop's order: the first theta, every phi, then the other
     thetas.  So a direction out of range raises before any row is yielded,
-    naming the first grid point the point-by-point loop rejects.
+    naming the first grid point the point-by-point loop rejects.  The
+    per-point products are then computed for whole theta lines, about
+    ``_BLOCK`` rows at a time, as the rows are pulled: memory is bounded by
+    that batch rather than by the grid, and the elementwise operations, so
+    the bits, are the same.
     """
     import numpy as np
 
@@ -200,15 +205,18 @@ def pattern_rows(thetas, phis):
     cos = np.fromiter(map(math.cos, thetas), np.float64, len(thetas))[:, None]
     phase = np.array([s.e_theta for s in sigma])
     e_phi_sq = np.array([abs(s.e_phi) ** 2 for s in sigma])
-    re, im = cos * phase.real, cos * phase.imag  # e_theta per point
-    i_sigma = (_squares(np.hypot(re, im)) + e_phi_sq).ravel().tolist()
-    overlap = np.hypot(minus_sin * re, minus_sin * im).ravel().tolist()
     n_phi = len(phis)
-    yield from zip(
-        [t for t in thetas for _ in range(n_phi)],
-        phis * len(thetas),
-        [i for i in i_pi for _ in range(n_phi)],
-        i_sigma,
-        i_sigma,
-        overlap,
-    )
+    lines = max(1, _BLOCK // n_phi)
+    for lo in range(0, len(thetas), lines):
+        batch = slice(lo, lo + lines)
+        re, im = cos[batch] * phase.real, cos[batch] * phase.imag  # e_theta per point
+        i_sigma = (_squares(np.hypot(re, im)) + e_phi_sq).ravel().tolist()
+        overlap = np.hypot(minus_sin[batch] * re, minus_sin[batch] * im).ravel().tolist()
+        yield from zip(
+            [t for t in thetas[batch] for _ in range(n_phi)],
+            phis * len(re),
+            [i for i in i_pi[batch] for _ in range(n_phi)],
+            i_sigma,
+            i_sigma,
+            overlap,
+        )

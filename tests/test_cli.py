@@ -1,14 +1,19 @@
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import ionlink
+from ionlink import cli, emission
 from ionlink.cli import main
 
 
@@ -491,3 +496,90 @@ class TestFailuresExitOne:
     def test_empty_output_path_is_named(self, capsys):
         code, out, err = run(capsys, "schemes", "--output", "")
         self.assert_one_line_error(code, out, err, "cannot write '':")
+
+
+#: The cap steps: the finest emission grid (1.03 M rows) and NA grid (1.05 M) under 2**20 rows.
+FINEST_NA_STEP = "9.5368e-07"
+
+
+class TestStreamedExport:
+    """Table rows are computed as their blocks are written.  Nothing reaches
+    stdout or ``--output`` on failure because every check runs before the
+    first block: inputs up front, and no table cell is ever non-finite."""
+
+    @staticmethod
+    def table_cells(*argv):
+        """Every cell of a table subcommand's rows, as its handler builds them."""
+        args = cli._parse(cli._build_parser(), list(argv))
+        _, rows, _ = args._run(args)
+        return itertools.chain.from_iterable(rows)
+
+    @pytest.mark.parametrize("argv", [
+        *[("schemes", "--na", na, "--collection", model)
+          for na in ("5e-324", "1e-160", "1") for model in ("quadratic", "exact")],
+        *[("fidelity-curve", "--na-step", "1", "--f-max", f_max, "--collection", model)
+          for f_max in ("0", "1") for model in ("quadratic", "exact")],
+        ("fidelity-curve", "--na-step", FINEST_NA_STEP, "--f-max", "1", "--collection", "exact"),
+        *[("prob-curve", "--na-step", "1", "--scheme", scheme)
+          for scheme in ("d-shelving", "weak", "strong")],
+        ("prob-curve", "--na-step", FINEST_NA_STEP, "--scheme", "strong", "--collection", "exact"),
+        *[("fiber", "curves", "--eta-780", eta, "--eta-1259", eta, "--eta-1550", eta)
+          for eta in ("0", "1")],
+        ("fiber", "curves", "--max-km", "1.7976931348623157e308", "--step-km", "1e304"),
+        ("fiber", "curves", "--max-km", "2", "--step-km", "1e308"),
+        # 1e5 rows: fiber rows are still built whole, so the row cap is not run here
+        ("fiber", "curves", "--max-km", "1e-300", "--step-km", "1e-305"),
+        ("emission", "pattern", "--theta-step-deg", "180", "--phi-step-deg", "360"),
+        ("emission", "pattern", "--theta-step-deg", "1e300", "--phi-step-deg", "1e300"),
+        ("emission", "pattern", "--theta-step-deg", "0.18", "--phi-step-deg", "0.35"),
+        ("qfc", "table2"),
+    ], ids=" ".join)
+    def test_table_cells_are_finite_by_construction(self, argv):
+        n_cells = 0
+        for cell in self.table_cells(*argv):
+            n_cells += 1
+            assert isinstance(cell, str) or math.isfinite(cell), (argv, cell)
+        assert n_cells
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_export_leaves_no_trace(self, capsys, tmp_path, monkeypatch, fmt):
+        existing, missing = tmp_path / "existing", tmp_path / "missing"
+        existing.write_bytes(b"kept\n")
+        too_fine = ("emission", "pattern", "--theta-step-deg", "1e-9", "--output-format", fmt)
+        for target in (existing, missing):
+            code, out, err = run(capsys, *too_fine, "--output", str(target))
+            assert code == 1 and out == "" and err.startswith("error: theta_step_deg")
+        # a direction out of range is met only when the rows are pulled, while writing
+        monkeypatch.setattr(emission, "pattern_grid", lambda *steps: ([0.0, 4.0], [0.0, 1.0]))
+        for output in ((), ("--output", str(existing)), ("--output", str(missing))):
+            code, out, err = run(capsys, "emission", "pattern", "--output-format", fmt, *output)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: theta out of range: 4.0") and err.count("\n") == 1
+        assert existing.read_bytes() == b"kept\n" and not missing.exists()
+
+    def test_peak_memory_is_flat_in_grid_size(self):
+        """4x the rows of the 0.5 x 1 degree grid cost no more than a few MB.
+
+        Each child is started and reaped with ``os.wait4`` by a small
+        launcher: Linux carries the forking process's peak RSS into the
+        child's ``ru_maxrss``, and this process is large.
+        """
+        launcher = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(ionlink.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+        def peak_rss_kb(theta_step, phi_step):
+            argv = [sys.executable, "-c", launcher, sys.executable, "-m", "ionlink.cli",
+                    "emission", "pattern", "--theta-step-deg", theta_step,
+                    "--phi-step-deg", phi_step, "--output-format", "json"]
+            code, rss_kb = subprocess.run(argv, capture_output=True, text=True, env=env,
+                                          check=True).stdout.split()
+            assert code == "0"
+            return int(rss_kb)
+
+        assert peak_rss_kb("0.25", "0.5") - peak_rss_kb("0.5", "1") < 8 * 1024

@@ -1,10 +1,12 @@
 import cmath
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ionlink import emission
 from ionlink.emission import (
     CollectionModel,
     CollectionOptic,
@@ -221,6 +223,30 @@ class TestPatternKernel:
                                rng.uniform(0.0, 2.0 * math.pi, 100)])
         assert (bits(list(pattern_rows(thetas, phis)))
                 == bits(list(pattern_rows_per_point(thetas, phis)))).all()
+
+    @pytest.mark.parametrize("block", [5, 60])  # one theta line per batch, and two
+    def test_theta_batches_bit_identical(self, block):
+        thetas, phis = pattern_grid(7.0, 13.0)
+        with mock.patch.object(emission, "_BLOCK", block):
+            new = list(pattern_rows(thetas, phis))
+        assert bits(new).tolist() == bits(list(pattern_rows_per_point(thetas, phis))).tolist()
+
+    def test_rows_are_computed_one_theta_batch_at_a_time(self):
+        thetas, phis = pattern_grid(1.0, 2.0)  # 181 x 180 points
+        assert len(thetas) * len(phis) > 4 * emission._BLOCK
+        batches = []
+
+        def recording_squares(values):
+            batches.append(values.shape)
+            return _squares(values)
+
+        with mock.patch.object(emission, "_squares", recording_squares):
+            rows = pattern_rows(thetas, phis)
+            next(rows)
+            assert batches == [(emission._BLOCK // len(phis), len(phis))]
+            assert 1 + sum(1 for _ in rows) == len(thetas) * len(phis)
+        lines = emission._BLOCK // len(phis)
+        assert len(batches) == math.ceil(len(thetas) / lines) > 4
 
     def test_is_a_generator_of_tuples(self):
         rows = pattern_rows([0.0, 1.0], [0.0])

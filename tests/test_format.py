@@ -4,10 +4,12 @@
 pattern cache; ``oracles.render_csv_per_cell`` and ``oracles.render_json_dumps``
 are the ``csv.writer``/``json.dumps(indent=2)`` loops they replaced.  The
 property tests shrink the block size so that tables cross block boundaries.
+Both renderers yield one text per block; ``"".join`` gives the document.
 """
 
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ionlink import _format
-from ionlink._format import render_csv, render_json, table_payload
+from ionlink._format import render_csv, render_json, table_payload, write_output
 from ionlink.errors import DomainError
 from oracles import render_csv_per_cell, render_json_dumps
 
@@ -72,9 +74,9 @@ def test_csv_matches_per_cell_renderer(table, block):
     with mock.patch.object(_format, "_BLOCK", block):
         if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
             with pytest.raises(DomainError, match="NaN or infinity"):
-                render_csv(columns, rows, footnotes)
+                "".join(render_csv(columns, rows, footnotes))
         else:
-            assert render_csv(columns, rows, footnotes) == render_csv_per_cell(columns, rows, footnotes)
+            assert "".join(render_csv(columns, rows, footnotes)) == render_csv_per_cell(columns, rows, footnotes)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -88,9 +90,9 @@ def test_json_matches_json_dumps(table, block):
     with mock.patch.object(_format, "_BLOCK", block):
         if expected is None:
             with pytest.raises(DomainError, match="NaN or infinity"):
-                render_json(payload)
+                "".join(render_json(payload))
         else:
-            assert render_json(payload) == expected
+            assert "".join(render_json(payload)) == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,50 +104,50 @@ def test_records_match_json_dumps(record):
         expected = render_json_dumps(record)
     except ValueError:
         with pytest.raises(DomainError):
-            render_json(record)
+            "".join(render_json(record))
         return
-    assert render_json(record) == expected
+    assert "".join(render_json(record)) == expected
 
 
 class TestCellTexts:
     def test_signed_zeros_keep_their_signs(self):
         rows = [(0.0,), (-0.0,), (0.0,), (-0.0,)]
-        assert render_csv(["x"], rows) == "x\n0\n-0\n0\n-0\n"
-        assert json.loads(render_json(table_payload(["x"], rows)))["rows"] == [[0.0], [-0.0]] * 2
-        assert "-0.0" in render_json(table_payload(["x"], rows))
+        assert "".join(render_csv(["x"], rows)) == "x\n0\n-0\n0\n-0\n"
+        assert json.loads("".join(render_json(table_payload(["x"], rows))))["rows"] == [[0.0], [-0.0]] * 2
+        assert "-0.0" in "".join(render_json(table_payload(["x"], rows)))
 
     def test_equal_numbers_of_other_types_keep_their_texts(self):
         rows = [(1,), (1.0,), (True,), (np.float64(1.0),)]
-        assert render_csv(["x"], rows) == "x\n1\n1\ntrue\n1\n"
-        text = render_json(table_payload(["x"], rows))
+        assert "".join(render_csv(["x"], rows)) == "x\n1\n1\ntrue\n1\n"
+        text = "".join(render_json(table_payload(["x"], rows)))
         assert json.loads(text)["rows"] == [[1], [1.0], [True], [1.0]]
         assert text == render_json_dumps(table_payload(["x"], rows))
 
     def test_strings_that_need_quoting(self):
         rows = [("a,b", 'say "hi"', "two\nlines", "", "é")]
-        assert render_csv(["c"] * 5, rows) == render_csv_per_cell(["c"] * 5, rows)
-        assert render_csv(["c"], [("",)]) == 'c\n""\n'
+        assert "".join(render_csv(["c"] * 5, rows)) == render_csv_per_cell(["c"] * 5, rows)
+        assert "".join(render_csv(["c"], [("",)])) == 'c\n""\n'
 
     def test_empty_tables(self):
-        assert render_csv(["a", "b"], []) == "a,b\n"
-        assert render_csv([], [], ["note"]) == "\n# note\n"
+        assert "".join(render_csv(["a", "b"], [])) == "a,b\n"
+        assert "".join(render_csv([], [], ["note"])) == "\n# note\n"
         for columns, footnotes in ((["a"], ()), ([], ()), (["a"], ["n"])):
             payload = table_payload(columns, [], footnotes)
-            assert render_json(payload) == render_json_dumps(payload)
+            assert "".join(render_json(payload)) == render_json_dumps(payload)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
     def test_non_finite_csv_cells_are_refused(self, value):
         with pytest.raises(DomainError, match="NaN or infinity"):
-            render_csv(["x", "y"], [(1.0, 2.0), (value, 3.0)])
+            "".join(render_csv(["x", "y"], [(1.0, 2.0), (value, 3.0)]))
         with pytest.raises(DomainError, match="NaN or infinity"):
-            render_csv(["x", "y"], [(1, "a"), (value, "b")])
+            "".join(render_csv(["x", "y"], [(1, "a"), (value, "b")]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
     def test_non_finite_json_is_refused(self, value):
         with pytest.raises(DomainError, match="NaN or infinity"):
-            render_json(table_payload(["x", "y"], [(1.0, 2.0), (value, 3.0)]))
+            "".join(render_json(table_payload(["x", "y"], [(1.0, 2.0), (value, 3.0)])))
         with pytest.raises(DomainError, match="NaN or infinity"):
-            render_json({"value": value})
+            "".join(render_json({"value": value}))
 
     def test_each_table_row_is_encoded_once(self):
         """Float blocks are encoded column-wise and other blocks row by row;
@@ -160,20 +162,82 @@ class TestCellTexts:
 
         with mock.patch.object(_format, "_BLOCK", 4), \
                 mock.patch.object(_format.json, "dumps", recording_dumps):
-            text = render_json(payload)
+            text = "".join(render_json(payload))
         assert text == render_json_dumps(payload)
         containers = [v for v in encoded if not isinstance(v, str)]  # keys are strings
         assert containers == [["a", "b"], (1, "a"), (2.0, None), [3.0], ["note"]]
 
     def test_tables_are_recognised_by_type(self):
         record = {"columns": ["a"], "rows": "xy"}
-        assert render_json(record) == render_json_dumps(record)
+        assert "".join(render_json(record)) == render_json_dumps(record)
         table = table_payload(["a"], [[1.0]])
-        assert render_json(dict(table)) == render_json(table) == render_json_dumps(table)
+        assert "".join(render_json(dict(table))) == "".join(render_json(table)) == render_json_dumps(table)
 
     def test_float_blocks_across_block_boundaries(self):
         rows = [(float(i % 3), -float(i % 3)) for i in range(20)]
         with mock.patch.object(_format, "_BLOCK", 7):
-            assert render_csv(["a", "b"], rows) == render_csv_per_cell(["a", "b"], rows)
+            assert "".join(render_csv(["a", "b"], rows)) == render_csv_per_cell(["a", "b"], rows)
             payload = table_payload(["a", "b"], rows)
-            assert render_json(payload) == render_json_dumps(payload)
+            assert "".join(render_json(payload)) == render_json_dumps(payload)
+
+
+class TestStreaming:
+    """Rows are pulled one block per yielded text, and a failure in the first
+    block comes before any text, so nothing has been written."""
+
+    @pytest.mark.parametrize("row", [(0.5, 2.0), (1, "a")])  # column-wise and row by row
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_block_of_rows_per_text(self, fmt, row):
+        n_rows, pulled = 3 * _format._BLOCK, 0
+
+        def rows():
+            nonlocal pulled
+            for _ in range(n_rows):
+                pulled += 1
+                yield row
+
+        columns, notes = ["a", "b"], ["note"]
+        if fmt == "csv":
+            chunks = render_csv(columns, rows(), notes)
+            expected = render_csv_per_cell(columns, [row] * n_rows, notes)
+        else:
+            chunks = render_json(table_payload(columns, rows(), notes))
+            expected = render_json_dumps(table_payload(columns, [row] * n_rows, notes))
+        texts = []
+        for k, text in enumerate(chunks):
+            assert pulled <= (k + 1) * _format._BLOCK
+            texts.append(text)
+        assert len(texts) == 4  # three blocks, then the closing text
+        assert "".join(texts) == expected
+
+    @pytest.mark.parametrize("position", [0, _format._BLOCK - 1])
+    def test_non_finite_first_block_raises_before_any_text(self, position):
+        rows = [(1.0, 2.0)] * (2 * _format._BLOCK)
+        rows[position] = (math.nan, 2.0)
+        for chunks in (render_csv(["a", "b"], rows), render_json(table_payload(["a", "b"], rows)),
+                       render_csv(["x"], [[math.inf]]), render_json({"x": -math.inf})):
+            with pytest.raises(DomainError, match="NaN or infinity"):
+                next(chunks)
+
+    def test_non_finite_later_block_raises_after_earlier_texts(self):
+        rows = [(1.0, 2.0)] * (2 * _format._BLOCK)
+        rows[_format._BLOCK] = (math.nan, 2.0)
+        chunks = render_csv(["a", "b"], rows)
+        assert next(chunks).startswith("a,b\n1,2\n")
+        with pytest.raises(DomainError, match="NaN or infinity"):
+            next(chunks)
+
+    def test_output_file_is_opened_once_the_first_text_is_ready(self, tmp_path):
+        def failing():
+            raise DomainError("no first text")
+            yield  # a generator, as the renderers are
+
+        existing, missing = tmp_path / "existing", tmp_path / "missing"
+        existing.write_bytes(b"kept\n")
+        for path in (existing, missing):
+            with pytest.raises(DomainError):
+                write_output(failing(), str(path))
+        assert existing.read_bytes() == b"kept\n" and not missing.exists()
+        write_output(render_csv(["a"], [(1.0,), (2.0,)]), str(existing))
+        assert existing.read_text() == "a\n1\n2\n"
+        write_output(render_csv(["a"], [(1.0,)]), os.devnull)
