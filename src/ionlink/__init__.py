@@ -13,9 +13,10 @@ Modules by capability:
 
 The modules and the names below are imported on first access (PEP 562), so
 ``import ionlink`` loads neither them nor numpy.  Numpy is loaded only by
-code that builds an array: :mod:`ionlink.pump_cycle`, the emission grid and
-cone kernels, :class:`~ionlink.schemes.TwoQubitState` and the NA curves,
-and the renderer of an all-float table.
+code that does array work: :mod:`ionlink.pump_cycle`,
+:class:`~ionlink.schemes.TwoQubitState` and
+:func:`~ionlink.emission.cone_mixing_weight`.  Every table export is plain
+Python.
 """
 
 __version__ = "0.1.0"

@@ -8,14 +8,14 @@ Neither carries NaN or infinity: a non-finite float raises
 A table is its header and then its rows, ``_BLOCK`` rows at a time, with
 the bytes of the per-cell renderers they replace (``csv.writer`` over
 :func:`format_cell`, and ``json.dumps(indent=2)``, kept in
-``tests/oracles.py`` as the reference).  A block of two or more rows
-whose cells are all exact ``float`` (every large grid) is rendered
-column-wise: each distinct 64-bit pattern of a column is formatted once
-(the bit pattern, since ``0.0 == -0.0`` print differently), and the texts,
-which hold nothing CSV quotes, are joined directly.  Any other block goes
-row by row through ``csv.writer``, or through ``json.dumps`` re-indented to
-the row's depth.  JSON tables are the :func:`table_payload` type; any other
-payload is encoded by one ``json.dumps``.
+``tests/oracles.py`` as the reference).  A block whose cells are all
+exact ``float`` (every large grid, and a one-row record of floats) is
+rendered column-wise: each distinct value of a column is formatted once
+(``0.0`` and ``-0.0``, equal but printed differently, once each), and
+the texts, which hold nothing CSV quotes, are joined directly.  Any other
+block goes row by row through ``csv.writer``, or through ``json.dumps``
+re-indented to the row's depth.  JSON tables are the :func:`table_payload`
+type; any other payload is encoded by one ``json.dumps``.
 
 Both renderers are generators that stream: a table's rows may be any
 iterable, pulled ``_BLOCK`` at a time, and each block's text is yielded as
@@ -44,10 +44,8 @@ from .errors import DomainError
 
 __all__ = ["format_cell", "render_csv", "render_json", "table_payload", "write_output"]
 
-#: Rows rendered per block: large enough to amortise the per-column numpy
-#: calls, small enough that a block's cell strings stay within a few MB.
-#: Numpy is imported by the first all-float block of two or more rows only:
-#: ``schemes``, ``qfc table2`` and every one-row CSV record render without it.
+#: Rows rendered per block: large enough to amortise the per-column work,
+#: small enough that a block's cell strings stay within a few MB.
 _BLOCK = 4096
 _NON_FINITE = "the result holds NaN or infinity, which neither CSV nor JSON output carries"
 
@@ -83,21 +81,21 @@ def _blocks(rows: Iterable) -> Iterable[list]:
 
 
 def _float_texts(column: tuple, render_floats) -> list[str]:
-    """Texts of an all-``float`` column: each distinct bit pattern is rendered once."""
-    import numpy as np
-
-    bits = np.array(column, dtype=np.float64).view(np.uint64)
-    unique, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(render_floats(unique.view(np.float64).tolist()), dtype=object)
-    return texts[inverse].tolist()
+    """Texts of an all-``float`` column: each distinct value is rendered once."""
+    unique = list(dict.fromkeys(column))
+    text_of = dict(zip(unique, render_floats(unique)))
+    if 0.0 not in text_of:
+        return list(map(text_of.__getitem__, column))
+    # 0.0 == -0.0 share a key but print differently: choose by the sign
+    zero, minus_zero = render_floats([0.0, -0.0])
+    return [text_of[v] if v else (minus_zero if math.copysign(1.0, v) < 0.0 else zero)
+            for v in column]
 
 
 def _float_columns(block: list, render_floats) -> list[list[str]] | None:
-    """Column texts of a block of two or more rows, lists or tuples of one
-    nonzero width holding only exact ``float`` cells; ``None`` for any other
-    block (a single row has nothing to deduplicate)."""
-    if (len(block) < 2 or not set(map(type, block)) <= {list, tuple}
-            or len(set(map(len, block))) != 1):
+    """Column texts of a block of rows, lists or tuples of one nonzero width
+    holding only exact ``float`` cells; ``None`` for any other block."""
+    if not set(map(type, block)) <= {list, tuple} or len(set(map(len, block))) != 1:
         return None
     if set(map(type, itertools.chain.from_iterable(block))) != {float}:
         return None  # including rows of width 0, which hold no cell

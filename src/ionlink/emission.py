@@ -16,16 +16,10 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from ._format import _BLOCK
 from .errors import DomainError, check, steps
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "EmissionDirection",
@@ -151,20 +145,6 @@ def pattern_grid(theta_step_deg: float, phi_step_deg: float) -> tuple[list[float
     return thetas, phis
 
 
-def _squares(values: np.ndarray) -> np.ndarray:
-    """``x ** 2`` on libm ``pow``, as the scalar code computes it.
-
-    numpy's ``x * x`` and ``np.power`` round differently from ``pow(x, 2)``
-    in the last bit for some inputs on SIMD builds, so every square goes
-    through ``math.pow`` (a C-level map, no Python loop body).
-    """
-    import numpy as np
-
-    flat = values.ravel().tolist()
-    return np.fromiter(map(math.pow, flat, itertools.repeat(2.0)), np.float64,
-                       len(flat)).reshape(values.shape)
-
-
 def pattern_rows(thetas, phis):
     """Emission-pattern samples for export.
 
@@ -173,50 +153,32 @@ def pattern_rows(thetas, phis):
     states above.  The numbers are bit-identical to evaluating
     :func:`pi_emission`, :func:`sigma_emission` and
     :func:`polarization_overlap` point by point (``tests/oracles.py`` keeps
-    that loop), but only the per-axis factors are scalar code: sin, cos and
-    the pi intensity once per theta, the sigma phase and ``|e_phi|^2`` once
-    per phi.  One sigma pass serves both sigma columns: sigma-'s phase is
-    sigma+'s conjugate, and the intensities take only magnitudes.  Per point
-    remain products, ``hypot`` and squares.  Products run in numpy (IEEE
-    multiplies; the scalar complex products only add signed zeros, which
-    ``hypot`` ignores), ``np.hypot`` is libm's ``hypot`` like
-    ``abs(complex)``, and squares stay on libm ``pow`` (:func:`_squares`).
-    Each axis value is checked once, as its factors are built, in the
-    point-by-point loop's order: the first theta, every phi, then the other
-    thetas.  So a direction out of range raises before any row is yielded,
-    naming the first grid point the point-by-point loop rejects.  The
-    per-point products are then computed for whole theta lines, about
-    ``_BLOCK`` rows at a time, as the rows are pulled: memory is bounded by
-    that batch rather than by the grid, and the elementwise operations, so
-    the bits, are the same.
+    that loop), from per-axis factors: the pi state and ``cos(theta)`` once
+    per theta line, the sigma phase and ``|e_phi|^2`` once per phi.  One
+    sigma pass serves both sigma columns: sigma-'s phase is sigma+'s
+    conjugate, and the intensities take only magnitudes.  The overlap drops
+    the point-by-point sum's zero terms, which change at most the sign of a
+    zero, and ``abs`` ignores it.  Every axis value is checked up front, in
+    the point-by-point loop's order (the first theta, every phi, then the
+    other thetas), so a direction out of range raises before any row is
+    yielded, naming the first grid point that loop rejects.  The theta
+    factors are then built one line at a time as the rows are pulled, so
+    memory beyond the two axes stays constant.
     """
-    import numpy as np
-
     thetas = [float(t) for t in thetas]
     phis = [float(p) for p in phis]
     if not thetas or not phis:
         return
-    pi_states = [pi_emission(EmissionDirection(thetas[0], 0.0))]
+    check("theta", thetas[0], 0.0, math.pi)
     # at theta = 0, e_theta is the phase exp(i phi)/sqrt(2) itself
     sigma = [sigma_emission(EmissionDirection(0.0, p), +1) for p in phis]
-    pi_states += [pi_emission(EmissionDirection(t, 0.0)) for t in thetas[1:]]
-    i_pi = [p.intensity for p in pi_states]
-    minus_sin = np.array([p.e_theta for p in pi_states])[:, None]
-    cos = np.fromiter(map(math.cos, thetas), np.float64, len(thetas))[:, None]
-    phase = np.array([s.e_theta for s in sigma])
-    e_phi_sq = np.array([abs(s.e_phi) ** 2 for s in sigma])
-    n_phi = len(phis)
-    lines = max(1, _BLOCK // n_phi)
-    for lo in range(0, len(thetas), lines):
-        batch = slice(lo, lo + lines)
-        re, im = cos[batch] * phase.real, cos[batch] * phase.imag  # e_theta per point
-        i_sigma = (_squares(np.hypot(re, im)) + e_phi_sq).ravel().tolist()
-        overlap = np.hypot(minus_sin[batch] * re, minus_sin[batch] * im).ravel().tolist()
-        yield from zip(
-            [t for t in thetas[batch] for _ in range(n_phi)],
-            phis * len(re),
-            [i for i in i_pi[batch] for _ in range(n_phi)],
-            i_sigma,
-            i_sigma,
-            overlap,
-        )
+    for theta in thetas:  # the first again, harmlessly
+        check("theta", theta, 0.0, math.pi)
+    factors = [(phi, s.e_theta, abs(s.e_phi) ** 2) for phi, s in zip(phis, sigma)]
+    for theta in thetas:
+        pi = pi_emission(EmissionDirection(theta, 0.0))
+        i_pi, minus_sin, cos = pi.intensity, pi.e_theta, math.cos(theta)
+        for phi, phase, e_phi_sq in factors:
+            e = phase * cos
+            i_sigma = abs(e) ** 2 + e_phi_sq
+            yield theta, phi, i_pi, i_sigma, i_sigma, abs(minus_sin * e)

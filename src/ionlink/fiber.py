@@ -53,7 +53,7 @@ def standard_channel(wavelength_nm: int) -> FiberChannel:
     except KeyError:
         known = ", ".join(str(k) for k in sorted(STANDARD_ATTENUATION_DB_PER_KM))
         raise DomainError(
-            f"no bundled attenuation for {wavelength_nm} nm (known: {known})"
+            f"no bundled attenuation for {wavelength_nm:g} nm (known: {known})"
         ) from None
 
 

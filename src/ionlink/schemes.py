@@ -284,11 +284,11 @@ def scheme_comparison(
 
 def _na_curve(value_at, na_step: float) -> list[tuple[float, float]]:
     """(na, value_at(na)) on the grid 0, na_step, ... up to NA 1."""
-    import numpy as np
-
     n = int(math.floor(steps("na_step", na_step, 1.0, hi=1.0) + 1e-9))
-    # the tolerance may keep a last point a rounding error above 1: it is NA 1
-    nas = [min(na, 1.0) for na in np.linspace(0.0, n * na_step, n + 1).tolist()]
+    stop = n * na_step
+    # np.linspace(0, stop, n + 1)'s points; the tolerance may keep the last a
+    # rounding error above 1: it is NA 1
+    nas = [min(na, 1.0) for na in [i * (stop / n) for i in range(n)] + [stop]]
     return [(na, value_at(na)) for na in nas]
 
 

@@ -461,6 +461,9 @@ class TestFailuresExitOne:
         (("fiber", "crossing", "--raw-nm", "nan"), "nan nm"),
         (("fiber", "crossing", "--raw-nm=-inf"), "-inf nm"),
         (("fiber", "budget", "--fiber-nm", "nan"), "nan nm"),
+        # a finite wavelength is rounded to look it up, but printed compactly
+        (("fiber", "crossing", "--raw-nm", "1e308"), "for 1e+308 nm"),
+        (("fiber", "budget", "--fiber-nm", "1e308"), "for 1e+308 nm"),
         (("fiber", "budget", "--length-km", "nan"), "length_km"),
         (("fiber", "budget", "--rep-rate-hz", "inf"), "repetition_rate_hz"),
         (("fiber", "budget", "--source-rate", "2"), "source_rate"),
@@ -557,10 +560,11 @@ class TestStreamedExport:
             assert err.startswith("error: theta out of range: 4.0") and err.count("\n") == 1
         assert existing.read_bytes() == b"kept\n" and not missing.exists()
 
-    def test_peak_memory_is_flat_in_grid_size(self):
-        """4x the rows of the 0.5 x 1 degree grid cost no more than a few MB.
+    @staticmethod
+    def peak_rss_kb(theta_step, phi_step):
+        """Peak RSS of a fresh ``emission pattern`` JSON export, in KiB.
 
-        Each child is started and reaped with ``os.wait4`` by a small
+        The child is started and reaped with ``os.wait4`` by a small
         launcher: Linux carries the forking process's peak RSS into the
         child's ``ru_maxrss``, and this process is large.
         """
@@ -572,14 +576,19 @@ class TestStreamedExport:
         )
         src = str(Path(ionlink.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-c", launcher, sys.executable, "-m", "ionlink.cli",
+                "emission", "pattern", "--theta-step-deg", theta_step,
+                "--phi-step-deg", phi_step, "--output-format", "json"]
+        code, rss_kb = subprocess.run(argv, capture_output=True, text=True, env=env,
+                                      check=True).stdout.split()
+        assert code == "0"
+        return int(rss_kb)
 
-        def peak_rss_kb(theta_step, phi_step):
-            argv = [sys.executable, "-c", launcher, sys.executable, "-m", "ionlink.cli",
-                    "emission", "pattern", "--theta-step-deg", theta_step,
-                    "--phi-step-deg", phi_step, "--output-format", "json"]
-            code, rss_kb = subprocess.run(argv, capture_output=True, text=True, env=env,
-                                          check=True).stdout.split()
-            assert code == "0"
-            return int(rss_kb)
+    def test_peak_memory_is_flat_in_grid_size(self):
+        """4x the rows of the 0.5 x 1 degree grid cost no more than a few MB."""
+        assert self.peak_rss_kb("0.25", "0.5") - self.peak_rss_kb("0.5", "1") < 8 * 1024
 
-        assert peak_rss_kb("0.25", "0.5") - peak_rss_kb("0.5", "1") < 8 * 1024
+    def test_many_theta_lines_stay_bounded(self):
+        """500 k theta lines of one phi each: beyond the theta axis itself
+        (~20 MB of floats), memory does not grow with the lines."""
+        assert self.peak_rss_kb("3.6e-4", "360") - self.peak_rss_kb("0.5", "1") < 32 * 1024

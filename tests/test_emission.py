@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ionlink import emission
+from ionlink._format import _BLOCK
 from ionlink.emission import (
     CollectionModel,
     CollectionOptic,
@@ -18,7 +19,6 @@ from ionlink.emission import (
     pi_emission,
     polarization_overlap,
     sigma_emission,
-    _squares,
 )
 from ionlink.errors import DomainError
 
@@ -207,7 +207,7 @@ def bits(rows):
 
 
 class TestPatternKernel:
-    """The array kernel against the point-by-point scalar loop, bit for bit."""
+    """The per-axis kernel against the point-by-point scalar loop, bit for bit."""
 
     @pytest.mark.parametrize("steps", [(1.0, 2.0), (5.0, 30.0), (7.0, 13.0), (0.7, 11.0)])
     def test_export_grids_bit_identical(self, steps):
@@ -224,29 +224,21 @@ class TestPatternKernel:
         assert (bits(list(pattern_rows(thetas, phis)))
                 == bits(list(pattern_rows_per_point(thetas, phis)))).all()
 
-    @pytest.mark.parametrize("block", [5, 60])  # one theta line per batch, and two
-    def test_theta_batches_bit_identical(self, block):
-        thetas, phis = pattern_grid(7.0, 13.0)
-        with mock.patch.object(emission, "_BLOCK", block):
-            new = list(pattern_rows(thetas, phis))
-        assert bits(new).tolist() == bits(list(pattern_rows_per_point(thetas, phis))).tolist()
-
-    def test_rows_are_computed_one_theta_batch_at_a_time(self):
+    def test_theta_factors_are_built_one_line_at_a_time(self):
         thetas, phis = pattern_grid(1.0, 2.0)  # 181 x 180 points
-        assert len(thetas) * len(phis) > 4 * emission._BLOCK
-        batches = []
+        assert len(thetas) * len(phis) > 4 * _BLOCK
+        calls = []
 
-        def recording_squares(values):
-            batches.append(values.shape)
-            return _squares(values)
+        def recording_pi_emission(direction):
+            calls.append(direction.theta)
+            return pi_emission(direction)
 
-        with mock.patch.object(emission, "_squares", recording_squares):
+        with mock.patch.object(emission, "pi_emission", recording_pi_emission):
             rows = pattern_rows(thetas, phis)
             next(rows)
-            assert batches == [(emission._BLOCK // len(phis), len(phis))]
+            assert calls == thetas[:1]
             assert 1 + sum(1 for _ in rows) == len(thetas) * len(phis)
-        lines = emission._BLOCK // len(phis)
-        assert len(batches) == math.ceil(len(thetas) / lines) > 4
+        assert calls == thetas
 
     def test_is_a_generator_of_tuples(self):
         rows = pattern_rows([0.0, 1.0], [0.0])
@@ -269,14 +261,6 @@ class TestPatternKernel:
             list(pattern_rows_per_point(thetas, phis))
         with pytest.raises(DomainError, match=re.escape(str(expected.value))):
             list(pattern_rows(thetas, phis))
-
-
-def test_squares_round_like_scalar_pow():
-    # numpy's x * x is correctly rounded, libm pow(x, 2) not always; the
-    # scalar code squares with pow, so the kernel must as well
-    x = np.random.default_rng(0).uniform(0.0, 1.0, 200_000)
-    assert bits(_squares(x)).tolist() == bits([v ** 2 for v in x.tolist()]).tolist()
-    assert _squares(x.reshape(400, 500)).shape == (400, 500)
 
 
 class TestPatternGrid:

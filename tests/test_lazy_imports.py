@@ -1,4 +1,4 @@
-"""Start-up contract: ``import ionlink`` is lazy and scalar subcommands never load numpy.
+"""Start-up contract: ``import ionlink`` is lazy and only the chain commands load numpy.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported numpy and every ionlink module.
@@ -46,7 +46,10 @@ COMMANDS = [
     ("schemes --na 2", 1, False),         # a domain error
     ("fiber crossing --output-format csv", 0, False),  # one-row records
     ("fiber budget --output-format csv", 0, False),
-    ("chain exact", 0, True),             # the first command that builds an array
+    *[(f"{table} --output-format {fmt}", 0, False)  # every table export is plain Python
+      for table in ("emission pattern", "fiber curves", "fidelity-curve", "prob-curve")
+      for fmt in ("csv", "json")],
+    ("chain exact", 0, True),             # the first command that does array work
 ]
 
 
