@@ -188,10 +188,10 @@ def _qfc_table2(args):
 
 
 def _fiber_curves(args):
-    header, rows = fiber.transmission_curves(
-        args.max_km, args.step_km, args.eta_780, args.eta_1259, args.eta_1550
-    )
-    return header, rows, ()
+    header = ("length_km", "t_493", f"t_780_x{args.eta_780:g}", "t_650",
+              f"t_1259_x{args.eta_1259:g}", f"t_1550_x{args.eta_1550:g}")
+    return header, fiber.transmission_curves(args.max_km, args.step_km, args.eta_780,
+                                             args.eta_1259, args.eta_1550), ()
 
 
 def _fiber_crossing(args):

@@ -153,17 +153,17 @@ def pattern_rows(thetas, phis):
     states above.  The numbers are bit-identical to evaluating
     :func:`pi_emission`, :func:`sigma_emission` and
     :func:`polarization_overlap` point by point (``tests/oracles.py`` keeps
-    that loop), from per-axis factors: the pi state and ``cos(theta)`` once
-    per theta line, the sigma phase and ``|e_phi|^2`` once per phi.  One
-    sigma pass serves both sigma columns: sigma-'s phase is sigma+'s
-    conjugate, and the intensities take only magnitudes.  The overlap drops
-    the point-by-point sum's zero terms, which change at most the sign of a
-    zero, and ``abs`` ignores it.  Every axis value is checked up front, in
-    the point-by-point loop's order (the first theta, every phi, then the
-    other thetas), so a direction out of range raises before any row is
-    yielded, naming the first grid point that loop rejects.  The theta
-    factors are then built one line at a time as the rows are pulled, so
-    memory beyond the two axes stays constant.
+    that loop), from per-axis factors: ``-sin(theta)``, its square and
+    ``cos(theta)`` once per theta line, the sigma phase and ``|e_phi|^2``
+    once per phi.  One sigma pass serves both sigma columns: sigma-'s phase
+    is sigma+'s conjugate, and the intensities take only magnitudes.  The
+    overlap drops the point-by-point sum's zero terms, which change at most
+    the sign of a zero, and ``abs`` ignores it.  Every axis value is checked
+    up front, in the point-by-point loop's order (the first theta, every
+    phi, then the other thetas), so a direction out of range raises before
+    any row is yielded, naming the first grid point that loop rejects.  The
+    theta factors are then built one line at a time as the rows are pulled,
+    so memory beyond the two axes stays constant.
     """
     thetas = [float(t) for t in thetas]
     phis = [float(p) for p in phis]
@@ -176,8 +176,9 @@ def pattern_rows(thetas, phis):
         check("theta", theta, 0.0, math.pi)
     factors = [(phi, s.e_theta, abs(s.e_phi) ** 2) for phi, s in zip(phis, sigma)]
     for theta in thetas:
-        pi = pi_emission(EmissionDirection(theta, 0.0))
-        i_pi, minus_sin, cos = pi.intensity, pi.e_theta, math.cos(theta)
+        # pi_emission's e_theta and intensity: adding |e_phi|^2 = 0.0 is exact
+        minus_sin, cos = -math.sin(theta), math.cos(theta)
+        i_pi = abs(minus_sin) ** 2
         for phi, phase, e_phi_sq in factors:
             e = phase * cos
             i_sigma = abs(e) ** 2 + e_phi_sq

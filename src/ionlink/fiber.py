@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError, NoCrossingError, check, steps
 
@@ -140,27 +141,24 @@ def transmission_curves(
     eta_780: float = 0.05,
     eta_1259: float = 0.05,
     eta_1550: float = 0.18,
-) -> tuple[list[str], list[list[float]]]:
+) -> Iterator[list[float]]:
     """Reference transmission traces, converted ones pre-scaled by their efficiency.
 
-    Returns the CSV header and rows: raw 493 nm and 650 nm traces next to
-    the 780/1259/1550 nm converted ones, each multiplied by the quoted
+    Yields rows of the length and the 493, 780, 650, 1259 and 1550 nm
+    traces, the converted 780/1259/1550 nm ones multiplied by the quoted
     conversion efficiency so curves are directly comparable.  Each cell is
-    the efficiency times :func:`transmission`'s own expression.
+    the efficiency times :func:`transmission`'s own expression.  The inputs
+    are checked before the first row, and each row is computed as it is
+    pulled, so memory does not grow with the grid.
     """
     n_steps = int(math.floor(steps("step_km", step_km, check("max_km", max_km)) + 1e-9))
-    scales = [1.0, check("eta_780", eta_780, 0.0, 1.0), 1.0,
-              check("eta_1259", eta_1259, 0.0, 1.0), check("eta_1550", eta_1550, 0.0, 1.0)]
-    header = [
-        "length_km",
-        "t_493",
-        f"t_780_x{eta_780:g}",
-        "t_650",
-        f"t_1259_x{eta_1259:g}",
-        f"t_1550_x{eta_1550:g}",
-    ]
-    channels = [standard_channel(nm) for nm in (493, 780, 650, 1259, 1550)]
-    lengths = [i * step_km for i in range(n_steps + 1)]
-    traces = [[scale * 10.0 ** (-channel.attenuation_db_per_km * km / 10.0) for km in lengths]
-              for channel, scale in zip(channels, scales)]
-    return header, [list(row) for row in zip(lengths, *traces)]
+    for name, eta in (("eta_780", eta_780), ("eta_1259", eta_1259), ("eta_1550", eta_1550)):
+        check(name, eta, 0.0, 1.0)
+    # -a * km is (-a) * km, so negating once here keeps transmission's bits
+    a_493, a_780, a_650, a_1259, a_1550 = (
+        -standard_channel(nm).attenuation_db_per_km for nm in (493, 780, 650, 1259, 1550))
+    for i in range(n_steps + 1):
+        km = i * step_km
+        yield [km, 10.0 ** (a_493 * km / 10.0), eta_780 * 10.0 ** (a_780 * km / 10.0),
+               10.0 ** (a_650 * km / 10.0), eta_1259 * 10.0 ** (a_1259 * km / 10.0),
+               eta_1550 * 10.0 ** (a_1550 * km / 10.0)]

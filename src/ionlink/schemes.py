@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .atomic import BranchingModel, Level, ZeemanState
 from .emission import CollectionModel, collection_fraction
@@ -282,29 +282,30 @@ def scheme_comparison(
     return rows
 
 
-def _na_curve(value_at, na_step: float) -> list[tuple[float, float]]:
-    """(na, value_at(na)) on the grid 0, na_step, ... up to NA 1."""
+def _na_curve(value_at, na_step: float) -> Iterator[tuple[float, float]]:
+    """Yields (na, value_at(na)) over 0, na_step, ... up to NA 1; checks the step first."""
     n = int(math.floor(steps("na_step", na_step, 1.0, hi=1.0) + 1e-9))
     stop = n * na_step
     # np.linspace(0, stop, n + 1)'s points; the tolerance may keep the last a
     # rounding error above 1: it is NA 1
-    nas = [min(na, 1.0) for na in [i * (stop / n) for i in range(n)] + [stop]]
-    return [(na, value_at(na)) for na in nas]
+    for i in range(n + 1):
+        na = min(i * (stop / n) if i < n else stop, 1.0)
+        yield na, value_at(na)
 
 
 def fidelity_curve(
     max_fidelity: float,
     na_step: float = 0.01,
     collection: CollectionModel = CollectionModel.QUADRATIC,
-) -> list[tuple[float, float]]:
+) -> Iterator[tuple[float, float]]:
     """(na, fidelity) samples over NA in [0, 1]."""
-    return _na_curve(lambda na: fidelity_at_na(max_fidelity, na, collection), na_step)
+    yield from _na_curve(lambda na: fidelity_at_na(max_fidelity, na, collection), na_step)
 
 
 def probability_curve(
     spec: SchemeSpec,
     na_step: float = 0.01,
     collection: CollectionModel = CollectionModel.QUADRATIC,
-) -> list[tuple[float, float]]:
+) -> Iterator[tuple[float, float]]:
     """(na, probability) samples over NA in [0, 1]."""
-    return _na_curve(lambda na: entanglement_probability(spec, na, collection), na_step)
+    yield from _na_curve(lambda na: entanglement_probability(spec, na, collection), na_step)

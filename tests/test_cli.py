@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ionlink
-from ionlink import cli, emission
+from ionlink import cli, emission, fiber, schemes
 from ionlink.cli import main
 
 
@@ -246,6 +247,16 @@ class TestFiber:
                           "t_1259_x0.05", "t_1550_x0.18"]
         assert len(rows) == 3
         assert float(rows[2][1]) == pytest.approx(1e-5, rel=1e-5)
+
+    def test_curves_header_reflects_efficiencies(self, capsys):
+        """The handler names the columns: each converted trace carries its efficiency."""
+        etas = ("--eta-780", "0.07", "--eta-1259", "1", "--eta-1550", "2.5e-05")
+        _, out, _ = run(capsys, "fiber", "curves", "--max-km", "1", *etas)
+        header, _, _ = parse_csv(out)
+        assert header == ["length_km", "t_493", "t_780_x0.07", "t_650",
+                          "t_1259_x1", "t_1550_x2.5e-05"]
+        _, out, _ = run(capsys, "fiber", "curves", "--max-km", "1", *etas, "--output-format", "json")
+        assert json.loads(out)["columns"] == header
 
     def test_crossing_value(self, capsys):
         code, out, _ = run(
@@ -530,8 +541,8 @@ class TestStreamedExport:
           for eta in ("0", "1")],
         ("fiber", "curves", "--max-km", "1.7976931348623157e308", "--step-km", "1e304"),
         ("fiber", "curves", "--max-km", "2", "--step-km", "1e308"),
-        # 1e5 rows: fiber rows are still built whole, so the row cap is not run here
         ("fiber", "curves", "--max-km", "1e-300", "--step-km", "1e-305"),
+        ("fiber", "curves", "--max-km", "1048575", "--step-km", "1"),
         ("emission", "pattern", "--theta-step-deg", "180", "--phi-step-deg", "360"),
         ("emission", "pattern", "--theta-step-deg", "1e300", "--phi-step-deg", "1e300"),
         ("emission", "pattern", "--theta-step-deg", "0.18", "--phi-step-deg", "0.35"),
@@ -560,9 +571,21 @@ class TestStreamedExport:
             assert err.startswith("error: theta out of range: 4.0") and err.count("\n") == 1
         assert existing.read_bytes() == b"kept\n" and not missing.exists()
 
+    def test_table_layers_are_generator_functions(self):
+        """The layer functions behind the large tables are generator functions.
+
+        ``perfbench/spans.py`` traces a generator function by counting what
+        it yields, but calls ``len()`` on a plain function's result, so a
+        plain function that returns a generator would break traced benchmark
+        runs.  The default test run does not collect ``perfbench/``.
+        """
+        for fn in (emission.pattern_rows, fiber.transmission_curves,
+                   schemes.fidelity_curve, schemes.probability_curve):
+            assert inspect.isgeneratorfunction(fn), fn.__qualname__
+
     @staticmethod
-    def peak_rss_kb(theta_step, phi_step):
-        """Peak RSS of a fresh ``emission pattern`` JSON export, in KiB.
+    def peak_rss_kb(*argv):
+        """Peak RSS of a fresh ``ionlink`` run of ``argv``, stdout discarded, in KiB.
 
         The child is started and reaped with ``os.wait4`` by a small
         launcher: Linux carries the forking process's peak RSS into the
@@ -576,19 +599,33 @@ class TestStreamedExport:
         )
         src = str(Path(ionlink.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        argv = [sys.executable, "-c", launcher, sys.executable, "-m", "ionlink.cli",
-                "emission", "pattern", "--theta-step-deg", theta_step,
-                "--phi-step-deg", phi_step, "--output-format", "json"]
+        argv = [sys.executable, "-c", launcher, sys.executable, "-m", "ionlink.cli", *argv]
         code, rss_kb = subprocess.run(argv, capture_output=True, text=True, env=env,
                                       check=True).stdout.split()
         assert code == "0"
         return int(rss_kb)
 
+    @staticmethod
+    def pattern_json(theta_step, phi_step):
+        return ("emission", "pattern", "--theta-step-deg", theta_step,
+                "--phi-step-deg", phi_step, "--output-format", "json")
+
     def test_peak_memory_is_flat_in_grid_size(self):
         """4x the rows of the 0.5 x 1 degree grid cost no more than a few MB."""
-        assert self.peak_rss_kb("0.25", "0.5") - self.peak_rss_kb("0.5", "1") < 8 * 1024
+        assert (self.peak_rss_kb(*self.pattern_json("0.25", "0.5"))
+                - self.peak_rss_kb(*self.pattern_json("0.5", "1"))) < 8 * 1024
 
     def test_many_theta_lines_stay_bounded(self):
         """500 k theta lines of one phi each: beyond the theta axis itself
         (~20 MB of floats), memory does not grow with the lines."""
-        assert self.peak_rss_kb("3.6e-4", "360") - self.peak_rss_kb("0.5", "1") < 32 * 1024
+        assert (self.peak_rss_kb(*self.pattern_json("3.6e-4", "360"))
+                - self.peak_rss_kb(*self.pattern_json("0.5", "1"))) < 32 * 1024
+
+    @pytest.mark.parametrize("argv, small, large", [
+        (("fiber", "curves", "--step-km", "1"), ("--max-km", "1000"), ("--max-km", "200000")),
+        (("fidelity-curve", "--output-format", "json"), ("--na-step", "1e-3"),
+         ("--na-step", "5e-6")),
+    ], ids=["fiber curves", "fidelity-curve json"])
+    def test_curves_are_flat_in_grid_size(self, argv, small, large):
+        """~2 x 10^5 rows cost no more than a few MB over ~10^3 rows."""
+        assert self.peak_rss_kb(*argv, *large) - self.peak_rss_kb(*argv, *small) < 8 * 1024

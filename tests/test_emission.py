@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import types
 from unittest import mock
 
 import numpy as np
@@ -229,11 +230,13 @@ class TestPatternKernel:
         assert len(thetas) * len(phis) > 4 * _BLOCK
         calls = []
 
-        def recording_pi_emission(direction):
-            calls.append(direction.theta)
-            return pi_emission(direction)
+        def recording_sin(theta):
+            calls.append(theta)
+            return math.sin(theta)
 
-        with mock.patch.object(emission, "pi_emission", recording_pi_emission):
+        # sin(theta) is the one theta factor nothing else in pattern_rows computes
+        stand_in = types.SimpleNamespace(**{**vars(math), "sin": recording_sin})
+        with mock.patch.object(emission, "math", stand_in):
             rows = pattern_rows(thetas, phis)
             next(rows)
             assert calls == thetas[:1]

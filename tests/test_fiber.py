@@ -188,13 +188,8 @@ class TestLinkBudget:
 
 
 class TestCurves:
-    def test_header_reflects_efficiencies(self):
-        header, _ = transmission_curves(2.0, 0.01)
-        assert header == ["length_km", "t_493", "t_780_x0.05", "t_650",
-                          "t_1259_x0.05", "t_1550_x0.18"]
-
     def test_row_grid_and_scaling(self):
-        header, rows = transmission_curves(2.0, 0.01)
+        rows = list(transmission_curves(2.0, 0.01))
         assert len(rows) == 201
         assert rows[0][0] == 0.0
         assert rows[0][1] == 1.0          # raw trace starts at unity
@@ -202,7 +197,7 @@ class TestCurves:
         assert rows[-1][0] == pytest.approx(2.0, rel=1e-12)
 
     def test_converted_trace_wins_beyond_crossing(self):
-        _, rows = transmission_curves(2.0, 0.01)
+        rows = list(transmission_curves(2.0, 0.01))
         beyond = [r for r in rows if r[0] > CROSSING_493_TO_780_AT_5PCT + 0.01]
         for row in beyond:
             assert row[2] > row[1]
@@ -215,19 +210,19 @@ class TestCurves:
     ])
     def test_bad_grid_rejected(self, max_km, step_km, name):
         with pytest.raises(DomainError, match=name):
-            transmission_curves(max_km, step_km)
+            list(transmission_curves(max_km, step_km))
 
     @pytest.mark.parametrize("name", ["eta_780", "eta_1259", "eta_1550"])
     @pytest.mark.parametrize("value", [-3.0, 1.5, math.nan, math.inf])
     def test_bad_efficiency_scale_rejected(self, name, value):
         with pytest.raises(DomainError, match=f"^{name} out of range"):
-            transmission_curves(2.0, 0.5, **{name: value})
+            list(transmission_curves(2.0, 0.5, **{name: value}))
 
     @pytest.mark.parametrize("args", [
         (200.0, 0.01), (3.7, 0.013, 0.07, 0.11, 0.3), (0.0, 1.0), (1e4, 0.7), (5.0, 7.0),
     ])
     def test_rows_bit_identical_to_per_row_loop(self, args):
-        _, rows = transmission_curves(*args)
+        rows = list(transmission_curves(*args))
         expected = transmission_curve_rows_per_row(*args)
         assert (np.array(rows).view(np.uint64) == np.array(expected).view(np.uint64)).all()
         assert all(type(row) is list for row in rows)

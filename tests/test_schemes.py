@@ -313,14 +313,14 @@ class TestSchemeTable:
 
 class TestCurves:
     def test_fidelity_curve_grid(self):
-        curve = fidelity_curve(0.891, 0.01)
+        curve = list(fidelity_curve(0.891, 0.01))
         assert len(curve) == 101
         assert curve[0] == (0.0, 0.891)
         assert curve[-1][0] == pytest.approx(1.0, abs=1e-12)
         assert curve[-1][1] == pytest.approx(0.831, abs=1e-12)
 
     def test_probability_curve_grid(self):
-        curve = probability_curve(STRONG, 0.1)
+        curve = list(probability_curve(STRONG, 0.1))
         assert len(curve) == 11
         assert curve[0][1] == 0.0
         assert curve[-1][1] == pytest.approx(STRONG.excite_prob * STRONG.s_decay_prob / 4.0, rel=1e-12)
@@ -329,8 +329,8 @@ class TestCurves:
     def test_grid_stops_at_na_one(self, step, n_rows):
         """Steps that do not divide 1 stop at the last multiple below it, and
         each printed NA is the one evaluated."""
-        fidelities = fidelity_curve(0.891, step)
-        probabilities = probability_curve(STRONG, step)
+        fidelities = list(fidelity_curve(0.891, step))
+        probabilities = list(probability_curve(STRONG, step))
         assert [na for na, _ in fidelities] == [na for na, _ in probabilities]
         assert len(fidelities) == n_rows
         for i, (na, value) in enumerate(fidelities):
@@ -341,14 +341,14 @@ class TestCurves:
 
     def test_point_within_tolerance_of_one_is_na_one(self):
         step = 0.3333333334  # three steps overshoot 1 by 2e-10, inside the grid tolerance
-        assert fidelity_curve(0.891, step)[-1] == (1.0, fidelity_at_na(0.891, 1.0))
-        assert probability_curve(STRONG, step)[-1] == (1.0, entanglement_probability(STRONG, 1.0))
+        assert list(fidelity_curve(0.891, step))[-1] == (1.0, fidelity_at_na(0.891, 1.0))
+        assert list(probability_curve(STRONG, step))[-1] == (1.0, entanglement_probability(STRONG, 1.0))
 
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
-            fidelity_curve(0.9, 0.0)
+            list(fidelity_curve(0.9, 0.0))
         with pytest.raises(DomainError, match="na_step"):
-            probability_curve(STRONG, 1e-320)
+            list(probability_curve(STRONG, 1e-320))
         for step in (1e-300, 1e-7, 2.0, math.nan):
             with pytest.raises(DomainError, match="na_step"):
-                fidelity_curve(0.9, step)
+                list(fidelity_curve(0.9, step))
