@@ -12,7 +12,8 @@ Modules by capability:
 * :mod:`ionlink.cli` - the ``ionlink`` command-line front end
 
 The modules and the names below are imported on first access (PEP 562), so
-``import ionlink`` loads neither them nor numpy.  Numpy is loaded only by
+``import ionlink`` loads neither them nor numpy, and the ``ionlink`` command
+loads only the layer of the subcommand it runs.  Numpy is loaded only by
 code that does array work: :mod:`ionlink.pump_cycle`,
 :class:`~ionlink.schemes.TwoQubitState` and
 :func:`~ionlink.emission.cone_mixing_weight`.  Every table export is plain

@@ -36,20 +36,28 @@ import math
 import sys
 from typing import Iterator
 
-from . import __version__, atomic, emission, fiber, qfc, schemes, trap
+from . import __version__
 from ._format import render_csv, render_json, table_payload, write_output
 from .errors import DomainError, NumericError, check
 
 __all__ = ["main"]
 
-_DRIVES = {
-    "sigma-minus": atomic.Polarization.SIGMA_MINUS,
-    "sigma-plus": atomic.Polarization.SIGMA_PLUS,
-}
+# The layers' names as plain tuples, in the order --help shows them, so that
+# parsing imports no layer; tests pin them to SCHEMES, CollectionModel and
+# Polarization (a drive names its member in lower case, "-" for "_").
+_SCHEMES = ("d-shelving", "weak", "strong")
+_COLLECTIONS = ("quadratic", "exact")
+_DRIVES = ("sigma-minus", "sigma-plus")
 
 
-def _version_string() -> str:
-    return f"ionlink {__version__} (dispersion-data {qfc.dispersion_data_version()})"
+class _Version(argparse._VersionAction):
+    """argparse's ``version`` action, reading the dispersion data only when given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from . import qfc
+
+        self.version = f"ionlink {__version__} (dispersion-data {qfc.dispersion_data_version()})"
+        super().__call__(parser, namespace, values, option_string)
 
 
 class _UsageError(Exception):
@@ -74,19 +82,22 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _channel(nm: float, override_db_per_km) -> fiber.FiberChannel:
+    from . import fiber
+
     if override_db_per_km is not None:
         return fiber.FiberChannel(nm, override_db_per_km)
     # a non-finite wavelength does not round; the lookup rejects it by name
     return fiber.standard_channel(round(nm) if math.isfinite(nm) else nm)
 
 
-# Only the chain commands import pump_cycle, and numpy with it, and only when
-# they run; like every handler they call their layer through its module.
+# Each handler imports its layer when it runs, so a command loads only its own
+# layer (and numpy only with pump_cycle, for the chain commands).  Handlers
+# call the layer through its module, where a tracer patches it.
 def _chain_config(args, **cutoff):
-    from . import pump_cycle
+    from . import atomic, pump_cycle
 
     model = atomic.load_model(args.model) if args.model else atomic.default_barium_model()
-    drive = _DRIVES[args.drive]
+    drive = atomic.Polarization[args.drive.replace("-", "_").upper()]
     if args.initial_mj is None:
         mj = 1.5 if drive is atomic.Polarization.SIGMA_MINUS else -1.5
     else:
@@ -97,6 +108,8 @@ def _chain_config(args, **cutoff):
 
 
 def _schemes(args):
+    from . import emission, schemes
+
     rows = schemes.scheme_comparison(args.na, emission.CollectionModel(args.collection))
     notes = [
         "probability = pe_ps x collected solid-angle fraction; "
@@ -112,12 +125,16 @@ def _schemes(args):
 
 
 def _fidelity_curve(args):
+    from . import emission, schemes
+
     f_max = args.f_max if args.f_max is not None else schemes.SCHEMES[args.scheme].max_fidelity
     pairs = schemes.fidelity_curve(f_max, args.na_step, emission.CollectionModel(args.collection))
     return ("na", "fidelity"), pairs, ()
 
 
 def _prob_curve(args):
+    from . import emission, schemes
+
     spec = schemes.SCHEMES[args.scheme]
     pairs = schemes.probability_curve(spec, args.na_step, emission.CollectionModel(args.collection))
     return ("na", "probability"), pairs, ()
@@ -138,6 +155,8 @@ def _chain_mc(args):
 
 
 def _trap(args):
+    from . import trap
+
     trap_config = trap.TrapConfig.from_lab_units(
         v0=args.v0, f_rf_mhz=args.freq_mhz, r_um=args.r_um,
         eta=args.eta, mass_amu=args.mass_amu, charge_e=args.charge_e,
@@ -151,6 +170,8 @@ def _trap(args):
 
 
 def _qfc_plan(args):
+    from . import qfc
+
     dispersion = qfc.load_dispersion(args.material)
     stage, findings = qfc.plan_stage(
         args.input_nm, args.pump_nm, qfc.MixKind(args.kind), dispersion,
@@ -172,6 +193,8 @@ def _qfc_plan(args):
 
 
 def _qfc_table2(args):
+    from . import qfc
+
     rows = [
         (row.conversion, round(row.input_thz), round(row.output_thz),
          round(row.pump_thz), row.device)
@@ -188,6 +211,8 @@ def _qfc_table2(args):
 
 
 def _fiber_curves(args):
+    from . import fiber
+
     header = ("length_km", "t_493", f"t_780_x{args.eta_780:g}", "t_650",
               f"t_1259_x{args.eta_1259:g}", f"t_1550_x{args.eta_1550:g}")
     return header, fiber.transmission_curves(args.max_km, args.step_km, args.eta_780,
@@ -195,6 +220,8 @@ def _fiber_curves(args):
 
 
 def _fiber_crossing(args):
+    from . import fiber
+
     raw = _channel(args.raw_nm, args.raw_db_per_km)
     converted = _channel(args.converted_nm, args.converted_db_per_km)
     return {
@@ -208,6 +235,8 @@ def _fiber_crossing(args):
 
 
 def _fiber_budget(args):
+    from . import fiber
+
     budget = fiber.LinkBudget(
         source_rate=args.source_rate,
         repetition_rate_hz=args.rep_rate_hz,
@@ -230,6 +259,8 @@ def _fiber_budget(args):
 
 
 def _emission_pattern(args):
+    from . import emission
+
     thetas, phis = emission.pattern_grid(args.theta_step_deg, args.phi_step_deg)
     header = ("theta", "phi", "i_pi", "i_sigma_plus", "i_sigma_minus", "overlap_abs")
     return header, emission.pattern_rows(thetas, phis), ()
@@ -245,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ionlink",
         description="Ion-photon entanglement, frequency conversion and fiber-link planning.",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument("--version", action=_Version)
     commands = parser.add_subparsers(dest="command", required=True)
 
     def group(name: str, help_text: str):
@@ -263,22 +294,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="key = value file supplying defaults; flags override")
         return p.add_argument
 
-    collection_models = [model.value for model in emission.CollectionModel]
     flag = leaf(commands, "schemes", "compare excitation schemes at one NA", _schemes)
     flag("--na", type=float, default=0.6, help="collection numerical aperture")
-    flag("--collection", default="quadratic", choices=collection_models,
+    flag("--collection", default="quadratic", choices=_COLLECTIONS,
          help="solid-angle fraction model")
 
     flag = leaf(commands, "fidelity-curve", "fidelity vs NA sweep", _fidelity_curve)
-    flag("--scheme", default="d-shelving", choices=schemes.SCHEMES)
+    flag("--scheme", default="d-shelving", choices=_SCHEMES)
     flag("--f-max", type=float, help="override the scheme's zero-NA fidelity")
     flag("--na-step", type=float, default=0.01)
-    flag("--collection", default="quadratic", choices=collection_models)
+    flag("--collection", default="quadratic", choices=_COLLECTIONS)
 
     flag = leaf(commands, "prob-curve", "entanglement probability vs NA sweep", _prob_curve)
-    flag("--scheme", default="d-shelving", choices=schemes.SCHEMES)
+    flag("--scheme", default="d-shelving", choices=_SCHEMES)
     flag("--na-step", type=float, default=0.01)
-    flag("--collection", default="quadratic", choices=collection_models)
+    flag("--collection", default="quadratic", choices=_COLLECTIONS)
 
     chain = group("chain", "pump-cycle branch probabilities")
     exact = leaf(chain, "exact", "absorbing-chain linear solve", _chain_exact)

@@ -282,15 +282,17 @@ def scheme_comparison(
     return rows
 
 
-def _na_curve(value_at, na_step: float) -> Iterator[tuple[float, float]]:
-    """Yields (na, value_at(na)) over 0, na_step, ... up to NA 1; checks the step first."""
+def _na_fractions(na_step: float, collection: CollectionModel) -> Iterator[tuple[float, float]]:
+    """(na, collected fraction) over 0, na_step, ... up to NA 1, the step checked when called;
+    every NA lies in [0, 1], so the fraction is collection_fraction's formula unchecked."""
     n = int(math.floor(steps("na_step", na_step, 1.0, hi=1.0) + 1e-9))
     stop = n * na_step
     # np.linspace(0, stop, n + 1)'s points; the tolerance may keep the last a
     # rounding error above 1: it is NA 1
-    for i in range(n + 1):
-        na = min(i * (stop / n) if i < n else stop, 1.0)
-        yield na, value_at(na)
+    nas = (min(i * (stop / n) if i < n else stop, 1.0) for i in range(n + 1))
+    if collection is CollectionModel.QUADRATIC:
+        return ((na, na * na / 4.0) for na in nas)
+    return ((na, (1.0 - math.sqrt(1.0 - na * na)) / 2.0) for na in nas)
 
 
 def fidelity_curve(
@@ -298,8 +300,11 @@ def fidelity_curve(
     na_step: float = 0.01,
     collection: CollectionModel = CollectionModel.QUADRATIC,
 ) -> Iterator[tuple[float, float]]:
-    """(na, fidelity) samples over NA in [0, 1]."""
-    yield from _na_curve(lambda na: fidelity_at_na(max_fidelity, na, collection), na_step)
+    """(na, fidelity_at_na(max_fidelity, na, collection)) over NA in [0, 1]."""
+    fractions = _na_fractions(na_step, collection)
+    check("max_fidelity", max_fidelity, 0.0, 1.0)
+    for na, fraction in fractions:
+        yield na, max_fidelity - POLARIZATION_MIXING_COEFF * fraction
 
 
 def probability_curve(
@@ -307,5 +312,7 @@ def probability_curve(
     na_step: float = 0.01,
     collection: CollectionModel = CollectionModel.QUADRATIC,
 ) -> Iterator[tuple[float, float]]:
-    """(na, probability) samples over NA in [0, 1]."""
-    yield from _na_curve(lambda na: entanglement_probability(spec, na, collection), na_step)
+    """(na, entanglement_probability(spec, na, collection)) over NA in [0, 1]."""
+    pe_ps = spec.excite_prob * spec.s_decay_prob
+    for na, fraction in _na_fractions(na_step, collection):
+        yield na, pe_ps * fraction

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import inspect
 import io
 import itertools
@@ -629,3 +631,66 @@ class TestStreamedExport:
     def test_curves_are_flat_in_grid_size(self, argv, small, large):
         """~2 x 10^5 rows cost no more than a few MB over ~10^3 rows."""
         assert self.peak_rss_kb(*argv, *large) - self.peak_rss_kb(*argv, *small) < 8 * 1024
+
+
+def subcommands(parser, words=()):
+    """(words, parser) for the top level and every subcommand below it."""
+    yield " ".join(words), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommands(sub, (*words, name))
+
+
+#: SHA-256 of ``ionlink <words> --help`` at 80 columns, as argparse of
+#: Python 3.11 lays it out, for the top level, each group and each leaf.
+HELP_DIGESTS = {
+    "": "f5edd764ab6fa81a849e2cdd1774dee0d5469b7be93ea44841e51b1084635029",
+    "schemes": "42a11f3d450fcc8c6cb86ce2225ed3d7770d91f9bd050e1a69e30ce0911186da",
+    "fidelity-curve": "c3502e60c73eacb7daa768856152caa0486278a2c208c622d110dc2410b20f51",
+    "prob-curve": "caec66b9f7be416e96c47f881cc53633c85727704ffa3240a2a9eb8f0aa294ac",
+    "chain": "0bf2b7a7af095215d344b4ece8381fdcb33eb18af21039eb3e9e7697bba39613",
+    "chain exact": "805af3788a12815a0fccb219e6ffb1d505e1a54a2d8f7ec3e2702d28ed644b1b",
+    "chain mc": "2ed8d5fde75073d2be3a779234bb728c9b1f7bc23c21a3c1684acfa6009a7916",
+    "trap": "5cba719c9938839bb48fe1ec0630f3a00b32f724fe9110db7d7778950b06c86e",
+    "qfc": "fb20d9442f29a1537b8c02f653b6ae528c7574ad8dd63426f09289e25f070084",
+    "qfc plan": "981e7f9a6b71f1b7f3581f40c8614fcf2408b3f91a5d6c326ad00068ed5b6b1e",
+    "qfc table2": "a7944e6efb24c5c30a377c34378e2c34ab797f14cfd7d8f2c38b2afed946dc71",
+    "fiber": "98205011637697e7a73456a8118921302e11d76ee1bf002f1ae17a5a9da1bc5b",
+    "fiber curves": "e7d9b73859660266ded41e554c4d0c4cfd05fb172de1859130eae089a1f16221",
+    "fiber crossing": "934b0647641693c7cb1595c1e35f21661b3f003ce770513256c1fdae76510b5e",
+    "fiber budget": "b5783624eaf09311e7aeedbd0af39441fdf195efd39f03a5dcb3b478f13cbd40",
+    "emission": "03cdcc20ad3f92f76dff5fa21b441484abb2f945fe6afe645a1dd5415ac618a6",
+    "emission pattern": "77ce70828bb59063d59ab1c9e3d8e1d0ecd610208bb6d3244dabcd0ffd74ab13",
+}
+
+
+class TestParser:
+    """Parsing imports no layer, so the choices are plain tuples and
+    ``--version`` builds its line only when given; neither shows in the bytes."""
+
+    @staticmethod
+    def choices(flag):
+        """The distinct choices of ``flag`` over every subcommand that has it."""
+        return {tuple(action.choices) for _, parser in subcommands(cli._build_parser())
+                for action in parser._actions if flag in action.option_strings}
+
+    def test_choice_tuples_are_the_layers_names(self):
+        assert self.choices("--scheme") == {tuple(schemes.SCHEMES)}
+        assert self.choices("--collection") == {tuple(m.value for m in emission.CollectionModel)}
+        drives = {"sigma-minus": ionlink.Polarization.SIGMA_MINUS,
+                  "sigma-plus": ionlink.Polarization.SIGMA_PLUS}
+        assert self.choices("--drive") == {tuple(drives)}
+        for name, polarization in drives.items():
+            args = argparse.Namespace(model=None, drive=name, initial_mj=None)
+            assert cli._chain_config(args).drive is polarization
+
+    def test_every_subcommand_has_a_help_digest(self):
+        assert [words for words, _ in subcommands(cli._build_parser())] == list(HELP_DIGESTS)
+
+    @pytest.mark.parametrize("words", HELP_DIGESTS, ids=lambda words: words or "ionlink")
+    def test_help_bytes(self, capsys, monkeypatch, words):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *words.split(), "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[words]

@@ -1,4 +1,5 @@
-"""Start-up contract: ``import ionlink`` is lazy and only the chain commands load numpy.
+"""Start-up contract: ``import ionlink`` is lazy, each command loads only its own
+layer, and only the chain commands load numpy.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported numpy and every ionlink module.
@@ -11,7 +12,10 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: What ``from ionlink import *`` binds: the exported names and the modules.
 STAR_NAMES = sorted("""
@@ -31,32 +35,40 @@ STAR_NAMES = sorted("""
 
 TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
 
-#: (argv, exit code, numpy loaded afterwards), run in this order in one process.
+#: (argv, exit code, numpy loaded afterwards, the layers it loads), run in
+#: this order in one process for the numpy column; each alone for the layers.
+SCHEMES = ("atomic", "emission", "schemes")
+QFC = ("data", "qfc")  # importlib.resources imports the bundled data directory
 COMMANDS = [
-    ("--version", 0, False),
-    (TRAP, 0, False),
-    ("schemes", 0, False),
-    ("schemes --output-format json", 0, False),
-    ("qfc plan --input-nm 650 --pump-nm 1343 --material ppln", 0, False),
-    ("qfc table2", 0, False),
-    ("fiber crossing", 0, False),
-    ("fiber budget", 0, False),
-    ("trap --v0 200", 2, False),          # a missing required flag
-    ("schemes --na banana", 2, False),    # argparse's own usage error
-    ("schemes --na 2", 1, False),         # a domain error
-    ("fiber crossing --output-format csv", 0, False),  # one-row records
-    ("fiber budget --output-format csv", 0, False),
-    *[(f"{table} --output-format {fmt}", 0, False)  # every table export is plain Python
-      for table in ("emission pattern", "fiber curves", "fidelity-curve", "prob-curve")
+    ("--version", 0, False, QFC),
+    (TRAP, 0, False, ("trap",)),
+    ("schemes", 0, False, SCHEMES),
+    ("schemes --output-format json", 0, False, SCHEMES),
+    ("qfc plan --input-nm 650 --pump-nm 1343 --material ppln", 0, False, QFC),
+    ("qfc table2", 0, False, QFC),
+    ("fiber crossing", 0, False, ("fiber",)),
+    ("fiber budget", 0, False, ("fiber",)),
+    ("trap --v0 200", 2, False, ()),          # a missing required flag
+    ("schemes --na banana", 2, False, ()),    # argparse's own usage error
+    ("schemes --na 2", 1, False, SCHEMES),    # a domain error
+    ("fiber crossing --output-format csv", 0, False, ("fiber",)),  # one-row records
+    ("fiber budget --output-format csv", 0, False, ("fiber",)),
+    *[(f"{table} --output-format {fmt}", 0, False, layers)  # every table export is plain Python
+      for table, layers in (("emission pattern", ("emission",)), ("fiber curves", ("fiber",)),
+                            ("fidelity-curve", SCHEMES), ("prob-curve", SCHEMES))
       for fmt in ("csv", "json")],
-    ("chain exact", 0, True),             # the first command that does array work
+    ("chain exact", 0, True, ("atomic", "pump_cycle")),  # the first command that does array work
 ]
 
+#: What every command loads: the package, the CLI and the two modules it imports.
+CLI_MODULES = ("ionlink", "ionlink._format", "ionlink.cli", "ionlink.errors")
 
-def run_fresh(code: str) -> dict:
-    """Runs ``code`` in a new interpreter on this checkout; returns the JSON it prints."""
+
+def run_fresh(code: str, *argv: str):
+    """Runs ``code`` in a new interpreter on this checkout with ``argv`` as
+    ``sys.argv[1:]``; returns the JSON it prints."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -76,7 +88,7 @@ def test_scalar_commands_and_package_import_never_load_numpy():
 
         from ionlink.cli import main
         report["commands"] = []
-        for argv, _, _ in {COMMANDS!r}:
+        for argv, _, _, _ in {COMMANDS!r}:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv.split())
             report["commands"].append([argv, code, "numpy" in sys.modules])
@@ -91,7 +103,7 @@ def test_scalar_commands_and_package_import_never_load_numpy():
     assert report["numpy_after_import"] is False
     assert report["atomic"] == "ionlink.atomic"
     assert report.get("unknown") == "AttributeError"
-    assert report["commands"] == [list(command) for command in COMMANDS]
+    assert report["commands"] == [[argv, code, numpy] for argv, code, numpy, _ in COMMANDS]
     assert report["simulate"] is True
     assert len(STAR_NAMES) == 74
     assert report["star"] == STAR_NAMES
@@ -134,3 +146,63 @@ def test_chain_commands_call_the_module_attributes_a_tracer_patches():
     assert report["format"] == ["render_csv", "render_json", "table_payload", "write_output"]
     assert report["codes"] == [0, 0]
     assert report["calls"] == ["simulate", "solve_exact"]
+
+
+@pytest.mark.parametrize("argv, code, numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_each_command_loads_only_its_own_layer(argv, code, numpy, layers):
+    """A fresh ``ionlink <argv>`` loads the CLI and the import closure of its own
+    layer, and no other: ``--version`` loads ``qfc``, a usage error no layer."""
+    report = run_fresh("""
+        import contextlib, io, json, sys
+
+        from ionlink.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(sys.argv[1:])
+        print(json.dumps([code, "numpy" in sys.modules,
+                          sorted(name for name in sys.modules if name.startswith("ionlink"))]))
+    """, *argv.split())
+    assert report == [code, numpy, sorted([*CLI_MODULES, *(f"ionlink.{m}" for m in layers)])]
+
+
+def test_every_handler_calls_the_layer_functions_a_tracer_patches(tmp_path):
+    """The benchmark's tracer patches every function ``perfbench/spans.py``
+    names in ``ENTRY_POINTS`` once ``cli`` is loaded, before any handler has
+    imported its layer; one command per handler must reach every patch."""
+    model = tmp_path / "model.txt"
+    report = run_fresh("""
+        import contextlib, importlib, io, json, sys
+
+        from ionlink import atomic, cli
+        sys.path.insert(0, sys.argv[1])
+        from spans import ENTRY_POINTS
+
+        atomic.save_model(atomic.default_barium_model(), sys.argv[2])
+        reached = set()
+
+        def patch(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                reached.add(f"{module.__name__}.{name}")
+                return original(*args, **kwargs)
+            setattr(module, name, wrapper)
+
+        for layer, names in ENTRY_POINTS.items():
+            for name in names:
+                patch(importlib.import_module(f"ionlink.{layer}"), name)
+        codes = []
+        for argv in (["--version"], ["schemes"], ["fidelity-curve"], ["prob-curve"],
+                     ["chain", "exact", "--model", sys.argv[2]], ["chain", "mc", "--trials", "1000"],
+                     ["trap", "--v0", "200", "--freq-mhz", "20", "--r-um", "260", "--eta", "0.9",
+                      "--mass-amu", "138"],
+                     ["qfc", "plan", "--input-nm", "650", "--pump-nm", "1343", "--material", "ppln"],
+                     ["qfc", "table2"], ["fiber", "curves"], ["fiber", "crossing"],
+                     ["fiber", "budget"], ["emission", "pattern"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        entry_points = sorted(f"ionlink.{layer}.{name}"
+                              for layer, names in ENTRY_POINTS.items() for name in names)
+        print(json.dumps({"codes": codes, "reached": sorted(reached), "entry_points": entry_points}))
+    """, str(ROOT / "perfbench"), str(model))
+    assert report["codes"] == [0] * 13
+    assert report["reached"] == report["entry_points"]

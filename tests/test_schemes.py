@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -344,9 +345,29 @@ class TestCurves:
         assert list(fidelity_curve(0.891, step))[-1] == (1.0, fidelity_at_na(0.891, 1.0))
         assert list(probability_curve(STRONG, step))[-1] == (1.0, entanglement_probability(STRONG, 1.0))
 
+    @pytest.mark.parametrize("collection", list(CollectionModel))
+    def test_rows_bit_identical_to_per_point_functions(self, collection):
+        """The curves check their inputs once per grid; every row keeps the bits
+        of fidelity_at_na and entanglement_probability at that NA."""
+        rng = random.Random(20261018)
+        for _ in range(40):
+            step = 10 ** rng.uniform(-3, 0)
+            f_max = rng.random()
+            spec = SchemeSpec("random", rng.random(), rng.random(), f_max)
+            fidelities = list(fidelity_curve(f_max, step, collection))
+            probabilities = list(probability_curve(spec, step, collection))
+            assert [na for na, _ in fidelities] == [na for na, _ in probabilities]
+            assert fidelities == [(na, fidelity_at_na(f_max, na, collection)) for na, _ in fidelities]
+            assert probabilities == [(na, entanglement_probability(spec, na, collection))
+                                     for na, _ in probabilities]
+
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             list(fidelity_curve(0.9, 0.0))
+        with pytest.raises(DomainError, match="na_step"):  # the step is checked first
+            list(fidelity_curve(1.5, 0.0))
+        with pytest.raises(DomainError, match="max_fidelity"):
+            list(fidelity_curve(1.5, 0.1))
         with pytest.raises(DomainError, match="na_step"):
             list(probability_curve(STRONG, 1e-320))
         for step in (1e-300, 1e-7, 2.0, math.nan):
