@@ -14,10 +14,10 @@ Modules by capability:
 The modules and the names below are imported on first access (PEP 562), so
 ``import ionlink`` loads neither them nor numpy, and the ``ionlink`` command
 loads only the layer of the subcommand it runs.  Numpy is loaded only by
-code that does array work: :mod:`ionlink.pump_cycle`,
+code that does array work: the Monte Carlo of :mod:`ionlink.pump_cycle`,
 :class:`~ionlink.schemes.TwoQubitState` and
-:func:`~ionlink.emission.cone_mixing_weight`.  Every table export is plain
-Python.
+:func:`~ionlink.emission.cone_mixing_weight`.  Every table export and the
+exact chain solve are plain Python.
 """
 
 __version__ = "0.1.0"

@@ -91,7 +91,7 @@ def _channel(nm: float, override_db_per_km) -> fiber.FiberChannel:
 
 
 # Each handler imports its layer when it runs, so a command loads only its own
-# layer (and numpy only with pump_cycle, for the chain commands).  Handlers
+# layer (and numpy only with pump_cycle's Monte Carlo, for chain mc).  Handlers
 # call the layer through its module, where a tracer patches it.
 def _chain_config(args, **cutoff):
     from . import atomic, pump_cycle

@@ -93,6 +93,12 @@ class CollectionModel(enum.Enum):
     QUADRATIC = "quadratic"            # NA^2 / 4, small-angle form
     EXACT_SOLID_ANGLE = "exact"        # (1 - cos(arcsin NA)) / 2
 
+    @classmethod
+    def _missing_(cls, value):
+        """``CollectionModel(value)`` of an unknown value raises this DomainError."""
+        raise DomainError(f"unknown collection model {value!r} (must be one of: "
+                          f"{', '.join(model.value for model in cls)})")
+
 
 @dataclass(frozen=True)
 class CollectionOptic:
@@ -104,11 +110,12 @@ class CollectionOptic:
 
 def collection_fraction(
     optic: CollectionOptic | float,
-    model: CollectionModel = CollectionModel.QUADRATIC,
+    model: CollectionModel | str = CollectionModel.QUADRATIC,
 ) -> float:
-    """Fraction of the full sphere captured by the optic."""
+    """Fraction of the full sphere captured by the optic; ``model`` may be a
+    :class:`CollectionModel` or its value, and anything else is refused."""
     na = check("NA", optic.na if isinstance(optic, CollectionOptic) else float(optic), 0.0, 1.0)
-    if model is CollectionModel.QUADRATIC:
+    if CollectionModel(model) is CollectionModel.QUADRATIC:
         return na * na / 4.0
     return (1.0 - math.sqrt(1.0 - na * na)) / 2.0
 

@@ -11,20 +11,23 @@ recycles it or leaves it in a sublevel it cannot address (dark).
 Two independent solvers share this chain:
 
 * :func:`solve_exact` computes absorption probabilities of the underlying
-  absorbing Markov chain by a linear solve.
+  absorbing Markov chain by a 2x2 linear solve in plain Python.  It takes
+  the steps of LAPACK's ``dgesv`` as OpenBLAS runs them, fused
+  multiply-subtract included, so it prints the bits ``numpy.linalg.solve``
+  printed without loading numpy; a test compares the two bit for bit.
 * :func:`simulate` runs Monte Carlo trajectories.  The uniform deviate
   consumed by trajectory ``i`` at cycle ``k`` is element ``i`` of the
   counter-based Philox stream keyed by ``(seed, k)``, so results are
   bit-identical for a given ``(seed, config, n_trials)`` no matter how many
   workers process the trajectories.
 
-The Monte Carlo kernel walks fixed-size chunks of trajectories, so its
-memory does not grow with ``n_trials``.  Each cycle jumps the counter of
-the ``(seed, k)`` stream to the chunk's first element (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11), draws up to the
-chunk's last surviving trajectory and walks only the survivors.  Chunks
-are split between at most ``workers`` threads and the counts add up as
-integers.
+Only the Monte Carlo path imports numpy.  Its kernel walks fixed-size
+chunks of trajectories, so its memory does not grow with ``n_trials``.
+Each cycle jumps the counter of the ``(seed, k)`` stream to the chunk's
+first element (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11), draws up to the chunk's last surviving trajectory and walks
+only the survivors.  Chunks are split between at most ``workers`` threads
+and the counts add up as integers.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from fractions import Fraction
+from itertools import accumulate
 
 from .atomic import (
     BranchingModel,
@@ -91,9 +94,9 @@ class _CompiledChain:
         self.start = drive_target(config.initial, config.drive)
         p_states = [ZeemanState(Level.P12, +0.5), ZeemanState(Level.P12, -0.5)]
         self.p_index = {state: i for i, state in enumerate(p_states)}
-        self.probs: list[np.ndarray] = []
-        self.cum: list[np.ndarray] = []
-        self.dest: list[np.ndarray] = []
+        self.probs: list[list[float]] = []
+        self.cum: list[list[float]] = []
+        self.dest: list[list[int]] = []
         for state in p_states:
             probs, dests = [], []
             for lower, _pol, prob in allowed_decays(state, config.model):
@@ -103,9 +106,53 @@ class _CompiledChain:
                 else:
                     target = drive_target(lower, config.drive)
                     dests.append(_DARK if target is None else self.p_index[target])
-            self.probs.append(np.asarray(probs))
-            self.cum.append(np.cumsum(probs))
-            self.dest.append(np.asarray(dests, dtype=np.int8))
+            self.probs.append(probs)
+            self.cum.append(list(accumulate(probs)))  # summed in order, as np.cumsum does
+            self.dest.append(dests)
+
+
+def _fms(a: float, b: float, c: float) -> float:
+    """``a - b*c`` rounded once, as a fused multiply-subtract does."""
+    return float(Fraction(a) - Fraction(b) * Fraction(c))
+
+
+def _absorbing_system(chain: _CompiledChain) -> tuple[list[list[float]], list[list[float]]]:
+    """``I - Q`` and ``R`` of the chain over the P1/2 states; R's columns are good, bad, dark."""
+    n = len(chain.p_index)
+    q = [[0.0] * n for _ in range(n)]
+    r = [[0.0] * 3 for _ in range(n)]
+    for i in range(n):
+        for prob, dest in zip(chain.probs[i], chain.dest[i]):
+            if dest >= 0:
+                q[i][dest] += prob
+            else:
+                r[i][-dest - 1] += prob
+    return [[float(i == j) - q[i][j] for j in range(n)] for i in range(n)], r
+
+
+def _solve_2x2(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """X with ``a X = b`` for a 2x2 ``a``, rounded as LAPACK ``dgesv`` on OpenBLAS rounds.
+
+    LU with partial pivoting (rows swap only when ``|a10| > |a00|``), the
+    multiplier taken as ``l10 = a10 * (1/a00)`` and ``u11 = a11 - l10*a01``
+    rounded twice; the triangular solves then subtract with one rounding
+    (a fused multiply-add in the BLAS kernel) and multiply by the pivot's
+    reciprocal.  Python 3.11 has no ``math.fma``, so :func:`_fms` is exact
+    in fractions.  An exactly zero pivot is singular, as in LAPACK.
+    """
+    (a00, a01), (a10, a11) = a
+    b0, b1 = b
+    if abs(a10) > abs(a00):
+        (a00, a01, b0), (a10, a11, b1) = (a10, a11, b1), (a00, a01, b0)
+    if a00 == 0.0:
+        raise NumericError("absorbing-chain solve failed: Singular matrix")
+    l10 = a10 * (1.0 / a00)
+    u11 = a11 - l10 * a01
+    if u11 == 0.0:
+        raise NumericError("absorbing-chain solve failed: Singular matrix")
+    x1 = [_fms(y1, l10, y0) * (1.0 / u11) for y0, y1 in zip(b0, b1)]
+    x0 = [_fms(y0, a01, x) * (1.0 / a00) for y0, x in zip(b0, x1)]
+    return [x0, x1]
 
 
 def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
@@ -114,25 +161,32 @@ def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
     Within floating point, ``p_good`` equals the geometric-series closed
     form br_493 / (1 - a^2 br_650) with ``a`` the amplitude of the decay
     back to the initialized sublevel.
+
+    The 2x2 solve reproduces the steps of LAPACK ``dgesv`` (see
+    :func:`_solve_2x2`).  Its fused multiply-subtract is there because the
+    BLAS kernel behind ``numpy.linalg.solve`` fuses that step, and without
+    it ~14% of the solves over random models differ in the last bit.
+    ``test_bit_identical_to_lapack_on_random_models`` in
+    ``tests/test_pump_cycle.py`` compares the two, so a BLAS that rounds
+    otherwise fails a test instead of drifting silently.
+
+    Raises
+    ------
+    NumericError
+        If the chain is singular (a closed loop with no way out), or so
+        nearly closed that the probabilities do not sum to 1 within 1e-9.
     """
     chain = _CompiledChain(config)
     if chain.start is None:
         return ChainOutcome(0.0, 0.0, 1.0)
-    n = len(chain.p_index)
-    q = np.zeros((n, n))
-    r = np.zeros((n, 3))  # columns: good, bad, dark
-    for i in range(n):
-        for prob, dest in zip(chain.probs[i], chain.dest[i]):
-            if dest >= 0:
-                q[i, dest] += prob
-            else:
-                r[i, -dest - 1] += prob
-    try:
-        absorbed = np.linalg.solve(np.eye(n) - q, r)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"absorbing-chain solve failed: {exc}") from exc
-    p_good, p_bad, p_dark = absorbed[chain.p_index[chain.start]]
-    return ChainOutcome(float(p_good), float(p_bad), float(p_dark))
+    p_good, p_bad, p_dark = _solve_2x2(*_absorbing_system(chain))[chain.p_index[chain.start]]
+    total = p_good + p_bad + p_dark
+    if not abs(total - 1.0) <= 1e-9:
+        raise NumericError(
+            f"absorbing-chain solve failed: the branch probabilities sum to {total!r}, not 1 "
+            "(the chain is too nearly closed to solve)"
+        )
+    return ChainOutcome(p_good, p_bad, p_dark)
 
 
 _CHUNK = 1 << 17
@@ -145,6 +199,8 @@ def _jumped_bits(seed: int, cycle: int, lo: int, n: int) -> np.ndarray:
     One counter step yields four 64-bit outputs, so jump ``lo // 4`` steps
     and discard the ``lo % 4`` outputs before ``lo``.
     """
+    import numpy as np
+
     bitgen = np.random.Philox(key=np.array([seed, cycle], dtype=np.uint64))
     bitgen.advance(lo // 4)
     bitgen.random_raw(lo % 4)
@@ -163,6 +219,8 @@ class _Walker:
         self.n_trials = n_trials
         self.max_cycles = config.max_cycles
         self.start = chain.p_index[chain.start]
+        import numpy as np
+
         # A deviate's rank among the inner decay edges of all P1/2 states
         # fixes its channel in each state: the state's edges at or below the
         # deviate are those at or below the largest union edge it reaches.
@@ -171,12 +229,14 @@ class _Walker:
         self.edges = np.unique(np.concatenate([cum[:-1] for cum in chain.cum]))
         floors = np.concatenate(([-np.inf], self.edges))
         self.table = np.concatenate([
-            dests[np.searchsorted(cum[:-1], floors, side="right")]
+            np.asarray(dests, dtype=np.int8)[np.searchsorted(cum[:-1], floors, side="right")]
             for cum, dests in zip(chain.cum, chain.dest)
         ])
 
     def _decay(self, state: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """One decay decision per surviving trajectory from its state and raw deviate."""
+        import numpy as np
+
         u = (bits >> np.uint64(11)) * 2.0**-53  # exactly what Generator.random returns
         # int8 suffices: two P1/2 states with at most five decays each
         row = state * np.int8(len(self.edges) + 1)
@@ -190,6 +250,8 @@ class _Walker:
         Each cycle draws the stream up to the chunk's last survivor and
         decays only the survivors.
         """
+        import numpy as np
+
         counts = np.zeros(2, dtype=np.int64)
         state = np.full(hi - lo, self.start, dtype=np.int8)
         pos = None  # every trajectory of the chunk, before the first decay
@@ -234,6 +296,8 @@ def simulate(
         raise DomainError("seed must fit in an unsigned 64-bit integer")
     if workers < 1:
         raise DomainError("workers must be at least 1")
+    import numpy as np
+
     chain = _CompiledChain(config)
     good_bad = np.zeros(2, dtype=np.int64)
     if chain.start is not None:

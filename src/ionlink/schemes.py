@@ -283,14 +283,16 @@ def scheme_comparison(
 
 
 def _na_fractions(na_step: float, collection: CollectionModel) -> Iterator[tuple[float, float]]:
-    """(na, collected fraction) over 0, na_step, ... up to NA 1, the step checked when called;
-    every NA lies in [0, 1], so the fraction is collection_fraction's formula unchecked."""
+    """(na, collected fraction) over 0, na_step, ... up to NA 1, the step and the model checked
+    when called; every NA lies in [0, 1], so the fraction is collection_fraction's formula
+    unchecked."""
     n = int(math.floor(steps("na_step", na_step, 1.0, hi=1.0) + 1e-9))
+    quadratic = CollectionModel(collection) is CollectionModel.QUADRATIC
     stop = n * na_step
     # np.linspace(0, stop, n + 1)'s points; the tolerance may keep the last a
     # rounding error above 1: it is NA 1
     nas = (min(i * (stop / n) if i < n else stop, 1.0) for i in range(n + 1))
-    if collection is CollectionModel.QUADRATIC:
+    if quadratic:
         return ((na, na * na / 4.0) for na in nas)
     return ((na, (1.0 - math.sqrt(1.0 - na * na)) / 2.0) for na in nas)
 

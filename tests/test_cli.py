@@ -501,6 +501,23 @@ class TestFailuresExitOne:
         head = ("chain", "exact") if flag == "--model" else QFC_PLAN[:-2]
         self.assert_one_line_error(*run(capsys, *head, flag, str(path)), fragment, str(path))
 
+    @pytest.mark.parametrize("br_493, fragment", [
+        (0.0, "error: absorbing-chain solve failed: Singular matrix\n"),
+        (1e-12, "sum to 1.0000221222095025, not 1"),  # printed as p_good once
+    ])
+    def test_closed_or_nearly_closed_chain(self, capsys, tmp_path, br_493, fragment):
+        """All D3/2 amplitude on the re-driven sublevels, so only br_493 leaves the chain."""
+        from ionlink.atomic import (BranchingModel, Level, ZeemanState, default_barium_model,
+                                    save_model)
+
+        cg = {k: v for k, v in default_barium_model().cg.items() if k[1].level is Level.S12}
+        cg[(ZeemanState(Level.P12, +0.5), ZeemanState(Level.D32, +1.5))] = 1.0
+        cg[(ZeemanState(Level.P12, -0.5), ZeemanState(Level.D32, +0.5))] = 1.0
+        path = tmp_path / "closed.txt"
+        save_model(BranchingModel(br_493=br_493, br_650=1.0 - br_493, cg=cg), path)
+        argv = ("chain", "exact", "--drive", "sigma-minus", "--model", str(path))
+        self.assert_one_line_error(*run(capsys, *argv), fragment)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_output_path(self, capsys, tmp_path, fmt):
         target = tmp_path / "missing" / "x"

@@ -168,6 +168,17 @@ class TestCollectionFraction:
         with pytest.raises(DomainError):
             collection_fraction(1.5)
 
+    def test_model_given_by_value(self):
+        """The model's value selects the same formula as the member itself."""
+        for model in CollectionModel:
+            assert collection_fraction(0.6, model.value) == collection_fraction(0.6, model)
+        assert collection_fraction(0.6, "quadratic") == pytest.approx(0.09, abs=1e-15)
+
+    @pytest.mark.parametrize("model", ["bogus", "QUADRATIC", None, 1])
+    def test_unknown_model_rejected(self, model):
+        with pytest.raises(DomainError, match="unknown collection model"):
+            collection_fraction(0.6, model)
+
     @pytest.mark.parametrize("na", [math.nan, math.inf, -math.inf])
     def test_non_finite_aperture_rejected(self, na):
         for call in (collection_fraction, CollectionOptic, cone_mixing_weight):

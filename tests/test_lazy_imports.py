@@ -1,5 +1,5 @@
 """Start-up contract: ``import ionlink`` is lazy, each command loads only its own
-layer, and only the chain commands load numpy.
+layer, and only the Monte Carlo (``chain mc``) loads numpy.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported numpy and every ionlink module.
@@ -57,7 +57,9 @@ COMMANDS = [
       for table, layers in (("emission pattern", ("emission",)), ("fiber curves", ("fiber",)),
                             ("fidelity-curve", SCHEMES), ("prob-curve", SCHEMES))
       for fmt in ("csv", "json")],
-    ("chain exact", 0, True, ("atomic", "pump_cycle")),  # the first command that does array work
+    *[(f"chain exact{flags}", 0, False, ("atomic", "pump_cycle"))  # the 2x2 solve is plain Python
+      for flags in ("", " --drive sigma-plus", " --model src/ionlink/data/ba138_branching.txt")],
+    ("chain mc --trials 10", 0, True, ("atomic", "pump_cycle")),  # the first command that does array work
 ]
 
 #: What every command loads: the package, the CLI and the two modules it imports.
@@ -66,9 +68,9 @@ CLI_MODULES = ("ionlink", "ionlink._format", "ionlink.cli", "ionlink.errors")
 
 def run_fresh(code: str, *argv: str):
     """Runs ``code`` in a new interpreter on this checkout with ``argv`` as
-    ``sys.argv[1:]``; returns the JSON it prints."""
+    ``sys.argv[1:]`` from the checkout's root; returns the JSON it prints."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)

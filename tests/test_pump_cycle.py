@@ -107,6 +107,27 @@ class TestSolveExact:
         assert plus.p_good == pytest.approx(minus.p_good, rel=1e-12)
         assert plus.p_bad == pytest.approx(minus.p_bad, rel=1e-12)
 
+    def test_bit_identical_to_lapack_on_random_models(self):
+        """The plain-Python solve emulates LAPACK dgesv on this BLAS; a BLAS
+        that rounds differently fails here instead of drifting silently."""
+        rng = np.random.default_rng(13)
+        pivots = {False: 0, True: 0}
+        for _ in range(2_000):
+            model = random_branching_model(rng)
+            for drive in (Polarization.SIGMA_MINUS, Polarization.SIGMA_PLUS):
+                for mj in (1.5, 0.5, -0.5, -1.5):
+                    config = PumpCycleConfig(initial=D(mj), drive=drive, model=model)
+                    chain = pump_cycle._CompiledChain(config)
+                    a, r = pump_cycle._absorbing_system(chain)
+                    expected = np.linalg.solve(np.array(a), np.array(r))
+                    solved = np.array(pump_cycle._solve_2x2(a, r))
+                    assert (solved.view(np.int64) == expected.view(np.int64)).all(), (a, r)
+                    pivots[abs(a[1][0]) > abs(a[0][0])] += 1
+            # solve_exact returns the initial state's row of that solve
+            row = expected[chain.p_index[chain.start]].tolist()
+            assert list(solve_exact(config).as_dict().values())[:3] == row
+        assert min(pivots.values()) > 0, pivots  # both pivot branches are exercised
+
 
 class TestSimulate:
     def test_single_trajectory_is_one_hot(self):
@@ -261,7 +282,7 @@ class TestKernel:
             for i, (cum, dests) in enumerate(zip(chain.cum, chain.dest)):
                 here = state == i
                 channel = np.searchsorted(cum, u[here], side="right")
-                expected[here] = dests[np.minimum(channel, len(dests) - 1)]
+                expected[here] = np.asarray(dests)[np.minimum(channel, len(dests) - 1)]
             assert (walker._decay(state, bits) == expected).all()
 
     @pytest.mark.parametrize("br_650, max_cycles", [(0.2696, 1000), (0.9, 6)])

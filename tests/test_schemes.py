@@ -361,6 +361,27 @@ class TestCurves:
             assert probabilities == [(na, entanglement_probability(spec, na, collection))
                                      for na, _ in probabilities]
 
+    def test_collection_model_given_by_value(self):
+        for model in CollectionModel:
+            assert list(fidelity_curve(0.891, 0.1, model.value)) == list(
+                fidelity_curve(0.891, 0.1, model))
+            assert list(probability_curve(STRONG, 0.1, model.value)) == list(
+                probability_curve(STRONG, 0.1, model))
+            assert fidelity_at_na(0.891, 0.6, model.value) == fidelity_at_na(0.891, 0.6, model)
+            assert entanglement_probability(STRONG, 0.6, model.value) == entanglement_probability(
+                STRONG, 0.6, model)
+
+    def test_unknown_collection_model_rejected(self):
+        for call in (lambda: list(fidelity_curve(0.891, 0.1, "bogus")),
+                     lambda: list(probability_curve(STRONG, 0.1, "bogus")),
+                     lambda: fidelity_at_na(0.891, 0.6, "bogus"),
+                     lambda: entanglement_probability(STRONG, 0.6, "bogus"),
+                     lambda: scheme_comparison(0.6, "bogus")):
+            with pytest.raises(DomainError, match="unknown collection model 'bogus'"):
+                call()
+        with pytest.raises(DomainError, match="na_step"):  # the step is checked first
+            list(fidelity_curve(0.891, 0.0, "bogus"))
+
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             list(fidelity_curve(0.9, 0.0))
