@@ -29,6 +29,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -191,32 +192,15 @@ def _validate_model(model: BranchingModel) -> None:
 
 
 def default_barium_model() -> BranchingModel:
-    """Amplitude table for 138Ba+ with br_493 = 0.7304.
+    """The bundled 138Ba+ model, ``data/ba138_branching.txt``, with br_493 = 0.7304.
 
-    The P1/2 -> D3/2 amplitudes are sqrt(1/2), -sqrt(1/3) and sqrt(1/6)
-    (stretched sigma, pi, remaining sigma channel); the P1/2 -> S1/2
-    squares are 2/3 (sigma) and 1/3 (pi).  Signs follow the module-level
-    Condon-Shortley convention.
+    The file is the one source of these numbers.  Its P1/2 -> D3/2
+    amplitudes are sqrt(1/2), -sqrt(1/3) and sqrt(1/6) (stretched sigma,
+    pi, remaining sigma channel); the P1/2 -> S1/2 squares are 2/3 (sigma)
+    and 1/3 (pi).  Signs follow the module-level Condon-Shortley convention.
     """
-    s = lambda m: ZeemanState(Level.S12, m)  # noqa: E731
-    p = lambda m: ZeemanState(Level.P12, m)  # noqa: E731
-    d = lambda m: ZeemanState(Level.D32, m)  # noqa: E731
-    r = math.sqrt
-    cg = {
-        # P1/2 -> D3/2, mirror-symmetric signs
-        (p(+0.5), d(+1.5)): r(1 / 2),
-        (p(+0.5), d(+0.5)): -r(1 / 3),
-        (p(+0.5), d(-0.5)): r(1 / 6),
-        (p(-0.5), d(+0.5)): r(1 / 6),
-        (p(-0.5), d(-0.5)): -r(1 / 3),
-        (p(-0.5), d(-1.5)): r(1 / 2),
-        # P1/2 -> S1/2, mirror-antisymmetric signs
-        (p(+0.5), s(+0.5)): r(1 / 3),
-        (p(+0.5), s(-0.5)): -r(2 / 3),
-        (p(-0.5), s(+0.5)): r(2 / 3),
-        (p(-0.5), s(-0.5)): -r(1 / 3),
-    }
-    return BranchingModel(br_493=0.7304, br_650=1.0 - 0.7304, cg=cg)
+    data = resources.files("ionlink.data").joinpath("ba138_branching.txt")
+    return model_from_text(data.read_text())
 
 
 def allowed_decays(upper: ZeemanState, model: BranchingModel) -> list[DecayChannel]:

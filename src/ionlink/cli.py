@@ -108,12 +108,12 @@ def _chain_config(args, **cutoff):
 
 
 def _schemes(args):
-    from . import emission, schemes
+    from . import schemes
 
-    rows = schemes.scheme_comparison(args.na, emission.CollectionModel(args.collection))
+    rows = schemes.scheme_comparison(args.na, args.collection)
     notes = [
-        "probability = pe_ps x collected solid-angle fraction; "
-        f"fidelity = max fidelity - 0.24 x fraction ({args.collection} model)",
+        "probability = pe_ps x collected solid-angle fraction; fidelity = max fidelity - "
+        f"{schemes.POLARIZATION_MIXING_COEFF:g} x fraction ({args.collection} model)",
     ]
     if args.collection == "quadratic" and math.isclose(args.na, 0.6):
         notes.append(
@@ -125,18 +125,18 @@ def _schemes(args):
 
 
 def _fidelity_curve(args):
-    from . import emission, schemes
+    from . import schemes
 
     f_max = args.f_max if args.f_max is not None else schemes.SCHEMES[args.scheme].max_fidelity
-    pairs = schemes.fidelity_curve(f_max, args.na_step, emission.CollectionModel(args.collection))
+    pairs = schemes.fidelity_curve(f_max, args.na_step, args.collection)
     return ("na", "fidelity"), pairs, ()
 
 
 def _prob_curve(args):
-    from . import emission, schemes
+    from . import schemes
 
     spec = schemes.SCHEMES[args.scheme]
-    pairs = schemes.probability_curve(spec, args.na_step, emission.CollectionModel(args.collection))
+    pairs = schemes.probability_curve(spec, args.na_step, args.collection)
     return ("na", "probability"), pairs, ()
 
 
@@ -237,24 +237,20 @@ def _fiber_crossing(args):
 def _fiber_budget(args):
     from . import fiber
 
-    budget = fiber.LinkBudget(
-        source_rate=args.source_rate,
-        repetition_rate_hz=args.rep_rate_hz,
-        fiber=_channel(args.fiber_nm, args.db_per_km),
-        length_km=args.length_km,
-        detector_efficiency=args.detector,
-        conversion_efficiency=math.prod(
-            (check("qfc_efficiency", e, 0.0, 1.0) for e in args.qfc_efficiency), start=1.0),
-    )
+    channel = _channel(args.fiber_nm, args.db_per_km)
+    efficiency = math.prod(
+        (check("qfc_efficiency", e, 0.0, 1.0) for e in args.qfc_efficiency), start=1.0)
+    rate = fiber.link_rate(args.source_rate, args.rep_rate_hz, efficiency, channel,
+                           args.length_km, args.detector)
     return {
-        "source_rate": budget.source_rate,
-        "repetition_rate_hz": budget.repetition_rate_hz,
-        "conversion_efficiency": budget.conversion_efficiency,
-        "fiber_nm": budget.fiber.wavelength_nm,
-        "attenuation_db_per_km": budget.fiber.attenuation_db_per_km,
-        "length_km": budget.length_km,
-        "detector_efficiency": budget.detector_efficiency,
-        "rate_hz": fiber.end_to_end_rate(budget),
+        "source_rate": args.source_rate,
+        "repetition_rate_hz": args.rep_rate_hz,
+        "conversion_efficiency": efficiency,
+        "fiber_nm": channel.wavelength_nm,
+        "attenuation_db_per_km": channel.attenuation_db_per_km,
+        "length_km": args.length_km,
+        "detector_efficiency": args.detector,
+        "rate_hz": rate,
     }
 
 

@@ -141,9 +141,10 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
 
 
 def pattern_grid(theta_step_deg: float, phi_step_deg: float) -> tuple[list[float], list[float]]:
-    """Export grid in radians: theta over [0, 180] degrees, the pole included,
-    and phi over [0, 360) degrees."""
-    n_theta = int(steps("theta_step_deg", theta_step_deg, 180.0)) + 1
+    """Export grid in radians: theta over [0, 180] degrees and phi over [0, 360)
+    degrees.  Theta ends at the pole only when the step divides 180 degrees
+    (to :func:`~ionlink.errors.steps`' tolerance): a 7 degree step ends at 175."""
+    n_theta = steps("theta_step_deg", theta_step_deg, 180.0) + 1
     steps("phi_step_deg", phi_step_deg, 360.0 * n_theta)  # the cap is on theta x phi rows
     thetas = [math.radians(min(t * theta_step_deg, 180.0)) for t in range(n_theta)]
     phis = [math.radians(p * phi_step_deg)

@@ -2,6 +2,9 @@
 
 import math
 
+__all__ = ["MAX_ROWS", "ChainError", "DomainError", "NoCrossingError", "NumericError", "check",
+           "steps"]
+
 #: Most rows a grid export may have: 8x the 0.5 x 1 degree emission grid.
 MAX_ROWS = 2**20
 
@@ -36,9 +39,10 @@ def check(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
     return value
 
 
-def steps(name: str, step: float, span: float, hi: float = math.inf) -> float:
-    """``span / step`` for a grid step in (0, hi], at most :data:`MAX_ROWS`."""
+def steps(name: str, step: float, span: float, hi: float = math.inf) -> int:
+    """Whole grid steps in ``span`` for a step in (0, hi], at most :data:`MAX_ROWS`; a
+    ``span / step`` within 1e-9 below a whole number counts as it, so the span's end is kept."""
     n = span / check(name, step, 0.0, hi, open_lo=True)
     if not n < MAX_ROWS:
         raise DomainError(f"{name} {step} is too small: the grid would exceed {MAX_ROWS} rows")
-    return n
+    return int(math.floor(n + 1e-9))

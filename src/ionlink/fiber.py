@@ -110,28 +110,22 @@ def link_rate(
     length_km: float,
     detector_efficiency: float,
 ) -> float:
-    """Delivered rate in Hz for a scalar conversion efficiency; the inputs are
-    checked as :class:`LinkBudget` checks them."""
-    LinkBudget(source_rate, repetition_rate_hz, fiber, length_km, detector_efficiency,
-               conversion_efficiency)
-    return (
-        repetition_rate_hz
-        * source_rate
-        * conversion_efficiency
-        * transmission(fiber, length_km)
-        * detector_efficiency
-    )
+    """Delivered rate in Hz for a scalar conversion efficiency: the
+    :func:`end_to_end_rate` of the :class:`LinkBudget` these inputs make,
+    which checks them."""
+    return end_to_end_rate(LinkBudget(source_rate, repetition_rate_hz, fiber, length_km,
+                                      detector_efficiency, conversion_efficiency))
 
 
 def end_to_end_rate(budget: LinkBudget) -> float:
-    """Delivered entanglement rate of a full budget, in Hz."""
-    return link_rate(
-        budget.source_rate,
-        budget.repetition_rate_hz,
-        budget.conversion_efficiency,
-        budget.fiber,
-        budget.length_km,
-        budget.detector_efficiency,
+    """Delivered entanglement rate of a full budget, in Hz: the product of its
+    rates, efficiencies and fiber transmission, from inputs the budget checked."""
+    return (
+        budget.repetition_rate_hz
+        * budget.source_rate
+        * budget.conversion_efficiency
+        * transmission(budget.fiber, budget.length_km)
+        * budget.detector_efficiency
     )
 
 
@@ -151,7 +145,7 @@ def transmission_curves(
     are checked before the first row, and each row is computed as it is
     pulled, so memory does not grow with the grid.
     """
-    n_steps = int(math.floor(steps("step_km", step_km, check("max_km", max_km)) + 1e-9))
+    n_steps = steps("step_km", step_km, check("max_km", max_km))
     for name, eta in (("eta_780", eta_780), ("eta_1259", eta_1259), ("eta_1550", eta_1550)):
         check(name, eta, 0.0, 1.0)
     # -a * km is (-a) * km, so negating once here keeps transmission's bits

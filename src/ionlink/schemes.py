@@ -229,7 +229,7 @@ SCHEMES = {s.name: s for s in (D_SHELVING, WEAK, STRONG)}
 def fidelity_at_na(
     max_fidelity: float,
     na: float,
-    collection: CollectionModel = CollectionModel.QUADRATIC,
+    collection: CollectionModel | str = CollectionModel.QUADRATIC,
 ) -> float:
     """Fidelity after polarization mixing over the collection aperture.
 
@@ -243,7 +243,7 @@ def fidelity_at_na(
 def entanglement_probability(
     spec: SchemeSpec,
     na: float,
-    collection: CollectionModel = CollectionModel.QUADRATIC,
+    collection: CollectionModel | str = CollectionModel.QUADRATIC,
 ) -> float:
     """Per-attempt probability of a collected, entangled photon.
 
@@ -266,7 +266,7 @@ class SchemeRow(NamedTuple):
 
 
 def scheme_comparison(
-    na: float, collection: CollectionModel = CollectionModel.QUADRATIC
+    na: float, collection: CollectionModel | str = CollectionModel.QUADRATIC
 ) -> list[SchemeRow]:
     """Side-by-side success probability and fidelity of all schemes at one NA."""
     rows = []
@@ -286,7 +286,7 @@ def _na_fractions(na_step: float, collection: CollectionModel) -> Iterator[tuple
     """(na, collected fraction) over 0, na_step, ... up to NA 1, the step and the model checked
     when called; every NA lies in [0, 1], so the fraction is collection_fraction's formula
     unchecked."""
-    n = int(math.floor(steps("na_step", na_step, 1.0, hi=1.0) + 1e-9))
+    n = steps("na_step", na_step, 1.0, hi=1.0)
     quadratic = CollectionModel(collection) is CollectionModel.QUADRATIC
     stop = n * na_step
     # np.linspace(0, stop, n + 1)'s points; the tolerance may keep the last a
@@ -300,7 +300,7 @@ def _na_fractions(na_step: float, collection: CollectionModel) -> Iterator[tuple
 def fidelity_curve(
     max_fidelity: float,
     na_step: float = 0.01,
-    collection: CollectionModel = CollectionModel.QUADRATIC,
+    collection: CollectionModel | str = CollectionModel.QUADRATIC,
 ) -> Iterator[tuple[float, float]]:
     """(na, fidelity_at_na(max_fidelity, na, collection)) over NA in [0, 1]."""
     fractions = _na_fractions(na_step, collection)
@@ -312,7 +312,7 @@ def fidelity_curve(
 def probability_curve(
     spec: SchemeSpec,
     na_step: float = 0.01,
-    collection: CollectionModel = CollectionModel.QUADRATIC,
+    collection: CollectionModel | str = CollectionModel.QUADRATIC,
 ) -> Iterator[tuple[float, float]]:
     """(na, entanglement_probability(spec, na, collection)) over NA in [0, 1]."""
     pe_ps = spec.excite_prob * spec.s_decay_prob

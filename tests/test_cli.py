@@ -284,6 +284,15 @@ class TestFiber:
         assert code == 0
         assert json.loads(out)["rate_hz"] == pytest.approx(1803.4850033095138, rel=1e-9)
 
+    def test_budget_checks_its_inputs_once(self, capsys, monkeypatch):
+        checked = []
+        check_budget = fiber.LinkBudget.__post_init__
+        monkeypatch.setattr(fiber.LinkBudget, "__post_init__",
+                            lambda budget: checked.append(budget) or check_budget(budget))
+        code, _out, _err = run(capsys, "fiber", "budget", "--qfc-efficiency", "0.05")
+        assert code == 0
+        assert len(checked) == 1
+
     def test_budget_efficiencies_multiply(self, capsys):
         _, out, _ = run(
             capsys, "fiber", "budget", "--qfc-efficiency", "0.05",

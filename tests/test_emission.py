@@ -283,6 +283,12 @@ class TestPatternGrid:
         assert len(thetas) == 37 and thetas[-1] == math.pi
         assert len(phis) == 12 and phis[-1] == math.radians(330.0)
 
+    @pytest.mark.parametrize("theta_step, n_theta", [(1.8e-4, 1_000_001), (3.6e-4, 500_001)])
+    def test_step_a_rounding_error_short_of_dividing_180_keeps_the_pole(self, theta_step, n_theta):
+        thetas, phis = pattern_grid(theta_step, 360.0)
+        assert len(thetas) == n_theta and thetas[-1] == math.pi
+        assert phis == [0.0]
+
     def test_steps_that_do_not_divide_the_range(self):
         thetas, phis = pattern_grid(7.0, 13.0)
         assert thetas[-1] == math.radians(175.0)

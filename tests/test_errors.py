@@ -40,8 +40,12 @@ class TestCheck:
 
 class TestSteps:
     def test_span_over_step(self):
-        assert steps("s", 0.5, 2.0) == 4.0
-        assert steps("s", 1.0, 0.0) == 0.0
+        assert type(steps("s", 0.5, 2.0)) is int
+        assert steps("s", 0.5, 2.0) == 4
+        assert steps("s", 1.0, 0.0) == 0
+        assert steps("s", 7.0, 180.0) == 25
+        # 180 / 1.8e-4 rounds to 999999.9999999999: a rounding error short of the end
+        assert steps("s", 1.8e-4, 180.0) == 1_000_000
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, 2.0])
     def test_step_outside_its_range_rejected(self, step):

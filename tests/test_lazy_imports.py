@@ -5,6 +5,7 @@ Each check runs in a fresh interpreter, since the test process itself has
 long since imported numpy and every ionlink module.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+
+import ionlink
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -39,6 +42,7 @@ TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
 #: this order in one process for the numpy column; each alone for the layers.
 SCHEMES = ("atomic", "emission", "schemes")
 QFC = ("data", "qfc")  # importlib.resources imports the bundled data directory
+CHAIN_DEFAULT = ("atomic", "data", "pump_cycle")
 COMMANDS = [
     ("--version", 0, False, QFC),
     (TRAP, 0, False, ("trap",)),
@@ -57,9 +61,11 @@ COMMANDS = [
       for table, layers in (("emission pattern", ("emission",)), ("fiber curves", ("fiber",)),
                             ("fidelity-curve", SCHEMES), ("prob-curve", SCHEMES))
       for fmt in ("csv", "json")],
-    *[(f"chain exact{flags}", 0, False, ("atomic", "pump_cycle"))  # the 2x2 solve is plain Python
-      for flags in ("", " --drive sigma-plus", " --model src/ionlink/data/ba138_branching.txt")],
-    ("chain mc --trials 10", 0, True, ("atomic", "pump_cycle")),  # the first command that does array work
+    # the 2x2 solve is plain Python; the default model is read from the bundled data directory
+    *[(f"chain exact{flags}", 0, False, layers) for flags, layers in (
+        ("", CHAIN_DEFAULT), (" --drive sigma-plus", CHAIN_DEFAULT),
+        (" --model src/ionlink/data/ba138_branching.txt", ("atomic", "pump_cycle")))],
+    ("chain mc --trials 10", 0, True, CHAIN_DEFAULT),  # the first command that does array work
 ]
 
 #: What every command loads: the package, the CLI and the two modules it imports.
@@ -109,6 +115,12 @@ def test_scalar_commands_and_package_import_never_load_numpy():
     assert report["simulate"] is True
     assert len(STAR_NAMES) == 74
     assert report["star"] == STAR_NAMES
+
+
+def test_every_exported_name_is_in_its_modules_all():
+    for module, names in ionlink._EXPORTS.items():
+        missing = set(names) - set(importlib.import_module(f"ionlink.{module}").__all__)
+        assert not missing, module
 
 
 def test_chain_commands_call_the_module_attributes_a_tracer_patches():
