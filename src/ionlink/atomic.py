@@ -28,12 +28,11 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import DomainError, check
+from .errors import DomainError, Record, check
 
 __all__ = [
     "Level",
@@ -88,8 +87,7 @@ _Q = {Polarization.SIGMA_PLUS: +1, Polarization.SIGMA_MINUS: -1, Polarization.PI
 _POL_BY_Q = {v: k for k, v in _Q.items()}
 
 
-@dataclass(frozen=True)
-class ZeemanState:
+class ZeemanState(Record):
     """One Zeeman sublevel: a level plus its magnetic quantum number."""
 
     level: Level
@@ -120,8 +118,7 @@ class DecayChannel(NamedTuple):
     probability: float
 
 
-@dataclass(frozen=True)
-class BranchingModel:
+class BranchingModel(Record):
     """Decay amplitudes out of P1/2.
 
     Parameters

@@ -17,9 +17,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, check, steps
+from .errors import DomainError, Record, check, steps
 
 __all__ = [
     "EmissionDirection",
@@ -38,8 +37,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class EmissionDirection:
+class EmissionDirection(Record):
     """Spherical direction: polar angle from the dipole axis, azimuth."""
 
     theta: float
@@ -51,8 +49,7 @@ class EmissionDirection:
             raise DomainError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
 
-@dataclass(frozen=True)
-class PolarizationVector:
+class PolarizationVector(Record):
     """Transverse field amplitudes along theta-hat and phi-hat (unnormalized)."""
 
     e_theta: complex
@@ -100,8 +97,9 @@ class CollectionModel(enum.Enum):
                           f"{', '.join(model.value for model in cls)})")
 
 
-@dataclass(frozen=True)
-class CollectionOptic:
+class CollectionOptic(Record):
+    """A collection lens of numerical aperture ``na`` in (0, 1]."""
+
     na: float
 
     def __post_init__(self) -> None:
@@ -178,11 +176,16 @@ def pattern_rows(thetas, phis):
     if not thetas or not phis:
         return
     check("theta", thetas[0], 0.0, math.pi)
-    # at theta = 0, e_theta is the phase exp(i phi)/sqrt(2) itself
-    sigma = [sigma_emission(EmissionDirection(0.0, p), +1) for p in phis]
+    for phi in phis:  # EmissionDirection's check
+        if not 0.0 <= phi < 2.0 * math.pi:
+            raise DomainError(f"phi must lie in [0, 2*pi), got {phi}")
     for theta in thetas:  # the first again, harmlessly
         check("theta", theta, 0.0, math.pi)
-    factors = [(phi, s.e_theta, abs(s.e_phi) ** 2) for phi, s in zip(phis, sigma)]
+    factors = []
+    for phi in phis:
+        # sigma_emission(EmissionDirection(0.0, phi), +1), operation for operation
+        phase = cmath.exp(1j * 1 * phi) / _SQRT2
+        factors.append((phi, phase * math.cos(0.0), abs(phase * 1 * 1j) ** 2))
     for theta in thetas:
         # pi_emission's e_theta and intensity: adding |e_phi|^2 = 0.0 is exact
         minus_sin, cos = -math.sin(theta), math.cos(theta)

@@ -9,10 +9,9 @@ distance the converted channel wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, NoCrossingError, check, steps
+from .errors import DomainError, NoCrossingError, Record, check, steps
 
 __all__ = [
     "FiberChannel",
@@ -35,8 +34,7 @@ STANDARD_ATTENUATION_DB_PER_KM = {
 }
 
 
-@dataclass(frozen=True)
-class FiberChannel:
+class FiberChannel(Record):
     """A wavelength and the loss (positive dB/km) of its dedicated fiber."""
 
     wavelength_nm: float
@@ -84,8 +82,7 @@ def conversion_crossing(
     return check(f"crossing_km at efficiency {efficiency}", crossing_km)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(Record):
     """Everything multiplying into the delivered entanglement rate."""
 
     source_rate: float                      # entangled-photon probability per attempt

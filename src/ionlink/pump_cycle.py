@@ -32,10 +32,10 @@ and the counts add up as integers.
 
 from __future__ import annotations
 
+import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 
 from .atomic import (
@@ -47,31 +47,31 @@ from .atomic import (
     default_barium_model,
     drive_target,
 )
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, Record
 
 __all__ = ["PumpCycleConfig", "ChainOutcome", "solve_exact", "simulate"]
 
 _GOOD, _BAD, _DARK = -1, -2, -3
 
 
-@dataclass(frozen=True)
-class PumpCycleConfig:
+class PumpCycleConfig(Record):
     """Initial shelf sublevel, drive polarization, model and trajectory cutoff."""
 
     initial: ZeemanState = ZeemanState(Level.D32, +1.5)
     drive: Polarization = Polarization.SIGMA_MINUS
-    model: BranchingModel = field(default_factory=default_barium_model)
+    model: BranchingModel = None  # omitted: a fresh default_barium_model()
     max_cycles: int = 1000
 
     def __post_init__(self) -> None:
+        if self.model is None:
+            object.__setattr__(self, "model", default_barium_model())
         if self.initial.level is not Level.D32:
             raise DomainError(f"initial state must lie in the D3/2 shelf, got {self.initial}")
         if self.max_cycles < 1:
             raise DomainError("max_cycles must be at least 1")
 
 
-@dataclass(frozen=True)
-class ChainOutcome:
+class ChainOutcome(Record):
     """Branch probabilities, with per-outcome standard errors when sampled."""
 
     p_good: float
@@ -84,7 +84,7 @@ class ChainOutcome:
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 class _CompiledChain:
@@ -113,6 +113,8 @@ class _CompiledChain:
 
 def _fms(a: float, b: float, c: float) -> float:
     """``a - b*c`` rounded once, as a fused multiply-subtract does."""
+    from fractions import Fraction  # only the exact solve needs it
+
     return float(Fraction(a) - Fraction(b) * Fraction(c))
 
 
@@ -225,13 +227,13 @@ class _Walker:
         # fixes its channel in each state: the state's edges at or below the
         # deviate are those at or below the largest union edge it reaches.
         # Each state's closing edge (its total, 1 up to rounding) is left out:
-        # a deviate past the inner edges takes the last channel.
-        self.edges = np.unique(np.concatenate([cum[:-1] for cum in chain.cum]))
-        floors = np.concatenate(([-np.inf], self.edges))
-        self.table = np.concatenate([
-            np.asarray(dests, dtype=np.int8)[np.searchsorted(cum[:-1], floors, side="right")]
-            for cum, dests in zip(chain.cum, chain.dest)
-        ])
+        # a deviate past the inner edges takes the last channel.  Plain
+        # Python, since np.unique would load numpy.ma.
+        self.edges = sorted({edge for cum in chain.cum for edge in cum[:-1]})
+        floors = [-math.inf, *self.edges]
+        self.table = np.array([dests[bisect_right(cum, floor, 0, len(cum) - 1)]
+                               for cum, dests in zip(chain.cum, chain.dest) for floor in floors],
+                              dtype=np.int8)
 
     def _decay(self, state: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """One decay decision per surviving trajectory from its state and raw deviate."""

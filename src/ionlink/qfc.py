@@ -26,11 +26,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ChainError, DomainError, check
+from .errors import ChainError, DomainError, Record, check
 
 __all__ = [
     "C_NM_THZ",
@@ -66,8 +65,7 @@ class FieldRole(enum.Enum):
     OUTPUT = "output"
 
 
-@dataclass(frozen=True)
-class LightField:
+class LightField(Record):
     """One optical field, stored redundantly as wavelength and frequency."""
 
     wavelength_nm: float
@@ -127,8 +125,7 @@ _PACKAGED_MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class DispersionModel:
+class DispersionModel(Record):
     """Refractive-index model over a stated validity window at fixed temperature."""
 
     material: str
@@ -248,8 +245,7 @@ def dispersion_data_version() -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConversionStage:
+class ConversionStage(Record):
     """One three-wave-mixing step with its poling design and measured efficiency."""
 
     input: LightField

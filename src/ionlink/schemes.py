@@ -20,12 +20,11 @@ mixture of the two weighted by their production probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .atomic import BranchingModel, Level, ZeemanState
 from .emission import CollectionModel, collection_fraction
-from .errors import DomainError, check, steps
+from .errors import DomainError, Record, check, steps
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +65,7 @@ _EIGENVALUE_TOL = -1e-10
 _PURITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
+class TwoQubitState(Record):
     """Density operator on the photon (H/V) x ion (0/1) space.
 
     The matrix must be Hermitian, unit trace and positive semidefinite
@@ -126,8 +124,7 @@ def fidelity(target: TwoQubitState, actual: TwoQubitState) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class CycleAmplitudes:
+class CycleAmplitudes(Record):
     """Signed amplitudes steering the repeated-excitation walk.
 
     reinit:    decay back to the initialized shelf sublevel (keeps cycling
@@ -200,8 +197,7 @@ def reexcitation_mixture(p_good: float, p_bad: float) -> TwoQubitState:
     return TwoQubitState(w_good * good_state().rho + w_bad * bad_state().rho)
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(Record):
     """Operating point of one excitation scheme."""
 
     name: str

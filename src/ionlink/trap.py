@@ -16,9 +16,8 @@ so psi(x, y) = (1/2) m omega_s^2 (x^2 + y^2) identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import check
+from .errors import Record, check
 
 __all__ = ["TrapConfig", "pseudopotential", "secular_frequency"]
 
@@ -26,8 +25,7 @@ _ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
 _AMU = 1.66053906892e-27  # kg, CODATA 2022 atomic mass constant
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+class TrapConfig(Record):
     """Trap drive and geometry, all SI units."""
 
     v0: float          # RF amplitude, V

@@ -649,6 +649,13 @@ class TestStreamedExport:
         assert (self.peak_rss_kb(*self.pattern_json("3.6e-4", "360"))
                 - self.peak_rss_kb(*self.pattern_json("0.5", "1"))) < 32 * 1024
 
+    def test_many_phi_columns_keep_no_record_per_phi(self):
+        """128 k phi on two theta lines: the phi axis and one factor tuple per
+        phi take ~21 MB over the 0.5 x 1 degree grid; with a polarization
+        record per phi besides, they took ~38 MB."""
+        assert (self.peak_rss_kb(*self.pattern_json("180", "0.0028"))
+                - self.peak_rss_kb(*self.pattern_json("0.5", "1"))) < 28 * 1024
+
     @pytest.mark.parametrize("argv, small, large", [
         (("fiber", "curves", "--step-km", "1"), ("--max-km", "1000"), ("--max-km", "200000")),
         (("fidelity-curve", "--output-format", "json"), ("--na-step", "1e-3"),

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ionlink.errors import MAX_ROWS, DomainError, check, steps
+from ionlink.atomic import BranchingModel, Level, Polarization, ZeemanState, default_barium_model
+from ionlink.emission import CollectionOptic, EmissionDirection, PolarizationVector
+from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps
+from ionlink.fiber import FiberChannel, LinkBudget
+from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig
+from ionlink.qfc import ConversionStage, DispersionModel, FieldRole, LightField, MixKind
+from ionlink.schemes import CycleAmplitudes, SchemeSpec, TwoQubitState
+from ionlink.trap import TrapConfig
 
 
 class TestCheck:
@@ -57,3 +64,151 @@ class TestSteps:
         for step, span in ((1.0, MAX_ROWS), (1e-300, 1.0), (1e-320, 1.0)):
             with pytest.raises(DomainError, match=f"^s {step} is too small"):
                 steps("s", step, span)
+
+
+P12, S12, D32 = Level.P12, Level.S12, Level.D32
+#: The smallest valid model: each P1/2 sublevel decays to one S and one D sublevel.
+SMALL_CG = {(ZeemanState(P12, m), ZeemanState(lower, m)): 1.0 for m in (0.5, -0.5) for lower in (S12, D32)}
+SMALL_MODEL_REPR = (
+    "BranchingModel(br_493=0.75, br_650=0.25, cg=mappingproxy({"
+    "(ZeemanState(level=<Level.P12: 'P12'>, mj=0.5), ZeemanState(level=<Level.S12: 'S12'>, "
+    "mj=0.5)): 1.0, "
+    "(ZeemanState(level=<Level.P12: 'P12'>, mj=0.5), ZeemanState(level=<Level.D32: 'D32'>, "
+    "mj=0.5)): 1.0, "
+    "(ZeemanState(level=<Level.P12: 'P12'>, mj=-0.5), ZeemanState(level=<Level.S12: 'S12'>, "
+    "mj=-0.5)): 1.0, "
+    "(ZeemanState(level=<Level.P12: 'P12'>, mj=-0.5), ZeemanState(level=<Level.D32: 'D32'>, "
+    "mj=-0.5)): 1.0}))"
+)
+LIGHT_REPR = "LightField(wavelength_nm={}, frequency_thz={}, role=<FieldRole.INPUT: 'input'>)"
+
+#: One instance of every record class: its fields by keyword, in order, and the
+#: repr the frozen dataclasses printed for it.
+RECORDS = [
+    (ZeemanState, {"level": D32, "mj": 1.5}, "ZeemanState(level=<Level.D32: 'D32'>, mj=1.5)"),
+    (BranchingModel, {"br_493": 0.75, "br_650": 0.25, "cg": SMALL_CG}, SMALL_MODEL_REPR),
+    (EmissionDirection, {"theta": 0.5, "phi": 1.0}, "EmissionDirection(theta=0.5, phi=1.0)"),
+    (PolarizationVector, {"e_theta": 1j, "e_phi": 0.5},
+     "PolarizationVector(e_theta=1j, e_phi=0.5)"),
+    (CollectionOptic, {"na": 0.6}, "CollectionOptic(na=0.6)"),
+    (FiberChannel, {"wavelength_nm": 780.0, "attenuation_db_per_km": 4.0},
+     "FiberChannel(wavelength_nm=780.0, attenuation_db_per_km=4.0)"),
+    (LinkBudget, {"source_rate": 0.085, "repetition_rate_hz": 1e6,
+                  "fiber": FiberChannel(1550.0, 0.2), "length_km": 10.0,
+                  "detector_efficiency": 0.9, "conversion_efficiency": 1.0},
+     "LinkBudget(source_rate=0.085, repetition_rate_hz=1000000.0, fiber=FiberChannel("
+     "wavelength_nm=1550.0, attenuation_db_per_km=0.2), length_km=10.0, "
+     "detector_efficiency=0.9, conversion_efficiency=1.0)"),
+    (PumpCycleConfig, {"initial": ZeemanState(D32, -1.5), "drive": Polarization.SIGMA_PLUS,
+                       "model": BranchingModel(0.75, 0.25, SMALL_CG), "max_cycles": 3},
+     "PumpCycleConfig(initial=ZeemanState(level=<Level.D32: 'D32'>, mj=-1.5), "
+     f"drive=<Polarization.SIGMA_PLUS: 'sigma+'>, model={SMALL_MODEL_REPR}, max_cycles=3)"),
+    (ChainOutcome, {"p_good": 0.5, "p_bad": 0.25, "p_dark": 0.25, "se_good": None,
+                    "se_bad": None, "se_dark": None, "n_trials": None, "seed": None},
+     "ChainOutcome(p_good=0.5, p_bad=0.25, p_dark=0.25, se_good=None, se_bad=None, "
+     "se_dark=None, n_trials=None, seed=None)"),
+    (LightField, {"wavelength_nm": 500.0, "frequency_thz": 599.584916, "role": FieldRole.INPUT},
+     LIGHT_REPR.format(500.0, 599.584916)),
+    (DispersionModel, {"material": "m", "form": "sellmeier-poles", "coefficients": {"a": 1.0},
+                       "valid_range_nm": (400.0, 1600.0), "temperature_k": 300.0,
+                       "version": "v1", "notes": ""},
+     "DispersionModel(material='m', form='sellmeier-poles', coefficients={'a': 1.0}, "
+     "valid_range_nm=(400.0, 1600.0), temperature_k=300.0, version='v1', notes='')"),
+    (ConversionStage, {"input": LightField(500.0, 599.584916),
+                       "pump": LightField(1000.0, 299.792458),
+                       "output": LightField(1000.0, 299.792458), "kind": MixKind.DFG,
+                       "poling_period_um": 20.0, "poling_order": 1, "efficiency": 1.0},
+     f"ConversionStage(input={LIGHT_REPR.format(500.0, 599.584916)}, "
+     f"pump={LIGHT_REPR.format(1000.0, 299.792458)}, "
+     f"output={LIGHT_REPR.format(1000.0, 299.792458)}, kind=<MixKind.DFG: 'dfg'>, "
+     "poling_period_um=20.0, poling_order=1, efficiency=1.0)"),
+    (TwoQubitState, {"rho": np.eye(4) / 4},
+     "TwoQubitState(rho=array([[0.25+0.j, 0.  +0.j, 0.  +0.j, 0.  +0.j],\n"
+     "       [0.  +0.j, 0.25+0.j, 0.  +0.j, 0.  +0.j],\n"
+     "       [0.  +0.j, 0.  +0.j, 0.25+0.j, 0.  +0.j],\n"
+     "       [0.  +0.j, 0.  +0.j, 0.  +0.j, 0.25+0.j]]))"),
+    (CycleAmplitudes, {"reinit": 0.5, "crossover": -0.5, "bad_loop": 0.25},
+     "CycleAmplitudes(reinit=0.5, crossover=-0.5, bad_loop=0.25)"),
+    (SchemeSpec, {"name": "weak", "excite_prob": 0.2, "s_decay_prob": 0.7304,
+                  "max_fidelity": 1.0},
+     "SchemeSpec(name='weak', excite_prob=0.2, s_decay_prob=0.7304, max_fidelity=1.0)"),
+    (TrapConfig, {"v0": 200.0, "omega_rf": 1e8, "r": 2.6e-4, "eta": 0.9, "mass": 2.3e-25,
+                  "charge": 1.6e-19},
+     "TrapConfig(v0=200.0, omega_rf=100000000.0, r=0.00026, eta=0.9, mass=2.3e-25, "
+     "charge=1.6e-19)"),
+]
+
+
+class TestRecord:
+    """Every record is a frozen value: built by position or keyword, checked
+    once, compared and hashed by its fields, and printed field by field."""
+
+    def test_every_record_class_is_listed(self):
+        assert {cls for cls, _, _ in RECORDS} == set(Record.__subclasses__())
+        assert len(RECORDS) == 16
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
+    def test_frozen_value_semantics(self, cls, fields, text):
+        a, b = cls(**fields), cls(*fields.values())
+        assert repr(a) == repr(b) == text
+        values = tuple(getattr(a, name) for name in fields)
+
+        name = next(iter(fields))
+        for action in (lambda: setattr(a, name, values[0]), lambda: delattr(a, name),
+                       lambda: setattr(a, "other", 1)):
+            with pytest.raises(AttributeError):
+                action()
+        assert tuple(getattr(a, n) for n in fields) == values
+
+        if cls is TwoQubitState:  # an array has no truth value, as under the dataclass
+            assert a == a
+            with pytest.raises(ValueError):
+                a == b  # noqa: B015
+        else:
+            assert a == b and not a != b
+        assert a != values and a.__eq__(values) is NotImplemented
+        try:
+            expected = hash(values)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == expected
+
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=1)
+        with pytest.raises(TypeError):
+            cls(*fields.values(), None)
+        if cls is not PumpCycleConfig:  # the only record whose fields all have defaults
+            with pytest.raises(TypeError):
+                cls(**{n: v for n, v in fields.items() if n != name})
+
+    def test_records_of_two_classes_never_compare_equal(self):
+        assert EmissionDirection(0.5, 1.0) != FiberChannel(0.5, 1.0)
+        assert ZeemanState(D32, 1.5) != (D32, 1.5)
+
+    def test_zeeman_states_are_dict_keys(self):
+        index = {ZeemanState(P12, 0.5): 0, ZeemanState(P12, -0.5): 1}
+        assert index[ZeemanState(P12, -0.5)] == 1
+
+    def test_omitted_model_is_a_fresh_default(self):
+        first, second = PumpCycleConfig(), PumpCycleConfig()
+        assert first.model == default_barium_model() and first.model is not second.model
+        assert PumpCycleConfig(max_cycles=3).model == default_barium_model()
+
+    def test_checks_run_once_per_construction(self, monkeypatch):
+        checked = []
+        check_channel = FiberChannel.__post_init__
+        monkeypatch.setattr(FiberChannel, "__post_init__",
+                            lambda channel: checked.append(channel) or check_channel(channel))
+        FiberChannel(780.0, 4.0)
+        FiberChannel(wavelength_nm=780.0, attenuation_db_per_km=4.0)
+        assert len(checked) == 2
+        with pytest.raises(DomainError):
+            FiberChannel(-1.0, 4.0)
+
+    def test_chain_outcome_dict_keeps_field_order(self):
+        outcome = ChainOutcome(0.5, 0.25, 0.25, n_trials=4, seed=7)
+        assert list(outcome.as_dict().items()) == [
+            ("p_good", 0.5), ("p_bad", 0.25), ("p_dark", 0.25), ("se_good", None),
+            ("se_bad", None), ("se_dark", None), ("n_trials", 4), ("seed", 7)]

@@ -162,6 +162,39 @@ def test_chain_commands_call_the_module_attributes_a_tracer_patches():
     assert report["calls"] == ["simulate", "solve_exact"]
 
 
+def test_no_command_loads_dataclasses_and_only_numpy_loads_inspect():
+    """The records need no ``dataclasses``, so a command that leaves numpy
+    unloaded never loads ``inspect`` either; numpy itself imports it.  The
+    commands run in one process, in order, so each check covers those before."""
+    report = run_fresh(f"""
+        import contextlib, io, json, sys
+
+        from ionlink.cli import main
+        loaded = []
+        for argv, _, _, _ in {COMMANDS!r}:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main(argv.split())
+            loaded.append([argv, "dataclasses" in sys.modules, "inspect" in sys.modules])
+        print(json.dumps(loaded))
+    """)
+    assert report == [[argv, False, numpy] for argv, _, numpy, _ in COMMANDS]
+
+
+def test_monte_carlo_loads_neither_numpy_ma_nor_fractions():
+    """``chain mc`` builds its decay table without ``np.unique`` (which loads
+    ``numpy.ma``), and only the exact solve needs ``fractions``."""
+    report = run_fresh("""
+        import contextlib, io, json, sys
+
+        from ionlink.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["chain", "mc", "--trials", "10"])
+        print(json.dumps([code, *(name in sys.modules
+                                  for name in ("numpy", "numpy.ma", "fractions", "dataclasses"))]))
+    """)
+    assert report == [0, True, False, False, False]
+
+
 @pytest.mark.parametrize("argv, code, numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_each_command_loads_only_its_own_layer(argv, code, numpy, layers):
     """A fresh ``ionlink <argv>`` loads the CLI and the import closure of its own
