@@ -12,12 +12,13 @@ Modules by capability:
 * :mod:`ionlink.cli` - the ``ionlink`` command-line front end
 
 The modules and the names below are imported on first access (PEP 562), so
-``import ionlink`` loads neither them nor numpy, and the ``ionlink`` command
-loads only the layer of the subcommand it runs.  Numpy is loaded only by
-code that does array work: the Monte Carlo of :mod:`ionlink.pump_cycle`,
-:class:`~ionlink.schemes.TwoQubitState` and
-:func:`~ionlink.emission.cone_mixing_weight`.  Every table export and the
-exact chain solve are plain Python.
+``import ionlink`` loads none of them, and the ``ionlink`` command loads
+only the layer of the subcommand it runs.  The package has no
+dependencies.  numpy is optional, and only two things import it: the Monte
+Carlo of :mod:`ionlink.pump_cycle` and :class:`~ionlink.schemes.TwoQubitState`
+with the functions built on it.  Without numpy they raise Python's own
+``ModuleNotFoundError``.  Everything else, every table export and the exact
+chain solve included, is plain Python.
 """
 
 __version__ = "0.1.0"

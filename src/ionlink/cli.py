@@ -22,11 +22,11 @@ flags, checked as flags are; explicit flags override it.  A non-finite or
 out-of-range physics input, a result that over- or underflows and a grid
 above 2**20 rows are refused naming the argument; neither CSV nor JSON
 output carries NaN or infinity.  Exit codes: 0 success; 1 domain or numeric
-error, or a file that cannot be read, parsed or written (one ``error:``
-line); 2 usage error.  A malformed value or unknown flag prints argparse's
-usage synopsis and ``error: argument --na: invalid float value: 'banana'``;
-a missing required flag or an unreadable config file prints one ``usage
-error:`` line.
+error, a file that cannot be read, parsed or written, or ``chain mc``
+without numpy (one ``error:`` line); 2 usage error.  A malformed value or
+unknown flag prints argparse's usage synopsis and ``error: argument --na:
+invalid float value: 'banana'``; a missing required flag or an unreadable
+config file prints one ``usage error:`` line.
 """
 
 from __future__ import annotations
@@ -447,6 +447,12 @@ def main(argv=None) -> int:
             return 1
     except (DomainError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:  # chain mc without numpy; any other module still raises
+        if exc.name != "numpy":
+            raise
+        print("error: this command needs numpy, which is not installed (pip install numpy)",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -18,7 +18,7 @@ import cmath
 import enum
 import math
 
-from .errors import DomainError, Record, check, steps
+from .errors import DomainError, Record, check, steps, whole
 
 __all__ = [
     "EmissionDirection",
@@ -126,16 +126,17 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
     monotonically with NA, mirroring how a larger aperture admits more
     polarization mixing.  It is not the coefficient of any fidelity formula.
     """
-    import numpy as np
-
     beta = math.asin(check("NA", na, 0.0, 1.0, open_lo=True))
-    alpha = (np.arange(n_polar) + 0.5) * (beta / n_polar)
-    psi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
-    a, p = np.meshgrid(alpha, psi, indexing="ij")
-    cos_theta = np.sin(a) * np.sin(p)          # direction at angle a from the x axis
-    sin2_cos2 = (1.0 - cos_theta**2) * cos_theta**2
-    weight = np.sin(a)
-    return float((sin2_cos2 / 2.0 * weight).sum() / weight.sum())
+    n_polar, n_azimuth = whole("n_polar", n_polar, 1), whole("n_azimuth", n_azimuth, 1)
+    sin_psi = [math.sin((j + 0.5) * (2.0 * math.pi / n_azimuth)) for j in range(n_azimuth)]
+    mixing = weight = 0.0
+    for i in range(n_polar):
+        sin_alpha = math.sin((i + 0.5) * (beta / n_polar))
+        for s in sin_psi:
+            cos_theta = sin_alpha * s  # direction at angle alpha from the x axis
+            mixing += (1.0 - cos_theta * cos_theta) * cos_theta * cos_theta * sin_alpha
+        weight += sin_alpha
+    return mixing / (2.0 * n_azimuth * weight)
 
 
 def pattern_grid(theta_step_deg: float, phi_step_deg: float) -> tuple[list[float], list[float]]:

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, the one range check on inputs, and
-:class:`Record`, the base of the package's immutable value types."""
+"""Exception types shared across the package, the range checks on real and whole-number
+inputs, and :class:`Record`, the base of the package's immutable value types."""
 
 import math
+import operator
 
 __all__ = ["MAX_ROWS", "ChainError", "DomainError", "NoCrossingError", "NumericError", "Record",
-           "check", "steps"]
+           "check", "steps", "whole"]
 
 #: Most rows a grid export may have: 8x the 0.5 x 1 degree emission grid.
 MAX_ROWS = 2**20
@@ -38,6 +39,23 @@ def check(name: str, value: float, lo: float = 0.0, hi: float = math.inf, *,
             f"{'(' if open_lo else '['}{lo:g}, {hi:g}{')' if hi == math.inf else ']'})"
         )
     return value
+
+
+def whole(name: str, value: int, lo: int = 0, hi: float = math.inf, *, odd: bool = False) -> int:
+    """``value`` if it is an integer in [lo, hi] (odd, when ``odd``), as an ``int``.
+
+    An integer is what ``operator.index`` takes (``int``, numpy's integers); a
+    float, even a whole one such as ``2.0``, fails as an integer out of range
+    does, with a DomainError naming ``name`` and the value.  Other types, such
+    as ``None`` or ``str``, raise Python's own TypeError.
+    """
+    number = None if isinstance(value, float) else operator.index(value)
+    if number is None or not (lo <= number <= hi and (number % 2 or not odd)):
+        raise DomainError(
+            f"{name} out of range: {value} (must be {'an odd' if odd else 'an'} integer in "
+            f"[{lo}, {hi}{')' if hi == math.inf else ']'})"
+        )
+    return number
 
 
 def steps(name: str, step: float, span: float, hi: float = math.inf) -> int:

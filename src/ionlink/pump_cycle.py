@@ -21,13 +21,16 @@ Two independent solvers share this chain:
   bit-identical for a given ``(seed, config, n_trials)`` no matter how many
   workers process the trajectories.
 
-Only the Monte Carlo path imports numpy.  Its kernel walks fixed-size
-chunks of trajectories, so its memory does not grow with ``n_trials``.
-Each cycle jumps the counter of the ``(seed, k)`` stream to the chunk's
-first element (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11), draws up to the chunk's last surviving trajectory and walks
-only the survivors.  Chunks are split between at most ``workers`` threads
-and the counts add up as integers.
+Only the Monte Carlo path imports numpy, which the package does not
+require: without it, :func:`simulate` raises Python's own
+``ModuleNotFoundError`` once its arguments pass their checks.  Its kernel
+walks fixed-size chunks of trajectories, so its memory does not grow with
+``n_trials``.  Each cycle jumps the counter of the ``(seed, k)`` stream to
+the chunk's first element (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), draws up to the chunk's last surviving
+trajectory and walks only the survivors.  Chunks are split between at most
+``workers`` threads and the counts add up as integers; the thread pool is
+imported only when more than one thread runs.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
 
 from .atomic import (
@@ -47,7 +49,7 @@ from .atomic import (
     default_barium_model,
     drive_target,
 )
-from .errors import DomainError, NumericError, Record
+from .errors import DomainError, NumericError, Record, whole
 
 __all__ = ["PumpCycleConfig", "ChainOutcome", "solve_exact", "simulate"]
 
@@ -67,8 +69,7 @@ class PumpCycleConfig(Record):
             object.__setattr__(self, "model", default_barium_model())
         if self.initial.level is not Level.D32:
             raise DomainError(f"initial state must lie in the D3/2 shelf, got {self.initial}")
-        if self.max_cycles < 1:
-            raise DomainError("max_cycles must be at least 1")
+        whole("max_cycles", self.max_cycles, 1)
 
 
 class ChainOutcome(Record):
@@ -112,10 +113,10 @@ class _CompiledChain:
 
 
 def _fms(a: float, b: float, c: float) -> float:
-    """``a - b*c`` rounded once, as a fused multiply-subtract does."""
-    from fractions import Fraction  # only the exact solve needs it
-
-    return float(Fraction(a) - Fraction(b) * Fraction(c))
+    """``a - b*c`` rounded once, as a fused multiply-subtract does: exact over the
+    floats' integer ratios, then one int true division, which rounds correctly."""
+    (an, ad), (bn, bd), (cn, cd) = (x.as_integer_ratio() for x in (a, b, c))
+    return (an * bd * cd - bn * cn * ad) / (ad * bd * cd)
 
 
 def _absorbing_system(chain: _CompiledChain) -> tuple[list[list[float]], list[list[float]]]:
@@ -140,7 +141,7 @@ def _solve_2x2(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     rounded twice; the triangular solves then subtract with one rounding
     (a fused multiply-add in the BLAS kernel) and multiply by the pivot's
     reciprocal.  Python 3.11 has no ``math.fma``, so :func:`_fms` is exact
-    in fractions.  An exactly zero pivot is singular, as in LAPACK.
+    in integers.  An exactly zero pivot is singular, as in LAPACK.
     """
     (a00, a01), (a10, a11) = a
     b0, b1 = b
@@ -292,12 +293,9 @@ def simulate(
         and at ``os.cpu_count()``.  Purely a throughput knob; the counts
         reduce by plain summation.
     """
-    if not 1 <= n_trials < 2**63:
-        raise DomainError("n_trials must be at least 1 and below 2**63")
-    if not 0 <= seed < 2**64:
-        raise DomainError("seed must fit in an unsigned 64-bit integer")
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
+    whole("n_trials", n_trials, 1, 2**63 - 1)
+    whole("seed", seed, 0, 2**64 - 1)
+    whole("workers", workers, 1)
     import numpy as np
 
     chain = _CompiledChain(config)
@@ -309,6 +307,8 @@ def simulate(
         if n_threads == 1:
             good_bad = walker.walk(starts)
         else:
+            from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import
+
             groups = [starts[i::n_threads] for i in range(n_threads)]
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
                 good_bad = sum(pool.map(walker.walk, groups))

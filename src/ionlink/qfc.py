@@ -29,7 +29,7 @@ import math
 from importlib import resources
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ChainError, DomainError, Record, check
+from .errors import ChainError, DomainError, Record, check, whole
 
 __all__ = [
     "C_NM_THZ",
@@ -265,13 +265,8 @@ class ConversionStage(Record):
                 f"expected {expected} THz for {self.kind.value.upper()}"
             )
         check("poling_period_um", self.poling_period_um, open_lo=True)
-        _check_order(self.poling_order)
+        whole("poling order", self.poling_order, 1, odd=True)
         check("efficiency", self.efficiency, 0.0, 1.0)
-
-
-def _check_order(poling_order: int) -> None:
-    if poling_order < 1 or poling_order % 2 == 0:
-        raise DomainError(f"poling order must be an odd positive integer, got {poling_order}")
 
 
 def _bulk_mismatch_per_um(
@@ -306,7 +301,7 @@ def solve_poling_period(
     m times the order-1 period.  An order whose period is not a finite
     float is refused.
     """
-    _check_order(poling_order)
+    whole("poling order", poling_order, 1, odd=True)
     bulk = _bulk_mismatch_per_um(input_field, pump, output, dispersion)
     if bulk <= 0.0:
         raise DomainError(

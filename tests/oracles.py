@@ -99,6 +99,17 @@ def cap_fraction_quadrature(na: float, n: int = 200_001) -> float:
     return float(np.trapezoid(np.sin(alpha), alpha) / 2.0)
 
 
+def cone_mixing_weight_meshgrid(na: float, n_polar: int = 200, n_azimuth: int = 100) -> float:
+    """The cone's midpoint-rule average of sin^2 cos^2 / 2 as whole-grid numpy arrays."""
+    beta = math.asin(na)
+    alpha = (np.arange(n_polar) + 0.5) * (beta / n_polar)
+    psi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
+    a, p = np.meshgrid(alpha, psi, indexing="ij")
+    cos_theta = np.sin(a) * np.sin(p)
+    weight = np.sin(a)
+    return float(((1.0 - cos_theta**2) * cos_theta**2 / 2.0 * weight).sum() / weight.sum())
+
+
 def random_branching_model(rng: np.random.Generator) -> BranchingModel:
     """A valid random model: random branching ratio, random signed amplitudes."""
     br_493 = float(rng.uniform(0.2, 0.95))

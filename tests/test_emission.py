@@ -23,7 +23,12 @@ from ionlink.emission import (
 )
 from ionlink.errors import DomainError
 
-from oracles import cap_fraction_quadrature, pattern_rows_per_point, sphere_average
+from oracles import (
+    cap_fraction_quadrature,
+    cone_mixing_weight_meshgrid,
+    pattern_rows_per_point,
+    sphere_average,
+)
 
 HALF_PI = math.pi / 2.0
 
@@ -193,6 +198,12 @@ class TestConeMixing:
 
     def test_vanishes_for_small_aperture(self):
         assert cone_mixing_weight(0.01) < 1e-4
+
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(200, 100), (1, 1), (3, 7), (50, 400)])
+    def test_matches_the_whole_grid_sum(self, n_polar, n_azimuth):
+        for na in np.linspace(0.01, 1.0, 34):
+            assert cone_mixing_weight(float(na), n_polar, n_azimuth) == pytest.approx(
+                cone_mixing_weight_meshgrid(float(na), n_polar, n_azimuth), rel=1e-13, abs=0.0)
 
 
 class TestPatternRows:

@@ -5,10 +5,13 @@ import pytest
 
 from ionlink.atomic import BranchingModel, Level, Polarization, ZeemanState, default_barium_model
 from ionlink.emission import CollectionOptic, EmissionDirection, PolarizationVector
-from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps
+from ionlink.emission import cone_mixing_weight
+from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps, whole
 from ionlink.fiber import FiberChannel, LinkBudget
-from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig
-from ionlink.qfc import ConversionStage, DispersionModel, FieldRole, LightField, MixKind
+from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
+from ionlink.qfc import (
+    ConversionStage, DispersionModel, FieldRole, LightField, MixKind, load_dispersion, plan_stage,
+)
 from ionlink.schemes import CycleAmplitudes, SchemeSpec, TwoQubitState
 from ionlink.trap import TrapConfig
 
@@ -64,6 +67,67 @@ class TestSteps:
         for step, span in ((1.0, MAX_ROWS), (1e-300, 1.0), (1e-320, 1.0)):
             with pytest.raises(DomainError, match=f"^s {step} is too small"):
                 steps("s", step, span)
+
+
+class TestWhole:
+    def test_integers_in_range_pass_as_int(self):
+        assert whole("n", 0) == 0
+        assert whole("n", 2**64 - 1, 0, 2**64 - 1) == 2**64 - 1
+        assert whole("n", int("1" * 400), 1, odd=True) == int("1" * 400)
+        value = whole("n", np.int64(7), 1)
+        assert value == 7 and type(value) is int
+
+    @pytest.mark.parametrize("value, kwargs, text", [
+        (2.5, {}, "n out of range: 2.5 (must be an integer in [0, inf))"),
+        (2.0, {}, "n out of range: 2.0 (must be an integer in [0, inf))"),
+        (math.nan, {}, "n out of range: nan (must be an integer in [0, inf))"),
+        (math.inf, {}, "n out of range: inf (must be an integer in [0, inf))"),
+        (0, {"lo": 1}, "n out of range: 0 (must be an integer in [1, inf))"),
+        (2**64, {"hi": 2**64 - 1},
+         "n out of range: 18446744073709551616 (must be an integer in [0, 18446744073709551615])"),
+        (2, {"lo": 1, "odd": True}, "n out of range: 2 (must be an odd integer in [1, inf))"),
+        (-1, {"lo": 1, "odd": True}, "n out of range: -1 (must be an odd integer in [1, inf))"),
+    ])
+    def test_outside_the_integers_in_range_rejected(self, value, kwargs, text):
+        with pytest.raises(DomainError) as raised:
+            whole("n", value, **kwargs)
+        assert str(raised.value) == text
+
+    @pytest.mark.parametrize("value", [None, "3"])
+    def test_wrong_type_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            whole("n", value)
+
+
+def _plan(**kwargs):
+    return plan_stage(650.0, 1343.0, MixKind.DFG, load_dispersion("ppln"), **kwargs)
+
+
+#: Library calls given a whole-number parameter that is not one, or is out of
+#: its range; each must raise a DomainError naming that parameter.  The bounds
+#: of ``n_trials``, ``seed``, ``workers``, ``max_cycles`` and the even poling
+#: orders are tested beside their functions.
+WHOLE_NUMBER_CASES = [
+    ("poling order", lambda: _plan(poling_order=2.5)),  # was a 2.5x first-order period
+    ("poling order", lambda: ConversionStage(
+        LightField.from_wavelength_nm(650.0, FieldRole.INPUT),
+        LightField.from_wavelength_nm(1343.0, FieldRole.PUMP),
+        _plan()[0].output, MixKind.DFG, 7.4, poling_order=3.0)),
+    ("max_cycles", lambda: PumpCycleConfig(max_cycles=1.5)),  # was accepted
+    ("n_trials", lambda: simulate(PumpCycleConfig(), n_trials=10.0, seed=0)),  # was a TypeError
+    ("seed", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0.5)),  # ran on seed 0's bits
+    ("workers", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0, workers=1.5)),  # ran
+    ("n_polar", lambda: cone_mixing_weight(0.5, n_polar=0)),
+    ("n_polar", lambda: cone_mixing_weight(0.5, n_polar=2.5)),
+    ("n_azimuth", lambda: cone_mixing_weight(0.5, n_azimuth=0)),
+]
+
+
+@pytest.mark.parametrize("name, call", WHOLE_NUMBER_CASES,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(WHOLE_NUMBER_CASES)])
+def test_library_refuses_what_is_not_a_whole_number_in_range(name, call):
+    with pytest.raises(DomainError, match=f"^{name} out of range: "):
+        call()
 
 
 P12, S12, D32 = Level.P12, Level.S12, Level.D32

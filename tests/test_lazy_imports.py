@@ -5,6 +5,7 @@ Each check runs in a fresh interpreter, since the test process itself has
 long since imported numpy and every ionlink module.
 """
 
+import hashlib
 import importlib
 import json
 import os
@@ -182,17 +183,79 @@ def test_no_command_loads_dataclasses_and_only_numpy_loads_inspect():
 
 def test_monte_carlo_loads_neither_numpy_ma_nor_fractions():
     """``chain mc`` builds its decay table without ``np.unique`` (which loads
-    ``numpy.ma``), and only the exact solve needs ``fractions``."""
+    ``numpy.ma``), and the exact solve's fused multiply-subtract is integer
+    arithmetic, so neither command loads ``fractions``.  Nor does either load
+    ``concurrent.futures``: the thread pool is imported only to run threads."""
     report = run_fresh("""
         import contextlib, io, json, sys
 
         from ionlink.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["chain", "mc", "--trials", "10"])
-        print(json.dumps([code, *(name in sys.modules
-                                  for name in ("numpy", "numpy.ma", "fractions", "dataclasses"))]))
+        report = []
+        for argv in (["chain", "exact"], ["chain", "mc", "--trials", "10"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            report.append([code, *(name in sys.modules for name in (
+                "numpy", "numpy.ma", "fractions", "dataclasses", "concurrent.futures"))])
+        print(json.dumps(report))
     """)
-    assert report == [0, True, False, False, False]
+    assert report == [[0, False, False, False, False, False], [0, True, False, False, False, False]]
+
+
+def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
+    """numpy is not a dependency.  With it blocked before ``ionlink`` is imported,
+    every argv of ``tests/cli_golden.json`` but ``chain mc`` writes its golden bytes
+    (to the file, for ``--output FILE``), ``chain mc`` exits 1 with one ``error:``
+    line naming numpy, and the demos that do no array work print their golden
+    bytes (01 uses ``TwoQubitState``, 03 the Monte Carlo)."""
+    demos = ["02_emission_and_collection.py", "04_trap_confinement.py", "05_qfc_planning.py",
+             "06_fiber_link_budget.py"]
+    report = run_fresh("""
+        import contextlib, hashlib, io, json, runpy, sys
+
+        sys.modules["numpy"] = None  # ``import numpy`` now raises ModuleNotFoundError
+        from ionlink.cli import main
+
+        def sha(data):
+            return hashlib.sha256(data).hexdigest()
+
+        golden, target, *demos = sys.argv[1:]
+        cases = {}
+        for case in json.load(open(golden)):
+            argv = [target if word == "FILE" else word for word in case.split()]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except Exception as exc:  # an uncaught error fails the comparison below
+                    code = f"{type(exc).__name__}: {exc}"
+            written = sha(open(target, "rb").read()) if case.endswith(" FILE") else None
+            cases[case] = [code, sha(stdout.getvalue().encode()), written, stderr.getvalue()]
+        printed = {}
+        for name in demos:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                runpy.run_path(f"demos/{name}", run_name="__main__")
+            printed[name] = sha(stdout.getvalue().encode())
+        print(json.dumps({"blocked": sys.modules.get("numpy", 0) is None,
+                          "cases": cases, "demos": printed}))
+    """, "tests/cli_golden.json", str(tmp_path / "out"), *demos)
+    assert report["blocked"] is True
+    golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+    nothing = hashlib.sha256(b"").hexdigest()
+    expected = {}
+    for case, digest in golden.items():
+        if case.startswith("chain mc "):
+            stderr = report["cases"][case][3]
+            assert stderr.startswith("error: ") and "numpy" in stderr and stderr.count("\n") == 1
+            expected[case] = [1, nothing, None, stderr]
+        elif case.endswith(" FILE"):
+            expected[case] = [0, nothing, digest, ""]
+        else:
+            expected[case] = [0, digest, None, ""]
+    assert sum(case.startswith("chain mc ") for case in golden) == 2
+    assert report["cases"] == expected
+    demo_golden = json.loads((ROOT / "tests" / "demo_golden.json").read_text())
+    assert report["demos"] == {name: demo_golden[name] for name in demos}
 
 
 @pytest.mark.parametrize("argv, code, numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -305,8 +306,8 @@ class TestKernel:
         created = []
         monkeypatch.setattr(pump_cycle, "_CHUNK", 1_000)
         monkeypatch.setattr(pump_cycle.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(
-            pump_cycle, "ThreadPoolExecutor",
+        monkeypatch.setattr(  # simulate imports the pool only when it runs threads
+            concurrent.futures, "ThreadPoolExecutor",
             lambda max_workers: RecordingExecutor(created, max_workers),
         )
         assert simulate(PumpCycleConfig(), n_trials=n, seed=3, workers=workers) == reference
