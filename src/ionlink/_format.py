@@ -44,9 +44,15 @@ from .errors import DomainError
 
 __all__ = ["format_cell", "render_csv", "render_json", "table_payload", "write_output"]
 
-#: Rows rendered per block: large enough to amortise the per-column work,
-#: small enough that a block's cell strings stay within a few MB.
-_BLOCK = 4096
+#: Rows rendered per block.  A JSON block's text is built and copied about
+#: four times (join, bracket and separator concatenation, encode): ~1.3 MB a
+#: copy at 4096 rows of the 0.5 x 1 degree emission grid.  Measured on a
+#: 2-vCPU VM over perfbench's 10 ``grid-export`` commands (peak RSS of the
+#: emission / fiber JSON export; median in-process time of the 10):
+#: 4096 rows 20.55 / 20.43 MB, 1.490 s; 2048 17.86 / 18.47 MB, 1.500 s;
+#: 1024 15.99 / 16.23 MB, 1.559 s; 256 15.37 / 15.21 MB, 1.821 s.  Below
+#: 1024 the per-block work (column dedup, joins) costs time and saves little.
+_BLOCK = 1024
 _NON_FINITE = "the result holds NaN or infinity, which neither CSV nor JSON output carries"
 
 

@@ -94,7 +94,7 @@ class ZeemanState(Record):
     mj: float
 
     def __post_init__(self) -> None:
-        twice = 2.0 * self.mj
+        twice = 2.0 * check("mj", self.mj, -math.inf)
         if twice != round(twice) or round(twice) % 2 == 0:
             raise DomainError(f"mj must be a half-odd-integer, got {self.mj}")
         if abs(self.mj) > self.level.j + 1e-12:

@@ -192,8 +192,28 @@ def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
     return ChainOutcome(p_good, p_bad, p_dark)
 
 
-_CHUNK = 1 << 17
-"""Trajectories walked together by one thread; bounds the kernel's memory."""
+_CHUNK = 1 << 16
+"""Trajectories walked together by one thread; bounds the kernel's memory.
+
+Sized by measurement on a 2-vCPU VM (the 18 commands of perfbench's
+``mc-scaling`` workload: peak RSS of the cold processes, and the median of
+6 in-process timings at ``--threads`` 1 / 2):
+
+==========================  ========  =======================
+kernel                      peak RSS  time, threads 1 / 2
+==========================  ========  =======================
+2^17, float deviates        43.45 MB  1.253 / 0.771 s
+2^16, raw bits (this one)   39.41 MB  0.981 / 0.606 s
+2^15, raw bits              37.58 MB  0.989 / 0.777 s
+==========================  ========  =======================
+
+At 2^17 a chunk's 8-byte-per-trajectory arrays no longer fit in cache.
+2^15 saves little more memory and loses at 2 threads: each chunk carries
+more work that holds the GIL, so the threads serialize.  Timed alone and
+interleaved in one process (5e6 trajectories over three models), 2^16 raw
+bits took 457 ms against 553 ms for 2^17 float deviates on one thread,
+and 314 against 313 ms on two.
+"""
 
 
 def _jumped_bits(seed: int, cycle: int, lo: int, n: int) -> np.ndarray:
@@ -235,16 +255,23 @@ class _Walker:
         self.table = np.array([dests[bisect_right(cum, floor, 0, len(cum) - 1)]
                                for cum, dests in zip(chain.cum, chain.dest) for floor in floors],
                               dtype=np.int8)
+        # The deviate is u = m * 2**-53 with m = bits >> 11, as Generator.random
+        # returns it.  edge * 2**53 is exact, so u >= edge exactly when
+        # m >= ceil(edge * 2**53), that is when bits >= ceil(edge * 2**53) << 11.
+        # An edge of 1.0 or more (ceiling 2**53, which would overflow uint64 once
+        # shifted) is reached by no deviate and is left out.  The thresholds are
+        # uint64 scalars, so no comparison promotes to float.
+        self.thresholds = [np.uint64(math.ceil(edge * 2**53) << 11)
+                           for edge in self.edges if edge < 1.0]
 
     def _decay(self, state: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """One decay decision per surviving trajectory from its state and raw deviate."""
         import numpy as np
 
-        u = (bits >> np.uint64(11)) * 2.0**-53  # exactly what Generator.random returns
         # int8 suffices: two P1/2 states with at most five decays each
         row = state * np.int8(len(self.edges) + 1)
-        for edge in self.edges:
-            row += u >= edge
+        for threshold in self.thresholds:
+            row += bits >= threshold
         return self.table[row]
 
     def _chunk(self, lo: int, hi: int) -> np.ndarray:

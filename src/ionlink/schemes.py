@@ -140,7 +140,7 @@ class CycleAmplitudes(Record):
 
     def __post_init__(self) -> None:
         for name in ("reinit", "crossover", "bad_loop"):
-            if getattr(self, name) ** 2 > 1.0 + 1e-12:
+            if check(name, getattr(self, name), -math.inf) ** 2 > 1.0 + 1e-12:
                 raise DomainError(f"{name} amplitude squared exceeds 1")
 
     @classmethod

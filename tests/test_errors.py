@@ -130,6 +130,22 @@ def test_library_refuses_what_is_not_a_whole_number_in_range(name, call):
         call()
 
 
+#: Records given a non-finite float field; each must raise a DomainError naming it.
+NON_FINITE_CASES = [
+    ("mj", lambda x: ZeemanState(Level.D32, x)),  # was a ValueError (nan) or OverflowError (inf)
+    ("reinit", lambda x: CycleAmplitudes(x, 0.0, 0.0)),  # nan was accepted
+    ("crossover", lambda x: CycleAmplitudes(0.0, x, 0.0)),
+    ("bad_loop", lambda x: CycleAmplitudes(0.0, 0.0, x)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, make", NON_FINITE_CASES, ids=[name for name, _ in NON_FINITE_CASES])
+def test_records_refuse_non_finite_fields(name, make, value):
+    with pytest.raises(DomainError, match=fr"^{name} out of range: {value} \(must be finite"):
+        make(value)
+
+
 P12, S12, D32 = Level.P12, Level.S12, Level.D32
 #: The smallest valid model: each P1/2 sublevel decays to one S and one D sublevel.
 SMALL_CG = {(ZeemanState(P12, m), ZeemanState(lower, m)): 1.0 for m in (0.5, -0.5) for lower in (S12, D32)}

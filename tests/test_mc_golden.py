@@ -9,8 +9,8 @@ kernel pass.
 
 The cases cover both drives, three ``br_650`` models, ``max_cycles`` of 1, 3
 and the default 1000, seeds 0 and 2**64 - 1, and trial counts 1, 3, 4, 5
-(Philox lane boundaries), 131_073 (one past the kernel's chunk size) and
-200_001 (two uneven chunks).
+(Philox lane boundaries), 131_073 (one past a chunk boundary of the
+kernel) and 200_001 (ending in a partial chunk).
 """
 
 import contextlib
@@ -55,7 +55,8 @@ def model_files(tmp_path_factory):
 
 def test_corpus_is_complete():
     assert len(GOLDEN) == 2 * 3 * 3 * 6 * 2
-    assert pump_cycle._CHUNK + 1 == 131_073
+    assert 131_073 % pump_cycle._CHUNK == 1  # one past a chunk boundary
+    assert 200_001 % pump_cycle._CHUNK != 0  # ends in a partial chunk
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

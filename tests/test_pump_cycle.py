@@ -287,7 +287,8 @@ class TestKernel:
             assert (walker._decay(state, bits) == expected).all()
 
     @pytest.mark.parametrize("br_650, max_cycles", [(0.2696, 1000), (0.9, 6)])
-    @pytest.mark.parametrize("chunk, n", [(1_000, 30_001), (4_099, 30_001), (7, 2_003)])
+    @pytest.mark.parametrize(  # 131_072: the former chunk; two of them plus a lane remainder
+        "chunk, n", [(1_000, 30_001), (4_099, 30_001), (7, 2_003), (131_072, 262_147)])
     def test_chunking_does_not_change_results(self, monkeypatch, br_650, max_cycles, chunk, n):
         model = BranchingModel(br_493=1.0 - br_650, br_650=br_650, cg=default_barium_model().cg)
         config = PumpCycleConfig(model=model, max_cycles=max_cycles)
