@@ -86,8 +86,7 @@ def _channel(nm: float, override_db_per_km) -> fiber.FiberChannel:
 
     if override_db_per_km is not None:
         return fiber.FiberChannel(nm, override_db_per_km)
-    # a non-finite wavelength does not round; the lookup rejects it by name
-    return fiber.standard_channel(round(nm) if math.isfinite(nm) else nm)
+    return fiber.standard_channel(nm)
 
 
 # Each handler imports its layer when it runs, so a command loads only its own
@@ -98,13 +97,9 @@ def _chain_config(args, **cutoff):
 
     model = atomic.load_model(args.model) if args.model else atomic.default_barium_model()
     drive = atomic.Polarization[args.drive.replace("-", "_").upper()]
-    if args.initial_mj is None:
-        mj = 1.5 if drive is atomic.Polarization.SIGMA_MINUS else -1.5
-    else:
-        mj = atomic.mj_from_text(args.initial_mj)
-    return pump_cycle.PumpCycleConfig(
-        initial=atomic.ZeemanState(atomic.Level.D32, mj), drive=drive, model=model, **cutoff
-    )
+    initial = (None if args.initial_mj is None  # the config picks the drive's stretched state
+               else atomic.ZeemanState(atomic.Level.D32, atomic.mj_from_text(args.initial_mj)))
+    return pump_cycle.PumpCycleConfig(initial=initial, drive=drive, model=model, **cutoff)
 
 
 def _schemes(args):
@@ -257,9 +252,8 @@ def _fiber_budget(args):
 def _emission_pattern(args):
     from . import emission
 
-    thetas, phis = emission.pattern_grid(args.theta_step_deg, args.phi_step_deg)
     header = ("theta", "phi", "i_pi", "i_sigma_plus", "i_sigma_minus", "overlap_abs")
-    return header, emission.pattern_rows(thetas, phis), ()
+    return header, emission.pattern_rows(args.theta_step_deg, args.phi_step_deg), ()
 
 
 #: Default of a required flag.  ``_parse`` reports a missing one on one line;

@@ -30,7 +30,6 @@ __all__ = [
     "polarization_overlap",
     "collection_fraction",
     "cone_mixing_weight",
-    "pattern_grid",
     "pattern_rows",
 ]
 
@@ -139,21 +138,14 @@ def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> f
     return mixing / (2.0 * n_azimuth * weight)
 
 
-def pattern_grid(theta_step_deg: float, phi_step_deg: float) -> tuple[list[float], list[float]]:
-    """Export grid in radians: theta over [0, 180] degrees and phi over [0, 360)
-    degrees.  Theta ends at the pole only when the step divides 180 degrees
-    (to :func:`~ionlink.errors.steps`' tolerance): a 7 degree step ends at 175."""
-    n_theta = steps("theta_step_deg", theta_step_deg, 180.0) + 1
-    steps("phi_step_deg", phi_step_deg, 360.0 * n_theta)  # the cap is on theta x phi rows
-    thetas = [math.radians(min(t * theta_step_deg, 180.0)) for t in range(n_theta)]
-    phis = [math.radians(p * phi_step_deg)
-            for p in range(int(math.ceil(360.0 / phi_step_deg)))
-            if p * phi_step_deg < 360.0]
-    return thetas, phis
+def pattern_rows(theta_step_deg: float, phi_step_deg: float):
+    """Emission-pattern samples on the export grid.
 
-
-def pattern_rows(thetas, phis):
-    """Emission-pattern samples for export.
+    Theta runs over [0, 180] degrees and phi over [0, 360) degrees in the
+    given steps; both are yielded in radians.  Theta ends at the pole only
+    when the step divides 180 degrees (to :func:`~ionlink.errors.steps`'
+    tolerance): a 7 degree step ends at 175.  The steps are checked, and the
+    row cap applied to theta x phi rows, when the first row is pulled.
 
     Yields ``(theta, phi, i_pi, i_sigma_plus, i_sigma_minus, overlap_abs)``
     per grid point, theta outermost, intensities from the unnormalized
@@ -165,29 +157,22 @@ def pattern_rows(thetas, phis):
     once per phi.  One sigma pass serves both sigma columns: sigma-'s phase
     is sigma+'s conjugate, and the intensities take only magnitudes.  The
     overlap drops the point-by-point sum's zero terms, which change at most
-    the sign of a zero, and ``abs`` ignores it.  Every axis value is checked
-    up front, in the point-by-point loop's order (the first theta, every
-    phi, then the other thetas), so a direction out of range raises before
-    any row is yielded, naming the first grid point that loop rejects.  The
-    theta factors are then built one line at a time as the rows are pulled,
-    so memory beyond the two axes stays constant.
+    the sign of a zero, and ``abs`` ignores it.  Every grid direction lies
+    in range, so none is checked again.  Only the phi factors are held; each
+    theta line is computed as its rows are pulled, so memory does not grow
+    with the number of theta lines.
     """
-    thetas = [float(t) for t in thetas]
-    phis = [float(p) for p in phis]
-    if not thetas or not phis:
-        return
-    check("theta", thetas[0], 0.0, math.pi)
-    for phi in phis:  # EmissionDirection's check
-        if not 0.0 <= phi < 2.0 * math.pi:
-            raise DomainError(f"phi must lie in [0, 2*pi), got {phi}")
-    for theta in thetas:  # the first again, harmlessly
-        check("theta", theta, 0.0, math.pi)
+    n_theta = steps("theta_step_deg", theta_step_deg, 180.0) + 1
+    steps("phi_step_deg", phi_step_deg, 360.0 * n_theta)  # the cap is on theta x phi rows
     factors = []
-    for phi in phis:
-        # sigma_emission(EmissionDirection(0.0, phi), +1), operation for operation
-        phase = cmath.exp(1j * 1 * phi) / _SQRT2
-        factors.append((phi, phase * math.cos(0.0), abs(phase * 1 * 1j) ** 2))
-    for theta in thetas:
+    for p in range(math.ceil(360.0 / phi_step_deg)):
+        if p * phi_step_deg < 360.0:
+            # sigma_emission(EmissionDirection(0.0, phi), +1), operation for operation
+            phi = math.radians(p * phi_step_deg)
+            phase = cmath.exp(1j * 1 * phi) / _SQRT2
+            factors.append((phi, phase * math.cos(0.0), abs(phase * 1 * 1j) ** 2))
+    for t in range(n_theta):
+        theta = math.radians(min(t * theta_step_deg, 180.0))
         # pi_emission's e_theta and intensity: adding |e_phi|^2 = 0.0 is exact
         minus_sin, cos = -math.sin(theta), math.cos(theta)
         i_pi = abs(minus_sin) ** 2

@@ -45,15 +45,17 @@ class FiberChannel(Record):
         check("attenuation_db_per_km", self.attenuation_db_per_km)  # loss is positive
 
 
-def standard_channel(wavelength_nm: int) -> FiberChannel:
-    """Bundled channel for one of the five reference wavelengths."""
+def standard_channel(wavelength_nm: float) -> FiberChannel:
+    """Bundled channel of a wavelength rounded to the nearest whole nm (half to
+    even, as ``round`` does), which must be one of the five reference
+    wavelengths: 780.4 gives the 780 nm channel.  A non-finite wavelength does
+    not round; it is refused by name, as any wavelength without a channel is."""
+    nm = round(wavelength_nm) if math.isfinite(wavelength_nm) else wavelength_nm
     try:
-        return FiberChannel(float(wavelength_nm), STANDARD_ATTENUATION_DB_PER_KM[wavelength_nm])
+        return FiberChannel(float(nm), STANDARD_ATTENUATION_DB_PER_KM[nm])
     except KeyError:
         known = ", ".join(str(k) for k in sorted(STANDARD_ATTENUATION_DB_PER_KM))
-        raise DomainError(
-            f"no bundled attenuation for {wavelength_nm:g} nm (known: {known})"
-        ) from None
+        raise DomainError(f"no bundled attenuation for {nm:g} nm (known: {known})") from None
 
 
 def transmission(fiber: FiberChannel, length_km: float) -> float:

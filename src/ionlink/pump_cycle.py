@@ -57,9 +57,14 @@ _GOOD, _BAD, _DARK = -1, -2, -3
 
 
 class PumpCycleConfig(Record):
-    """Initial shelf sublevel, drive polarization, model and trajectory cutoff."""
+    """Initial shelf sublevel, drive polarization, model and trajectory cutoff.
 
-    initial: ZeemanState = ZeemanState(Level.D32, +1.5)
+    An omitted ``initial`` is the stretched D3/2 sublevel the drive
+    addresses: m = -3/2 under sigma+, and +3/2 otherwise.  ``max_cycles``
+    is read only by :func:`simulate`; :func:`solve_exact` ignores it.
+    """
+
+    initial: ZeemanState = None
     drive: Polarization = Polarization.SIGMA_MINUS
     model: BranchingModel = None  # omitted: a fresh default_barium_model()
     max_cycles: int = 1000
@@ -67,6 +72,9 @@ class PumpCycleConfig(Record):
     def __post_init__(self) -> None:
         if self.model is None:
             object.__setattr__(self, "model", default_barium_model())
+        if self.initial is None:
+            mj = -1.5 if self.drive is Polarization.SIGMA_PLUS else +1.5
+            object.__setattr__(self, "initial", ZeemanState(Level.D32, mj))
         if self.initial.level is not Level.D32:
             raise DomainError(f"initial state must lie in the D3/2 shelf, got {self.initial}")
         whole("max_cycles", self.max_cycles, 1)

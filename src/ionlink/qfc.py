@@ -33,7 +33,6 @@ from .errors import ChainError, DomainError, Record, check, whole
 
 __all__ = [
     "C_NM_THZ",
-    "FieldRole",
     "LightField",
     "MixKind",
     "DispersionModel",
@@ -59,18 +58,11 @@ _ENERGY_RTOL = 1e-9
 _CHAIN_MATCH_NM = 0.1
 
 
-class FieldRole(enum.Enum):
-    INPUT = "input"
-    PUMP = "pump"
-    OUTPUT = "output"
-
-
 class LightField(Record):
     """One optical field, stored redundantly as wavelength and frequency."""
 
     wavelength_nm: float
     frequency_thz: float
-    role: FieldRole = FieldRole.INPUT
 
     def __post_init__(self) -> None:
         check("wavelength_nm", self.wavelength_nm, open_lo=True)
@@ -82,12 +74,12 @@ class LightField(Record):
             )
 
     @classmethod
-    def from_wavelength_nm(cls, nm: float, role: FieldRole = FieldRole.INPUT) -> "LightField":
-        return cls(nm, C_NM_THZ / check("wavelength_nm", nm, open_lo=True), role)
+    def from_wavelength_nm(cls, nm: float) -> "LightField":
+        return cls(nm, C_NM_THZ / check("wavelength_nm", nm, open_lo=True))
 
     @classmethod
-    def from_frequency_thz(cls, thz: float, role: FieldRole = FieldRole.INPUT) -> "LightField":
-        return cls(C_NM_THZ / check("frequency_thz", thz, open_lo=True), thz, role)
+    def from_frequency_thz(cls, thz: float) -> "LightField":
+        return cls(C_NM_THZ / check("frequency_thz", thz, open_lo=True), thz)
 
 
 class MixKind(enum.Enum):
@@ -102,16 +94,12 @@ def dfg_output(input_field: LightField, pump: LightField) -> LightField:
             "DFG requires the input above the pump frequency: "
             f"{input_field.frequency_thz} THz <= {pump.frequency_thz} THz"
         )
-    return LightField.from_frequency_thz(
-        input_field.frequency_thz - pump.frequency_thz, FieldRole.OUTPUT
-    )
+    return LightField.from_frequency_thz(input_field.frequency_thz - pump.frequency_thz)
 
 
 def sfg_output(input_field: LightField, pump: LightField) -> LightField:
     """Sum-frequency output, nu_out = nu_in + nu_pump."""
-    return LightField.from_frequency_thz(
-        input_field.frequency_thz + pump.frequency_thz, FieldRole.OUTPUT
-    )
+    return LightField.from_frequency_thz(input_field.frequency_thz + pump.frequency_thz)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +389,8 @@ def plan_stage(
     srs_threshold_thz: float = 5.0,
 ) -> tuple[ConversionStage, list[NoiseFinding]]:
     """Design one stage from wavelengths: output, poling period, noise findings."""
-    input_field = LightField.from_wavelength_nm(input_nm, FieldRole.INPUT)
-    pump = LightField.from_wavelength_nm(pump_nm, FieldRole.PUMP)
+    input_field = LightField.from_wavelength_nm(input_nm)
+    pump = LightField.from_wavelength_nm(pump_nm)
     output = (dfg_output if kind is MixKind.DFG else sfg_output)(input_field, pump)
     period = solve_poling_period(input_field, pump, output, dispersion, poling_order)
     stage = ConversionStage(

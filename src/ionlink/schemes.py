@@ -142,6 +142,9 @@ class CycleAmplitudes(Record):
         for name in ("reinit", "crossover", "bad_loop"):
             if check(name, getattr(self, name), -math.inf) ** 2 > 1.0 + 1e-12:
                 raise DomainError(f"{name} amplitude squared exceeds 1")
+        # both decay P1/2 +1/2 into the shelf, whose squares sum to 1
+        if (total := self.reinit**2 + self.crossover**2) > 1.0 + 1e-12:
+            raise DomainError(f"reinit and crossover amplitudes squared sum to {total!r}, above 1")
 
     @classmethod
     def from_model(cls, model: BranchingModel) -> "CycleAmplitudes":
@@ -177,13 +180,18 @@ def geometric_branch_probabilities(
     0.103 for this branch corresponds to the probability of ever reaching
     the wrong upper sublevel rather than of emitting from it.  The closed
     form is kept as stated; pass explicit amplitudes to explore variants.
+
+    Rounding and the amplitudes' 1e-12 tolerance can carry the sums a hair
+    past 1 (``reinit`` 1 gives br_493 / (1 - br_650), which may round to
+    1 + 2e-16), so ``p_good`` is capped at 1 and ``p_bad`` at 1 - p_good:
+    all three probabilities lie in [0, 1].
     """
     den_good = 1.0 - amps.reinit**2 * model.br_650
     den_bad = 1.0 - amps.bad_loop**2 * model.br_650
     if den_good <= 0.0 or den_bad <= 0.0:
         raise DomainError("geometric series does not converge: denominator <= 0")
-    p_good = model.br_493 / den_good
-    p_bad = model.br_493 * model.br_650 * amps.crossover**2 / den_bad
+    p_good = min(model.br_493 / den_good, 1.0)
+    p_bad = min(model.br_493 * model.br_650 * amps.crossover**2 / den_bad, 1.0 - p_good)
     return BranchProbabilities(p_good, p_bad, 1.0 - p_good - p_bad)
 
 

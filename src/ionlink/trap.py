@@ -70,13 +70,15 @@ def _positive(quantity: str, config: TrapConfig, evaluate) -> float:
     return check(f"{quantity} of {config}", value, open_lo=True)
 
 
-def pseudopotential(config: TrapConfig, x: float, y: float):
-    """Ponderomotive pseudopotential energy at radial offset (x, y), in joules."""
+def pseudopotential(config: TrapConfig, x: float, y: float) -> float:
+    """Ponderomotive pseudopotential energy at radial offset (x, y), in joules;
+    an offset whose energy overflows is refused."""
     scale = _positive("pseudopotential scale", config, lambda: (
         (config.charge * config.v0 * config.eta) ** 2
         / (4.0 * config.mass * config.r**4 * config.omega_rf**2)
     ))
-    return scale * (x * x + y * y)
+    x, y = check("x", x, -math.inf), check("y", y, -math.inf)
+    return check(f"pseudopotential of {config}", scale * (x * x + y * y))
 
 
 def secular_frequency(config: TrapConfig) -> float:

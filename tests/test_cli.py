@@ -148,6 +148,16 @@ class TestChain:
         assert code == 0
         assert json.loads(out)["p_dark"] == 1.0
 
+    @pytest.mark.parametrize("drive, mj", [("sigma-minus", +1.5), ("sigma-plus", -1.5)])
+    def test_library_default_sublevel_is_the_cli_default(self, capsys, drive, mj):
+        from ionlink.atomic import Level, Polarization, ZeemanState
+        from ionlink.pump_cycle import PumpCycleConfig, solve_exact
+
+        config = PumpCycleConfig(drive=Polarization[drive.replace("-", "_").upper()])
+        assert config.initial == ZeemanState(Level.D32, mj)
+        _, out, _ = run(capsys, "chain", "exact", "--drive", drive)
+        assert solve_exact(config).as_dict() == json.loads(out)  # p_dark was 1.0 under sigma+
+
     def test_model_file_flag(self, capsys, tmp_path):
         from ionlink.atomic import default_barium_model, save_model
 
@@ -155,6 +165,40 @@ class TestChain:
         save_model(default_barium_model(), path)
         _, out, _ = run(capsys, "chain", "exact", "--model", str(path))
         assert json.loads(out)["p_good"] == pytest.approx(0.8441978733240868, rel=1e-12)
+
+
+class TestQuotedNumbers:
+    """The numbers the notes and defaults quote are the layer values they name."""
+
+    @staticmethod
+    def handled(*argv):
+        args = cli._parse(cli._build_parser(), list(argv))
+        return args, args._run(args)
+
+    def test_schemes_note_quotes_the_weak_and_strong_probabilities(self):
+        _, (_, _, notes) = self.handled("schemes")
+        quoted = re.search(r"probabilities (\S+)/(\S+) while the exact solid-angle fraction "
+                           r"gives (\S+)/(\S+);", notes[-1]).groups()
+        assert quoted == ("0.0131", "0.0657", "0.0146", "0.0730")
+        assert quoted == tuple(f"{schemes.entanglement_probability(spec, 0.6, model):.4f}"
+                               for model in ("quadratic", "exact")
+                               for spec in (schemes.WEAK, schemes.STRONG))
+
+    def test_table2_note_quotes_the_493_nm_row(self):
+        from ionlink import qfc
+
+        row = qfc.standard_conversion_table()[0]
+        _, (_, rows, notes) = self.handled("qfc", "table2")
+        printed = round(row.output_thz)
+        assert row.conversion == "493 nm -> 779 nm" and rows[0][2] == printed
+        assert f"output {row.output_thz:.2f} THz (779 nm) prints as {printed}" in notes[0]
+        assert f"sitting {row.output_thz - 384:.2f} THz above the nominal 384 THz" in notes[0]
+
+    def test_budget_source_rate_is_d_shelving_at_na_0_6(self):
+        args, _ = self.handled("fiber", "budget")
+        layer = schemes.entanglement_probability(schemes.D_SHELVING, 0.6)
+        assert layer == pytest.approx(0.08523, abs=1e-12)
+        assert args.source_rate == 0.085 == float(f"{layer:.2g}")
 
 
 class TestTrap:
@@ -584,19 +628,15 @@ class TestStreamedExport:
         assert n_cells
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_failed_export_leaves_no_trace(self, capsys, tmp_path, monkeypatch, fmt):
+    def test_failed_export_leaves_no_trace(self, capsys, tmp_path, fmt):
         existing, missing = tmp_path / "existing", tmp_path / "missing"
         existing.write_bytes(b"kept\n")
+        # the step is checked when the rows are first pulled, while writing
         too_fine = ("emission", "pattern", "--theta-step-deg", "1e-9", "--output-format", fmt)
-        for target in (existing, missing):
-            code, out, err = run(capsys, *too_fine, "--output", str(target))
-            assert code == 1 and out == "" and err.startswith("error: theta_step_deg")
-        # a direction out of range is met only when the rows are pulled, while writing
-        monkeypatch.setattr(emission, "pattern_grid", lambda *steps: ([0.0, 4.0], [0.0, 1.0]))
         for output in ((), ("--output", str(existing)), ("--output", str(missing))):
-            code, out, err = run(capsys, "emission", "pattern", "--output-format", fmt, *output)
+            code, out, err = run(capsys, *too_fine, *output)
             assert (code, out) == (1, "")
-            assert err.startswith("error: theta out of range: 4.0") and err.count("\n") == 1
+            assert err.startswith("error: theta_step_deg") and err.count("\n") == 1
         assert existing.read_bytes() == b"kept\n" and not missing.exists()
 
     def test_table_layers_are_generator_functions(self):
@@ -644,8 +684,7 @@ class TestStreamedExport:
                 - self.peak_rss_kb(*self.pattern_json("0.5", "1"))) < 8 * 1024
 
     def test_many_theta_lines_stay_bounded(self):
-        """500 k theta lines of one phi each: beyond the theta axis itself
-        (~20 MB of floats), memory does not grow with the lines."""
+        """500 k theta lines of one phi each: memory does not grow with the lines."""
         assert (self.peak_rss_kb(*self.pattern_json("3.6e-4", "360"))
                 - self.peak_rss_kb(*self.pattern_json("0.5", "1"))) < 32 * 1024
 
@@ -660,9 +699,11 @@ class TestStreamedExport:
         (("fiber", "curves", "--step-km", "1"), ("--max-km", "1000"), ("--max-km", "200000")),
         (("fidelity-curve", "--output-format", "json"), ("--na-step", "1e-3"),
          ("--na-step", "5e-6")),
-    ], ids=["fiber curves", "fidelity-curve json"])
+        (("emission", "pattern", "--phi-step-deg", "360"), ("--theta-step-deg", "0.18"),
+         ("--theta-step-deg", "3.6e-4")),
+    ], ids=["fiber curves", "fidelity-curve json", "emission pattern theta lines"])
     def test_curves_are_flat_in_grid_size(self, argv, small, large):
-        """~2 x 10^5 rows cost no more than a few MB over ~10^3 rows."""
+        """~2 x 10^5 rows (5 x 10^5 theta lines) cost no more than a few MB over ~10^3 rows."""
         assert self.peak_rss_kb(*argv, *large) - self.peak_rss_kb(*argv, *small) < 8 * 1024
 
 

@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 import types
 from unittest import mock
 
@@ -15,7 +14,6 @@ from ionlink.emission import (
     EmissionDirection,
     collection_fraction,
     cone_mixing_weight,
-    pattern_grid,
     pattern_rows,
     pi_emission,
     polarization_overlap,
@@ -206,12 +204,24 @@ class TestConeMixing:
                 cone_mixing_weight_meshgrid(float(na), n_polar, n_azimuth), rel=1e-13, abs=0.0)
 
 
+def axes(rows):
+    """The theta and phi axes of pattern rows: the distinct values of the first
+    two columns, theta read once per line of ``len(phis)`` rows."""
+    phis = list(dict.fromkeys(row[1] for row in rows))
+    return [row[0] for row in rows[::len(phis)]], phis
+
+
+def count_and_last(rows):
+    n, last = 0, None
+    for last in rows:
+        n += 1
+    return n, last
+
+
 class TestPatternRows:
     def test_grid_shape_and_columns(self):
-        thetas = np.linspace(0.0, math.pi, 7)
-        phis = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
-        rows = list(pattern_rows(thetas, phis))
-        assert len(rows) == 42
+        rows = list(pattern_rows(30.0, 60.0))
+        assert len(rows) == 7 * 6
         theta, phi, i_pi, i_sp, i_sm, overlap_abs = rows[0]
         assert (theta, phi) == (0.0, 0.0)
         assert i_pi == 0.0
@@ -220,7 +230,7 @@ class TestPatternRows:
         assert overlap_abs == 0.0
 
     def test_sigma_plus_minus_intensities_equal(self):
-        rows = list(pattern_rows(*pattern_grid(7.0, 13.0)))
+        rows = list(pattern_rows(7.0, 13.0))
         assert len(rows) == 26 * 28
         assert bits([row[3] for row in rows]).tolist() == bits([row[4] for row in rows]).tolist()
 
@@ -234,22 +244,19 @@ class TestPatternKernel:
 
     @pytest.mark.parametrize("steps", [(1.0, 2.0), (5.0, 30.0), (7.0, 13.0), (0.7, 11.0)])
     def test_export_grids_bit_identical(self, steps):
-        thetas, phis = pattern_grid(*steps)
-        new = list(pattern_rows(thetas, phis))
-        assert bits(new).tolist() == bits(list(pattern_rows_per_point(thetas, phis))).tolist()
+        new = list(pattern_rows(*steps))
+        assert bits(new).tolist() == bits(list(pattern_rows_per_point(*axes(new)))).tolist()
         assert all(type(v) is float for row in new[:50] for v in row)
 
-    def test_random_directions_bit_identical(self):
+    def test_random_steps_bit_identical(self):
         rng = np.random.default_rng(3)
-        thetas = np.concatenate([[0.0, math.pi, HALF_PI], rng.uniform(0.0, math.pi, 200)])
-        phis = np.concatenate([[0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0)],
-                               rng.uniform(0.0, 2.0 * math.pi, 100)])
-        assert (bits(list(pattern_rows(thetas, phis)))
-                == bits(list(pattern_rows_per_point(thetas, phis)))).all()
+        steps = [(180.0, 360.0), (1e300, 1e300), (179.9, 359.9), (90.0, 360.0 / 7.0),
+                 *zip(rng.uniform(0.5, 40.0, 20).tolist(), rng.uniform(1.0, 90.0, 20).tolist())]
+        for theta_step, phi_step in steps:
+            new = list(pattern_rows(theta_step, phi_step))
+            assert (bits(new) == bits(list(pattern_rows_per_point(*axes(new))))).all()
 
     def test_theta_factors_are_built_one_line_at_a_time(self):
-        thetas, phis = pattern_grid(1.0, 2.0)  # 181 x 180 points
-        assert len(thetas) * len(phis) > 4 * _BLOCK
         calls = []
 
         def recording_sin(theta):
@@ -259,49 +266,32 @@ class TestPatternKernel:
         # sin(theta) is the one theta factor nothing else in pattern_rows computes
         stand_in = types.SimpleNamespace(**{**vars(math), "sin": recording_sin})
         with mock.patch.object(emission, "math", stand_in):
-            rows = pattern_rows(thetas, phis)
-            next(rows)
-            assert calls == thetas[:1]
-            assert 1 + sum(1 for _ in rows) == len(thetas) * len(phis)
-        assert calls == thetas
+            rows = pattern_rows(1.0, 2.0)  # 181 x 180 points
+            first = next(rows)
+            assert calls == [0.0]
+            rows = [first, *rows]
+        assert len(rows) == 181 * 180 > 4 * _BLOCK
+        assert calls == axes(rows)[0]
 
     def test_is_a_generator_of_tuples(self):
-        rows = pattern_rows([0.0, 1.0], [0.0])
+        rows = pattern_rows(90.0, 360.0)
         assert iter(rows) is rows
         assert all(isinstance(row, tuple) and len(row) == 6 for row in rows)
-
-    def test_empty_axes_yield_nothing(self):
-        assert list(pattern_rows([], [0.0])) == []
-        assert list(pattern_rows([0.0], [])) == []
-        assert list(pattern_rows([7.0], [])) == []  # no point, so nothing to reject
-
-    @pytest.mark.parametrize("thetas, phis", [
-        ([0.0, 4.0], [0.0, 7.0]),      # phi rejected at the first theta
-        ([4.0, 0.0], [0.0, 7.0]),      # theta rejected at the first point
-        ([0.0, 1.0, -1.0], [0.5, 1.0]),
-        ([0.0, math.nan], [0.0]),
-    ])
-    def test_rejects_the_first_bad_point_of_the_loop(self, thetas, phis):
-        with pytest.raises(DomainError) as expected:
-            list(pattern_rows_per_point(thetas, phis))
-        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
-            list(pattern_rows(thetas, phis))
 
 
 class TestPatternGrid:
     def test_default_grid(self):
-        thetas, phis = pattern_grid(5.0, 30.0)
+        thetas, phis = axes(list(pattern_rows(5.0, 30.0)))
         assert len(thetas) == 37 and thetas[-1] == math.pi
         assert len(phis) == 12 and phis[-1] == math.radians(330.0)
 
     @pytest.mark.parametrize("theta_step, n_theta", [(1.8e-4, 1_000_001), (3.6e-4, 500_001)])
     def test_step_a_rounding_error_short_of_dividing_180_keeps_the_pole(self, theta_step, n_theta):
-        thetas, phis = pattern_grid(theta_step, 360.0)
-        assert len(thetas) == n_theta and thetas[-1] == math.pi
-        assert phis == [0.0]
+        n_rows, last = count_and_last(pattern_rows(theta_step, 360.0))
+        assert n_rows == n_theta and last[:2] == (math.pi, 0.0)
 
     def test_steps_that_do_not_divide_the_range(self):
-        thetas, phis = pattern_grid(7.0, 13.0)
+        thetas, phis = axes(list(pattern_rows(7.0, 13.0)))
         assert thetas[-1] == math.radians(175.0)
         assert len(phis) == 28 and phis[-1] == math.radians(351.0)
 
@@ -314,5 +304,6 @@ class TestPatternGrid:
         (0.01, 1.0, "phi_step_deg"),  # 18001 x 360 rows: the cap is on the product
     ])
     def test_non_finite_or_non_positive_steps_rejected(self, theta_step, phi_step, name):
+        rows = pattern_rows(theta_step, phi_step)  # checked when the first row is pulled
         with pytest.raises(DomainError, match=name):
-            pattern_grid(theta_step, phi_step)
+            next(rows)

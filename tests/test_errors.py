@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps, whole
 from ionlink.fiber import FiberChannel, LinkBudget
 from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
 from ionlink.qfc import (
-    ConversionStage, DispersionModel, FieldRole, LightField, MixKind, load_dispersion, plan_stage,
+    ConversionStage, DispersionModel, LightField, MixKind, load_dispersion, plan_stage,
 )
 from ionlink.schemes import CycleAmplitudes, SchemeSpec, TwoQubitState
-from ionlink.trap import TrapConfig
+from ionlink.trap import TrapConfig, pseudopotential
 
 
 class TestCheck:
@@ -110,8 +111,8 @@ def _plan(**kwargs):
 WHOLE_NUMBER_CASES = [
     ("poling order", lambda: _plan(poling_order=2.5)),  # was a 2.5x first-order period
     ("poling order", lambda: ConversionStage(
-        LightField.from_wavelength_nm(650.0, FieldRole.INPUT),
-        LightField.from_wavelength_nm(1343.0, FieldRole.PUMP),
+        LightField.from_wavelength_nm(650.0),
+        LightField.from_wavelength_nm(1343.0),
         _plan()[0].output, MixKind.DFG, 7.4, poling_order=3.0)),
     ("max_cycles", lambda: PumpCycleConfig(max_cycles=1.5)),  # was accepted
     ("n_trials", lambda: simulate(PumpCycleConfig(), n_trials=10.0, seed=0)),  # was a TypeError
@@ -146,6 +147,31 @@ def test_records_refuse_non_finite_fields(name, make, value):
         make(value)
 
 
+TRAP = TrapConfig.from_lab_units(v0=200.0, f_rf_mhz=20.0, r_um=260.0, eta=0.9, mass_amu=138.0)
+
+#: Library calls given what the CLI refuses, or cannot pass; each must raise a
+#: DomainError whose message begins as given.
+OUT_OF_RANGE_CASES = [
+    ("x out of range: nan", lambda: pseudopotential(TRAP, math.nan, 0.0)),  # returned nan
+    ("y out of range: inf", lambda: pseudopotential(TRAP, 0.0, math.inf)),  # returned inf
+    ("x out of range: -inf", lambda: pseudopotential(TRAP, -math.inf, 0.0)),
+    (f"pseudopotential of {TRAP} out of range: inf",
+     lambda: pseudopotential(TRAP, 1e200, 0.0)),  # returned inf
+    (f"pseudopotential of {TRAP} out of range: inf", lambda: pseudopotential(TRAP, 1e-3, 1e160)),
+    ("reinit and crossover amplitudes squared sum to 2.0, above 1",
+     lambda: CycleAmplitudes(1.0, 1.0, 1.0)),  # p_dark was -0.2696
+    ("reinit and crossover amplitudes squared sum to", lambda: CycleAmplitudes(0.8, -0.7, 0.0)),
+]
+
+
+@pytest.mark.parametrize("start, call", OUT_OF_RANGE_CASES,
+                         ids=[f"{i}-{start.split()[0]}"
+                              for i, (start, _) in enumerate(OUT_OF_RANGE_CASES)])
+def test_library_refuses_what_the_cli_refuses(start, call):
+    with pytest.raises(DomainError, match=f"^{re.escape(start)}"):
+        call()
+
+
 P12, S12, D32 = Level.P12, Level.S12, Level.D32
 #: The smallest valid model: each P1/2 sublevel decays to one S and one D sublevel.
 SMALL_CG = {(ZeemanState(P12, m), ZeemanState(lower, m)): 1.0 for m in (0.5, -0.5) for lower in (S12, D32)}
@@ -160,7 +186,7 @@ SMALL_MODEL_REPR = (
     "(ZeemanState(level=<Level.P12: 'P12'>, mj=-0.5), ZeemanState(level=<Level.D32: 'D32'>, "
     "mj=-0.5)): 1.0}))"
 )
-LIGHT_REPR = "LightField(wavelength_nm={}, frequency_thz={}, role=<FieldRole.INPUT: 'input'>)"
+LIGHT_REPR = "LightField(wavelength_nm={}, frequency_thz={})"
 
 #: One instance of every record class: its fields by keyword, in order, and the
 #: repr the frozen dataclasses printed for it.
@@ -187,7 +213,7 @@ RECORDS = [
                     "se_bad": None, "se_dark": None, "n_trials": None, "seed": None},
      "ChainOutcome(p_good=0.5, p_bad=0.25, p_dark=0.25, se_good=None, se_bad=None, "
      "se_dark=None, n_trials=None, seed=None)"),
-    (LightField, {"wavelength_nm": 500.0, "frequency_thz": 599.584916, "role": FieldRole.INPUT},
+    (LightField, {"wavelength_nm": 500.0, "frequency_thz": 599.584916},
      LIGHT_REPR.format(500.0, 599.584916)),
     (DispersionModel, {"material": "m", "form": "sellmeier-poles", "coefficients": {"a": 1.0},
                        "valid_range_nm": (400.0, 1600.0), "temperature_k": 300.0,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ class TestChannels:
     def test_unknown_wavelength_rejected(self):
         with pytest.raises(DomainError):
             standard_channel(633)
+
+    @pytest.mark.parametrize("nm", [780.4, 779.5, 780.5, 780])
+    def test_wavelength_rounds_to_the_nearest_whole_nm(self, nm):
+        assert standard_channel(nm) == FiberChannel(780.0, 3.5)
+
+    @pytest.mark.parametrize("nm, text", [
+        (math.nan, "nan"), (-math.inf, "-inf"), (1e308, "1e+308"), (633.4, "633"),
+    ])
+    def test_wavelength_without_a_channel_is_refused_by_name(self, nm, text):
+        expected = fr"^no bundled attenuation for {re.escape(text)} nm \(known: "
+        with pytest.raises(DomainError, match=expected):
+            standard_channel(nm)
 
     def test_negative_attenuation_rejected(self):
         with pytest.raises(DomainError):

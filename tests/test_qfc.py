@@ -10,7 +10,6 @@ from ionlink.qfc import (
     C_NM_THZ,
     ConversionStage,
     DispersionModel,
-    FieldRole,
     LightField,
     MixKind,
     chain_efficiency,
@@ -42,8 +41,8 @@ def _ppln_payload():
     return json.loads(resources.files("ionlink.data").joinpath("ppln_mgo_cln.json").read_text())
 
 
-def field(nm, role=FieldRole.INPUT):
-    return LightField.from_wavelength_nm(nm, role)
+def field(nm):
+    return LightField.from_wavelength_nm(nm)
 
 
 class TestLightField:
@@ -81,26 +80,26 @@ class TestLightField:
 
 class TestMixingOutputs:
     def test_visible_to_near_ir(self):
-        out = dfg_output(field(493.0), field(1343.0, FieldRole.PUMP))
+        out = dfg_output(field(493.0), field(1343.0))
         assert out.frequency_thz == pytest.approx(OUT_THZ_493, rel=1e-12)
         assert out.wavelength_nm == pytest.approx(778.94, abs=0.01)
 
     def test_red_to_o_band(self):
-        out = dfg_output(field(650.0), field(1343.0, FieldRole.PUMP))
+        out = dfg_output(field(650.0), field(1343.0))
         assert out.frequency_thz == pytest.approx(OUT_THZ_650, rel=1e-12)
         assert out.wavelength_nm == pytest.approx(1259.67, abs=0.01)
 
     def test_near_ir_to_c_band(self):
-        out = dfg_output(field(780.0), field(1569.0, FieldRole.PUMP))
+        out = dfg_output(field(780.0), field(1569.0))
         assert out.frequency_thz == pytest.approx(OUT_THZ_780, rel=1e-12)
         assert out.wavelength_nm == pytest.approx(1551.10, abs=0.01)
 
     def test_dfg_needs_input_above_pump(self):
         with pytest.raises(DomainError):
-            dfg_output(field(1343.0), field(493.0, FieldRole.PUMP))
+            dfg_output(field(1343.0), field(493.0))
 
     def test_sfg_adds_frequencies(self):
-        out = sfg_output(field(1550.0), field(1550.0, FieldRole.PUMP))
+        out = sfg_output(field(1550.0), field(1550.0))
         assert out.frequency_thz == pytest.approx(2.0 * C_NM_THZ / 1550.0, rel=1e-12)
         assert out.wavelength_nm == pytest.approx(775.0, rel=1e-9)
 
@@ -207,15 +206,15 @@ class TestPolingPeriod:
         ppktp = load_dispersion("ppktp")
         ppln = load_dispersion("ppln")
         period_493 = solve_poling_period(
-            field(493.0), field(1343.0, FieldRole.PUMP),
+            field(493.0), field(1343.0),
             dfg_output(field(493.0), field(1343.0)), ppktp,
         )
         period_650 = solve_poling_period(
-            field(650.0), field(1343.0, FieldRole.PUMP),
+            field(650.0), field(1343.0),
             dfg_output(field(650.0), field(1343.0)), ppln,
         )
         period_780 = solve_poling_period(
-            field(780.0), field(1569.0, FieldRole.PUMP),
+            field(780.0), field(1569.0),
             dfg_output(field(780.0), field(1569.0)), ppln,
         )
         assert period_493 == pytest.approx(GOLDEN_PERIOD_493_PPKTP, rel=1e-12)
@@ -254,9 +253,9 @@ class TestPolingPeriod:
     def test_unmatchable_ordering_reports_sign_convention(self):
         # SFG puts the output wavevector on top, so the printed convention fails
         ppln = load_dispersion("ppln")
-        out = sfg_output(field(1550.0), field(1550.0, FieldRole.PUMP))
+        out = sfg_output(field(1550.0), field(1550.0))
         with pytest.raises(DomainError, match="cannot be quasi-phase-matched"):
-            solve_poling_period(field(1550.0), field(1550.0, FieldRole.PUMP), out, ppln)
+            solve_poling_period(field(1550.0), field(1550.0), out, ppln)
 
 
 def random_dfg_stage(rng, material):
@@ -282,10 +281,10 @@ class TestResidualRoundTrip:
         ppln = load_dispersion("ppln")
         out = dfg_output(field(650.0), field(1343.0))
         solved = solve_poling_period(field(650.0), field(1343.0), out, ppln)
-        stage_solved = ConversionStage(field(650.0), field(1343.0, FieldRole.PUMP), out,
+        stage_solved = ConversionStage(field(650.0), field(1343.0), out,
                                        MixKind.DFG, solved)
         bulk = qpm_residual(stage_solved, ppln) + 2.0 * math.pi / (solved * 1e-6)
-        huge = ConversionStage(field(650.0), field(1343.0, FieldRole.PUMP), out,
+        huge = ConversionStage(field(650.0), field(1343.0), out,
                                MixKind.DFG, 1e15)
         assert qpm_residual(huge, ppln) == pytest.approx(bulk, rel=1e-6)
 
@@ -297,7 +296,7 @@ class TestResidualRoundTrip:
             version=ppktp.version, notes=ppktp.notes,
         )
         out = dfg_output(field(650.0), field(1343.0))
-        stage = ConversionStage(field(650.0), field(1343.0, FieldRole.PUMP), out,
+        stage = ConversionStage(field(650.0), field(1343.0), out,
                                 MixKind.DFG, 10.0)
         with pytest.raises(DomainError, match="pump"):
             qpm_residual(stage, narrow)
@@ -306,30 +305,30 @@ class TestResidualRoundTrip:
 class TestStageValidation:
     def test_energy_conservation_enforced(self):
         with pytest.raises(DomainError):
-            ConversionStage(field(493.0), field(1343.0, FieldRole.PUMP),
-                            field(780.0, FieldRole.OUTPUT), MixKind.DFG, 7.0)
+            ConversionStage(field(493.0), field(1343.0),
+                            field(780.0), MixKind.DFG, 7.0)
 
     def test_exact_output_accepted(self):
         out = dfg_output(field(493.0), field(1343.0))
-        stage = ConversionStage(field(493.0), field(1343.0, FieldRole.PUMP), out,
+        stage = ConversionStage(field(493.0), field(1343.0), out,
                                 MixKind.DFG, 7.4, efficiency=0.05)
         assert stage.efficiency == 0.05
 
     def test_efficiency_bounds(self):
         out = dfg_output(field(493.0), field(1343.0))
         with pytest.raises(DomainError):
-            ConversionStage(field(493.0), field(1343.0, FieldRole.PUMP), out,
+            ConversionStage(field(493.0), field(1343.0), out,
                             MixKind.DFG, 7.4, efficiency=1.5)
         for kwargs in ({"efficiency": math.nan}, {"poling_period_um": math.inf}):
             with pytest.raises(DomainError, match=f"^{next(iter(kwargs))} out of range"):
-                ConversionStage(**{**dict(input=field(493.0), pump=field(1343.0, FieldRole.PUMP),
+                ConversionStage(**{**dict(input=field(493.0), pump=field(1343.0),
                                           output=out, kind=MixKind.DFG, poling_period_um=7.4),
                                    **kwargs})
 
     def test_even_poling_order_rejected(self):
         out = dfg_output(field(493.0), field(1343.0))
         with pytest.raises(DomainError):
-            ConversionStage(field(493.0), field(1343.0, FieldRole.PUMP), out,
+            ConversionStage(field(493.0), field(1343.0), out,
                             MixKind.DFG, 7.4, poling_order=2)
 
 

@@ -29,7 +29,7 @@ from ionlink.schemes import (
     scheme_comparison,
 )
 
-from oracles import geometric_p_good
+from oracles import geometric_p_good, random_branching_model
 
 # frozen from the term-by-term series and the normalized-weight identity
 P_GOOD_DEFAULT = 0.844197873324087
@@ -132,6 +132,35 @@ class TestGeometricBranches:
     def test_amplitude_bounds_checked(self):
         with pytest.raises(DomainError):
             CycleAmplitudes(1.2, 0.0, 0.0)
+
+    def test_probabilities_lie_in_the_unit_interval_for_any_accepted_input(self):
+        """Random models and amplitudes inside their bounds, the edges included:
+        reinit 1 gives br_493 / (1 - br_650), which rounds to 1 + 2e-16 on some
+        models, and an amplitude at the 1e-12 tolerance overshoots further."""
+        rng = np.random.default_rng(19)
+        edge = math.sqrt(1.0 + 1e-12)
+        for i in range(3_000):
+            model = random_branching_model(rng)
+            reinit_sq = float(rng.uniform(0.0, 1.0))
+            crossover_sq = float(rng.uniform(0.0, 1.0 - reinit_sq))
+            reinit, crossover, bad_loop = (math.sqrt(reinit_sq), math.sqrt(crossover_sq),
+                                           math.sqrt(float(rng.uniform(0.0, 1.0))))
+            kind = i % 6
+            if kind == 0:
+                reinit, crossover = 1.0, 0.0
+            elif kind == 1:
+                crossover = math.sqrt(1.0 - reinit_sq)  # the shelf's sum of 1
+            elif kind == 2:
+                bad_loop = 1.0
+            elif kind == 3:
+                reinit, crossover, bad_loop = edge, 0.0, edge
+            elif kind == 4:
+                reinit, crossover, bad_loop = 0.0, edge, 1.0
+            signs = rng.choice([-1.0, 1.0], size=3).tolist()
+            amps = CycleAmplitudes(*(s * a for s, a in zip(signs, (reinit, crossover, bad_loop))))
+            result = geometric_branch_probabilities(model, amps)
+            assert all(0.0 <= p <= 1.0 for p in result), (model, amps, result)
+            assert sum(result) == pytest.approx(1.0, abs=1e-12)
 
     def test_divergent_series_rejected(self):
         model = default_barium_model()
