@@ -22,17 +22,19 @@ flags, checked as flags are; explicit flags override it.  A non-finite or
 out-of-range physics input, a result that over- or underflows and a grid
 above 2**20 rows are refused naming the argument; neither CSV nor JSON
 output carries NaN or infinity.  Exit codes: 0 success; 1 domain or numeric
-error, a file that cannot be read, parsed or written, or ``chain mc``
-without numpy (one ``error:`` line); 2 usage error.  A malformed value or
-unknown flag prints argparse's usage synopsis and ``error: argument --na:
-invalid float value: 'banana'``; a missing required flag or an unreadable
-config file prints one ``usage error:`` line.
+error, a file that cannot be read, parsed or written (standard output too,
+also when the write fails only as it is flushed at the end of the run), or
+``chain mc`` without numpy (one ``error:`` line); 2 usage error.  A
+malformed value or unknown flag prints argparse's usage synopsis and
+``error: argument --na: invalid float value: 'banana'``; a missing required
+flag or an unreadable config file prints one ``usage error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Iterator
 
@@ -40,7 +42,7 @@ from . import __version__
 from ._format import render_csv, render_json, table_payload, write_output
 from .errors import DomainError, NumericError, check
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # The layers' names as plain tuples, in the order --help shows them, so that
 # parsing imports no layer; tests pin them to SCHEMES, CollectionModel and
@@ -418,7 +420,12 @@ def _render(result, fmt: str | None) -> Iterator[str]:
     return render_csv(columns, rows, footnotes)
 
 
-def main(argv=None) -> int:
+def _write_error(target: str, exc: OSError) -> int:
+    print(f"error: cannot write {target!r}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
+def _command(argv) -> int:
     parser = _build_parser()
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
@@ -436,9 +443,7 @@ def main(argv=None) -> int:
         try:
             write_output(chunks, args.output)
         except OSError as exc:
-            target = "-" if args.output is None else args.output
-            print(f"error: cannot write {target!r}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
+            return _write_error("-" if args.output is None else args.output, exc)
     except (DomainError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -451,5 +456,37 @@ def main(argv=None) -> int:
     return 0
 
 
+def main(argv=None) -> int:
+    """Runs one command and returns its exit code once standard output is flushed.
+
+    A flush that fails makes a successful run exit 1 with one ``error:`` line;
+    a failed run has reported its own error already.
+    """
+    code = _command(argv)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:
+            code = _write_error("-", exc)
+    return code
+
+
+def run() -> None:
+    """The process entry point: :func:`main`, then ``os._exit`` with its code.
+
+    Skipping the interpreter's finalization loses nothing: :func:`main` has
+    flushed standard output, the ``--output`` file and the model and material
+    files are closed by ``with``, and ``pump_cycle.simulate`` joins its worker
+    threads before it returns.  An exception escaping :func:`main` exits the
+    usual way, with its traceback.
+    """
+    code = main()
+    try:
+        sys.stderr.flush()
+    except OSError:  # nowhere left to report it
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

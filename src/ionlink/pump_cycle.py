@@ -29,8 +29,8 @@ walks fixed-size chunks of trajectories, so its memory does not grow with
 the chunk's first element (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11), draws up to the chunk's last surviving
 trajectory and walks only the survivors.  Chunks are split between at most
-``workers`` threads and the counts add up as integers; the thread pool is
-imported only when more than one thread runs.
+``workers`` threads, the calling one included, and the counts add up as
+integers; every thread started is joined before :func:`simulate` returns.
 """
 
 from __future__ import annotations
@@ -311,6 +311,36 @@ class _Walker:
         return sum(self._chunk(lo, min(lo + _CHUNK, self.n_trials)) for lo in starts)
 
 
+def _walk_in_threads(walker: _Walker, groups: list[range]) -> np.ndarray:
+    """Counts summed over ``walker.walk(group)`` for each group.
+
+    The calling thread walks group 0 and one started thread each other group;
+    all are joined, and an exception in any is raised again here.  Plain
+    ``threading``, loaded by numpy already: ``concurrent.futures`` would
+    import ``logging`` too.
+    """
+    import threading
+
+    results: list = [None] * len(groups)
+
+    def work(i: int) -> None:
+        try:
+            results[i] = walker.walk(groups[i])
+        except BaseException as exc:  # raised again once every thread is joined
+            results[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(groups))]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return sum(results)
+
+
 def simulate(
     config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1
 ) -> ChainOutcome:
@@ -339,14 +369,7 @@ def simulate(
         walker = _Walker(chain, config, n_trials, seed)
         starts = range(0, n_trials, _CHUNK)
         n_threads = min(workers, len(starts), os.cpu_count() or 1)
-        if n_threads == 1:
-            good_bad = walker.walk(starts)
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import
-
-            groups = [starts[i::n_threads] for i in range(n_threads)]
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                good_bad = sum(pool.map(walker.walk, groups))
+        good_bad = _walk_in_threads(walker, [starts[i::n_threads] for i in range(n_threads)])
     # shelved in an undriven sublevel or cut off at max_cycles: dark
     counts = np.append(good_bad, n_trials - good_bad.sum())
     p = counts / n_trials

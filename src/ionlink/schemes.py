@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .atomic import BranchingModel, Level, ZeemanState
 from .emission import CollectionModel, collection_fraction
 from .errors import DomainError, Record, check, steps
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .atomic import BranchingModel
 
 __all__ = [
     "BASIS_LABELS",
@@ -149,6 +150,8 @@ class CycleAmplitudes(Record):
     @classmethod
     def from_model(cls, model: BranchingModel) -> "CycleAmplitudes":
         """Default amplitudes for a sigma-minus drive initialized at D3/2 m=+3/2."""
+        from .atomic import Level, ZeemanState  # the scheme commands need no atomic model
+
         p_plus = ZeemanState(Level.P12, +0.5)
         p_minus = ZeemanState(Level.P12, -0.5)
         d = lambda m: ZeemanState(Level.D32, m)  # noqa: E731

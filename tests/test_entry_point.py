@@ -1,0 +1,83 @@
+"""The process entry point: ``python -m ionlink.cli`` and the ``ionlink`` script
+run ``cli.run``, which ends the process with ``os._exit`` once ``main`` has
+flushed standard output.
+
+Each child runs with ``PYTHONUNBUFFERED`` removed from its environment, so
+standard output is block-buffered as in a normal shell and only the final
+flush writes it.
+"""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ionlink.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+CASES = [
+    "schemes",                                                   # a CSV table to stdout
+    "emission pattern --output-format json --output FILE",       # a JSON table to --output
+    "fiber budget",                                              # a JSON record
+    "--version",
+    "schemes --help",
+    "schemes --na 2",                                            # exit 1
+    "trap --v0 200",                                             # exit 2, one usage line
+    "schemes --na banana",                                       # exit 2, argparse's usage
+    "chain mc --trials 200001 --threads 2",                      # worker threads
+]
+
+#: What every failed write to ``/dev/full`` prints, and nothing else.
+FULL = "error: cannot write '-': No space left on device\n"
+
+
+def child_env() -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env["COLUMNS"] = "80"  # argparse wraps --help to it
+    return env
+
+
+def run_child(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "ionlink.cli", *argv], env=child_env(),
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+def file_bytes(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_process_prints_what_main_returns(case, tmp_path, monkeypatch):
+    """Same stdout bytes, ``--output`` bytes, stderr and exit code as in-process ``main``."""
+    child_file, inproc_file = tmp_path / "child.out", tmp_path / "main.out"
+    child = run_child([str(child_file) if w == "FILE" else w for w in case.split()],
+                      subprocess.PIPE)
+
+    monkeypatch.setenv("COLUMNS", "80")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(inproc_file) if w == "FILE" else w for w in case.split()])
+
+    assert child.returncode == code
+    assert child.stdout == stdout.getvalue().encode()
+    assert child.stderr.decode() == stderr.getvalue()
+    assert file_bytes(child_file) == file_bytes(inproc_file)
+    assert code != 0 or child.stdout or child_file.exists()  # a success wrote something
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("case", [
+    "schemes", "chain exact", "--version",
+    "emission pattern",  # larger than the buffer: fails inside write_output, not at the flush
+])
+def test_write_failure_exits_1_with_one_line(case):
+    with open("/dev/full", "w") as full:
+        child = run_child(case.split(), full)
+    assert (child.returncode, child.stderr.decode()) == (1, FULL)

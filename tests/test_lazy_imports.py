@@ -41,7 +41,7 @@ TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
 
 #: (argv, exit code, numpy loaded afterwards, the layers it loads), run in
 #: this order in one process for the numpy column; each alone for the layers.
-SCHEMES = ("atomic", "emission", "schemes")
+SCHEMES = ("emission", "schemes")  # CycleAmplitudes.from_model alone imports atomic
 QFC = ("data", "qfc")  # importlib.resources imports the bundled data directory
 CHAIN_DEFAULT = ("atomic", "data", "pump_cycle")
 COMMANDS = [
@@ -184,21 +184,25 @@ def test_no_command_loads_dataclasses_and_only_numpy_loads_inspect():
 def test_monte_carlo_loads_neither_numpy_ma_nor_fractions():
     """``chain mc`` builds its decay table without ``np.unique`` (which loads
     ``numpy.ma``), and the exact solve's fused multiply-subtract is integer
-    arithmetic, so neither command loads ``fractions``.  Nor does either load
-    ``concurrent.futures``: the thread pool is imported only to run threads."""
+    arithmetic, so neither command loads ``fractions``.  No command loads
+    ``concurrent.futures`` or ``logging``: the Monte Carlo's worker threads,
+    run here on more than one chunk, are plain ``threading.Thread``s."""
     report = run_fresh("""
         import contextlib, io, json, sys
 
         from ionlink.cli import main
         report = []
-        for argv in (["chain", "exact"], ["chain", "mc", "--trials", "10"]):
+        for argv in (["chain", "exact"], ["chain", "mc", "--trials", "10"],
+                     ["chain", "mc", "--trials", "200001", "--threads", "2"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             report.append([code, *(name in sys.modules for name in (
-                "numpy", "numpy.ma", "fractions", "dataclasses", "concurrent.futures"))])
+                "numpy", "numpy.ma", "fractions", "dataclasses", "concurrent.futures", "logging"))])
         print(json.dumps(report))
     """)
-    assert report == [[0, False, False, False, False, False], [0, True, False, False, False, False]]
+    assert report == [[0, False, False, False, False, False, False],
+                      [0, True, False, False, False, False, False],
+                      [0, True, False, False, False, False, False]]
 
 
 def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):

@@ -1,4 +1,4 @@
-import concurrent.futures
+import threading
 import tracemalloc
 
 import numpy as np
@@ -235,22 +235,6 @@ def native_stream(seed, cycle):
     return np.random.Philox(key=np.array([seed, cycle], dtype=np.uint64))
 
 
-class RecordingExecutor:
-    """Stands in for ThreadPoolExecutor: records its size, runs tasks serially."""
-
-    def __init__(self, created, max_workers):
-        created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 class TestKernel:
     @pytest.mark.parametrize("lo", (0, 1, 2, 3, 4_097, 131_074))
     def test_jump_and_discard_matches_slicing(self, lo):
@@ -298,21 +282,44 @@ class TestKernel:
             assert simulate(config, n_trials=n, seed=2**64 - 1, workers=workers) == reference
 
     @pytest.mark.parametrize(
-        "workers, cpus, n_chunks, pool_size",
-        [(8, 64, 3, 3), (8, 2, 3, 2), (2, 64, 3, 2), (7, 64, 1, None), (8, None, 3, None)],
+        "workers, cpus, n_chunks, n_threads",
+        [(8, 64, 3, 3), (8, 2, 3, 2), (2, 64, 3, 2), (7, 64, 1, 1), (8, None, 3, 1)],
     )
-    def test_thread_pool_is_capped(self, monkeypatch, workers, cpus, n_chunks, pool_size):
+    def test_worker_threads_are_capped(self, monkeypatch, workers, cpus, n_chunks, n_threads):
+        """The calling thread walks too, so ``n_threads - 1`` threads are started,
+        and all have ended when ``simulate`` returns."""
         n = 1_000 * (n_chunks - 1) + 1
         reference = simulate(PumpCycleConfig(), n_trials=n, seed=3)
-        created = []
+        started = []
+
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
         monkeypatch.setattr(pump_cycle, "_CHUNK", 1_000)
         monkeypatch.setattr(pump_cycle.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(  # simulate imports the pool only when it runs threads
-            concurrent.futures, "ThreadPoolExecutor",
-            lambda max_workers: RecordingExecutor(created, max_workers),
-        )
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
         assert simulate(PumpCycleConfig(), n_trials=n, seed=3, workers=workers) == reference
-        assert created == ([] if pool_size is None else [pool_size])
+        assert len(started) == n_threads - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_walk_error_is_raised_in_the_caller(self, monkeypatch, failing):
+        walk = pump_cycle._Walker.walk
+
+        def walk_or_fail(walker, starts):
+            if (starts[0] == 0) == (failing == "caller"):  # group 0 is the caller's
+                raise RuntimeError(f"{failing} failed")
+            return walk(walker, starts)
+
+        monkeypatch.setattr(pump_cycle, "_CHUNK", 1_000)
+        monkeypatch.setattr(pump_cycle.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pump_cycle._Walker, "walk", walk_or_fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            simulate(PumpCycleConfig(), n_trials=3_001, seed=3, workers=2)
+        assert threading.active_count() == before
 
     def test_traced_memory_does_not_grow_with_trials(self):
         def peak(n_trials):
