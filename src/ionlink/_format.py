@@ -8,14 +8,22 @@ Neither carries NaN or infinity: a non-finite float raises
 A table is its header and then its rows, ``_BLOCK`` rows at a time, with
 the bytes of the per-cell renderers they replace (``csv.writer`` over
 :func:`format_cell`, and ``json.dumps(indent=2)``, kept in
-``tests/oracles.py`` as the reference).  A block whose cells are all
-exact ``float`` (every large grid, and a one-row record of floats) is
-rendered column-wise: each distinct value of a column is formatted once
-(``0.0`` and ``-0.0``, equal but printed differently, once each), and
-the texts, which hold nothing CSV quotes, are joined directly.  Any other
-block goes row by row through ``csv.writer``, or through ``json.dumps``
-re-indented to the row's depth.  JSON tables are the :func:`table_payload`
-type; any other payload is encoded by one ``json.dumps``.
+``tests/oracles.py`` as the reference).  A block whose rows are lists or
+tuples of one width holding only exact ``float`` cells (every large grid,
+and a one-row record of floats) is flattened row after row and rendered
+through ``%``-templates, with no Python loop over its cells; the texts hold
+nothing CSV quotes.  Each table picks how once, from its first such block.
+When fewer than half of that block's cells are distinct (the emission grid
+repeats its angles and intensities), the table keeps a memo of texts, each
+distinct value formatted once (``0.0`` and ``-0.0``, equal but printed
+differently, share an entry, and the minus signs are put back), cleared
+whenever it holds ``_MEMO_CAP`` texts; a block's texts fill one template
+of all its rows.  Otherwise (the fiber and NA curves, whose values rarely
+repeat) one row template formats every cell, row by row.  Both give the
+same bytes.  Any other block goes row by row through ``csv.writer``, or through
+``json.dumps`` re-indented to the row's depth.  JSON tables are the
+:func:`table_payload` type; any other payload is encoded by one
+``json.dumps``.
 
 Both renderers are generators that stream: a table's rows may be any
 iterable, pulled ``_BLOCK`` at a time, and each block's text is yielded as
@@ -44,30 +52,30 @@ from .errors import DomainError
 
 __all__ = ["format_cell", "render_csv", "render_json", "table_payload", "write_output"]
 
-#: Rows rendered per block.  A JSON block's text is built and copied about
-#: four times (join, bracket and separator concatenation, encode): ~1.3 MB a
-#: copy at 4096 rows of the 0.5 x 1 degree emission grid.  Measured on a
-#: 2-vCPU VM over perfbench's 10 ``grid-export`` commands (peak RSS of the
-#: emission / fiber JSON export; median in-process time of the 10):
-#: 4096 rows 20.55 / 20.43 MB, 1.490 s; 2048 17.86 / 18.47 MB, 1.500 s;
-#: 1024 15.99 / 16.23 MB, 1.559 s; 256 15.37 / 15.21 MB, 1.821 s.  Below
-#: 1024 the per-block work (column dedup, joins) costs time and saves little.
+#: Rows rendered per block.  A block's text is built and copied a few times
+#: (template fill, concatenation with the text before it, encode): ~170 KB
+#: a copy for 1024 rows of the emission grid as JSON.  Formatting work does
+#: not depend on it (the memo lives as long as the table), so it trades the
+#: per-block overhead against those copies.  Measured on a 2-vCPU VM (peak
+#: RSS and cold wall time of the 0.5 x 1 degree emission / 200 km fiber JSON
+#: export, median of 7): 256 rows 15.61 / 15.25 MB, 359 / 216 ms; 512 15.63
+#: / 15.38 MB, 296 / 205 ms; 1024 16.39 / 15.84 MB, 297 / 224 ms; 2048 17.44
+#: / 18.47 MB, 320 / 224 ms; 4096 20.04 / 20.63 MB, 385 / 311 ms.
+#: 512 rows reads as fast and smaller there; it stays 1024 until alternating
+#: ``perfbench`` ``grid-export`` runs show that across the whole workload.
 _BLOCK = 1024
+#: Most texts a table's :class:`_Memo` holds before it starts over: ~100 KB.
+#: The 0.5 x 1 degree emission grid has 2,361 distinct values in 779,760
+#: cells; at this cap it formats 4,919 texts (2,361 from 3,072 up), which
+#: costs well under a millisecond more than a memo that never clears.
+_MEMO_CAP = 1024
 _NON_FINITE = "the result holds NaN or infinity, which neither CSV nor JSON output carries"
 
 
-def _finite(values: list[float]) -> list[float]:
+def _finite(values: Sequence[float]) -> Sequence[float]:
     if not all(map(math.isfinite, values)):
         raise DomainError(_NON_FINITE)
     return values
-
-
-def _csv_floats(values: list[float]) -> list[str]:
-    return list(map(format, _finite(values), itertools.repeat(".6g")))
-
-
-def _json_floats(values: list[float]) -> list[str]:
-    return list(map(float.__repr__, _finite(values)))
 
 
 def format_cell(value) -> str:
@@ -76,7 +84,7 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _csv_floats([value])[0]
+        return "%.6g" % _finite((value,))
     return str(value)
 
 
@@ -86,26 +94,93 @@ def _blocks(rows: Iterable) -> Iterable[list]:
         yield block
 
 
-def _float_texts(column: tuple, render_floats) -> list[str]:
-    """Texts of an all-``float`` column: each distinct value is rendered once."""
-    unique = list(dict.fromkeys(column))
-    text_of = dict(zip(unique, render_floats(unique)))
-    if 0.0 not in text_of:
-        return list(map(text_of.__getitem__, column))
-    # 0.0 == -0.0 share a key but print differently: choose by the sign
-    zero, minus_zero = render_floats([0.0, -0.0])
-    return [text_of[v] if v else (minus_zero if math.copysign(1.0, v) < 0.0 else zero)
-            for v in column]
-
-
-def _float_columns(block: list, render_floats) -> list[list[str]] | None:
-    """Column texts of a block of rows, lists or tuples of one nonzero width
-    holding only exact ``float`` cells; ``None`` for any other block."""
+def _float_cells(block: list) -> tuple | None:
+    """The cells of a block, row after row, if its rows are lists or tuples of
+    one nonzero width holding only exact ``float`` cells; ``None`` otherwise."""
     if not set(map(type, block)) <= {list, tuple} or len(set(map(len, block))) != 1:
         return None
-    if set(map(type, itertools.chain.from_iterable(block))) != {float}:
+    cells = tuple(itertools.chain.from_iterable(block))
+    if not cells or list(map(type, cells)).count(float) != len(cells):
         return None  # including rows of width 0, which hold no cell
-    return [_float_texts(column, render_floats) for column in zip(*block)]
+    return cells
+
+
+def _memo_pays(cells: tuple) -> bool:
+    """Whether a table whose first float block holds ``cells`` repeats enough
+    values for a memo to beat formatting every cell: fewer than half distinct."""
+    return 2 * len(set(cells)) < len(cells)
+
+
+class _Memo(dict):
+    """The texts of one table's floats, keyed by value, each rendered once until
+    ``_MEMO_CAP`` are held; then the memo starts over, so memory stays bounded.
+
+    ``0.0`` and ``-0.0`` are equal, so they share a key, rendered unsigned;
+    :meth:`texts` puts the minus signs back.
+    """
+
+    def __init__(self, cell: str):
+        super().__init__()
+        self.cell = cell
+
+    def __missing__(self, value: float) -> str:
+        if not math.isfinite(value):
+            raise DomainError(_NON_FINITE)
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        text = self[value] = self.cell % (value + 0.0)  # -0.0 + 0.0 is 0.0
+        return text
+
+    def texts(self, cells: tuple) -> list[str]:
+        texts = list(map(self.__getitem__, cells))
+        i = -1
+        for _ in range(cells.count(0.0)):  # either zero; only these are scanned
+            i = cells.index(0.0, i + 1)
+            if math.copysign(1.0, cells[i]) < 0.0:
+                texts[i] = self.cell % -0.0
+        return texts
+
+
+#: How a format frames rows of cell texts: (row start, cell separator, row
+#: end, row separator).  A CSV float text holds nothing csv would quote; a
+#: JSON row reads as :func:`_dumps` encodes it at depth 2.
+_CSV_FRAME = ("", ",", "\n", "")
+_JSON_FRAME = ("[\n      ", ",\n      ", "\n    ]", ",\n    ")
+
+
+class _FloatBlocks:
+    """Renders the all-float blocks of one table, ``cell`` being the ``%``-spec
+    of one float.  The table's first such block picks the strategy for all
+    of them (:func:`_memo_pays`): the texts of a :class:`_Memo` held for the
+    whole table fill ``%s`` cells of one template of the block's rows, or
+    the floats themselves fill ``cell`` cells of one row template, row by
+    row, and the rows are joined.  Both give the same bytes.
+
+    Filling a whole block of floats at once reads faster, but its output
+    string grows by ``realloc`` and fragments the heap: ``prob-curve`` at
+    2^20 rows in JSON peaked at 24.4 MB against 15.7 MB row by row.  The
+    memo's ``%s`` fill of the emission grid stays flat (15.6 / 16.0 MB in
+    CSV / JSON, the 0.5 x 1 degree grid) and is faster than joining rows.
+    """
+
+    def __init__(self, cell: str, frame: tuple[str, str, str, str]):
+        self.cell, self.frame = cell, frame
+        self.memo = None  # a _Memo, or False for the template; None until chosen
+
+    def __call__(self, block: list) -> str | None:
+        """The text of ``block``; ``None`` for a block that is not all floats."""
+        cells = _float_cells(block)
+        if cells is None:
+            return None
+        if self.memo is None:
+            self.memo = _Memo(self.cell) if _memo_pays(cells) else False
+        start, sep, end, between = self.frame
+        width = len(block[0])
+        if self.memo is False:  # one row at a time: see the class docstring
+            row = start + sep.join([self.cell] * width) + end
+            return between.join(map(row.__mod__, zip(*[iter(_finite(cells))] * width)))
+        row = start + sep.join(["%s"] * width) + end
+        return between.join([row] * len(block)) % tuple(self.memo.texts(cells))
 
 
 def _csv_text(rows: Iterable[Sequence[str]]) -> str:
@@ -114,18 +189,15 @@ def _csv_text(rows: Iterable[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def _csv_rows(block: list) -> str:
-    texts = _float_columns(block, _csv_floats)
-    if texts is None:
-        return _csv_text([format_cell(v) for v in row] for row in block)
-    return "\n".join(map(",".join, zip(*texts))) + "\n"  # nothing csv would quote
-
-
 def render_csv(columns: Sequence[str], rows: Iterable[Sequence],
                footnotes: Sequence[str] = ()) -> Iterator[str]:
     text = _csv_text([columns])  # held back until the first block is ready
+    floats = _FloatBlocks("%.6g", _CSV_FRAME)
     for block in _blocks(rows):
-        yield text + _csv_rows(block)
+        rendered = floats(block)
+        if rendered is None:
+            rendered = _csv_text([format_cell(v) for v in row] for row in block)
+        yield text + rendered
         text = ""
     yield text + "".join(f"# {note}\n" for note in footnotes)
 
@@ -143,16 +215,6 @@ def _dumps(value, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
-def _json_rows(block: list) -> str:
-    """The rows of ``block`` as :func:`_dumps` encodes them at depth 2, comma-separated."""
-    texts = _float_columns(block, _json_floats)
-    if texts is None:
-        return ",\n    ".join(_dumps(row, 2) for row in block)
-    # a row is "[\n      a,\n      b\n    ]"
-    cells = map(",\n      ".join, zip(*texts))
-    return "[\n      " + "\n    ],\n    [\n      ".join(cells) + "\n    ]"
-
-
 def render_json(payload) -> Iterator[str]:
     if not isinstance(payload, _Table):
         yield _dumps(payload, 0) + "\n"
@@ -163,9 +225,12 @@ def render_json(payload) -> Iterator[str]:
         if key != "rows":
             text += _dumps(value, 1)
             continue
-        separator = "[\n    "
+        separator, floats = "[\n    ", _FloatBlocks("%r", _JSON_FRAME)
         for block in _blocks(value):
-            yield text + separator + _json_rows(block)
+            rendered = floats(block)
+            if rendered is None:
+                rendered = ",\n    ".join(_dumps(row, 2) for row in block)
+            yield text + separator + rendered
             text, separator = "", ",\n    "
         text += "[]" if separator == "[\n    " else "\n  ]"
     yield text + "\n}\n"

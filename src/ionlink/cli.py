@@ -22,12 +22,14 @@ flags, checked as flags are; explicit flags override it.  A non-finite or
 out-of-range physics input, a result that over- or underflows and a grid
 above 2**20 rows are refused naming the argument; neither CSV nor JSON
 output carries NaN or infinity.  Exit codes: 0 success; 1 domain or numeric
-error, a file that cannot be read, parsed or written (standard output too,
-also when the write fails only as it is flushed at the end of the run), or
-``chain mc`` without numpy (one ``error:`` line); 2 usage error.  A
-malformed value or unknown flag prints argparse's usage synopsis and
-``error: argument --na: invalid float value: 'banana'``; a missing required
-flag or an unreadable config file prints one ``usage error:`` line.
+error, a file that cannot be read, parsed or written (standard output too:
+also when the write fails only as it is flushed at the end of the run, when
+a reader such as ``head -1`` closes the pipe early, and for ``--help`` and
+``--version`` text), or ``chain mc`` without numpy (one ``error:`` line); 2
+usage error.  A malformed value or unknown flag prints argparse's usage
+synopsis and ``error: argument --na: invalid float value: 'banana'``; a
+missing required flag or an unreadable config file prints one ``usage
+error:`` line.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ __all__ = ["main", "run"]
 _SCHEMES = ("d-shelving", "weak", "strong")
 _COLLECTIONS = ("quadratic", "exact")
 _DRIVES = ("sigma-minus", "sigma-plus")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help or version text that cannot be
+    written to standard output raises the ``OSError`` argparse would drop."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:  # usage errors, on standard error
+            super()._print_message(message, file)
 
 
 class _Version(argparse._VersionAction):
@@ -264,7 +277,7 @@ _REQUIRED = object()
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ionlink",
         description="Ion-photon entanglement, frequency conversion and fiber-link planning.",
     )
@@ -431,6 +444,8 @@ def _command(argv) -> int:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse has printed help, the version or its error
         return int(exc.code or 0)
+    except OSError as exc:  # the help or version text
+        return _write_error("-", exc)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ flushed standard output.
 
 Each child runs with ``PYTHONUNBUFFERED`` removed from its environment, so
 standard output is block-buffered as in a normal shell and only the final
-flush writes it.
+flush writes it; the failed-write cases also run with it set, where each
+write fails as it is made.
 """
 
 import contextlib
@@ -37,15 +38,17 @@ CASES = [
 FULL = "error: cannot write '-': No space left on device\n"
 
 
-def child_env() -> dict[str, str]:
+def child_env(unbuffered: bool = False) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env["COLUMNS"] = "80"  # argparse wraps --help to it
     return env
 
 
-def run_child(argv: list[str], stdout) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "ionlink.cli", *argv], env=child_env(),
+def run_child(argv: list[str], stdout, unbuffered: bool = False) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "ionlink.cli", *argv], env=child_env(unbuffered),
                           stdout=stdout, stderr=subprocess.PIPE, timeout=120)
 
 
@@ -73,11 +76,24 @@ def test_process_prints_what_main_returns(case, tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("case", [
-    "schemes", "chain exact", "--version",
+    "schemes", "chain exact",
+    "--version", "schemes --help",  # written by argparse, which would drop the error
     "emission pattern",  # larger than the buffer: fails inside write_output, not at the flush
 ])
-def test_write_failure_exits_1_with_one_line(case):
+def test_write_failure_exits_1_with_one_line(case, unbuffered):
     with open("/dev/full", "w") as full:
-        child = run_child(case.split(), full)
+        child = run_child(case.split(), full, unbuffered)
     assert (child.returncode, child.stderr.decode()) == (1, FULL)
+
+
+def test_closed_pipe_exits_1_with_one_line():
+    """A reader that stops early, as ``| head -1`` does, is a failed write too."""
+    child = subprocess.Popen([sys.executable, "-m", "ionlink.cli", "fiber", "curves", "--max-km", "10000"],
+                             env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with child:
+        assert child.stdout.readline().startswith(b"length_km,")
+        child.stdout.close()
+        stderr = child.stderr.read()
+    assert (child.returncode, stderr.decode()) == (1, "error: cannot write '-': Broken pipe\n")

@@ -1,12 +1,14 @@
 """Block renderers against the per-cell reference renderers.
 
-``render_csv``/``render_json`` work column-wise in blocks with a per-bit-
-pattern cache; ``oracles.render_csv_per_cell`` and ``oracles.render_json_dumps``
-are the ``csv.writer``/``json.dumps(indent=2)`` loops they replaced.  The
-property tests shrink the block size so that tables cross block boundaries.
-Both renderers yield one text per block; ``"".join`` gives the document.
+``render_csv``/``render_json`` render a table ``_BLOCK`` rows at a time.  A
+block of floats is rendered through a memo of texts held for the whole
+table, or through one ``%``-template, whichever the table's first float
+block picks; any other block goes row by row.  ``oracles.render_csv_per_cell``
+and ``oracles.render_json_dumps`` are the ``csv.writer``/``json.dumps(indent=2)``
+loops they replaced.  The property tests shrink the block size so that
+tables cross block boundaries, and force each strategy in turn.  Both
+renderers yield one text per block; ``"".join`` gives the document.
 """
-
 import json
 import math
 import os
@@ -67,11 +69,17 @@ def block_sizes():
 any_tables = st.one_of(tables(), tables(kinds=(floats, finite_floats)))
 
 
+def forced(memo: bool):
+    """Every table renders its float blocks through the memo, or the template."""
+    return mock.patch.object(_format, "_memo_pays", lambda cells: memo)
+
+
+@pytest.mark.parametrize("memo", [False, True])
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(table=any_tables, block=block_sizes())
-def test_csv_matches_per_cell_renderer(table, block):
+def test_csv_matches_per_cell_renderer(table, block, memo):
     columns, rows, footnotes = table
-    with mock.patch.object(_format, "_BLOCK", block):
+    with mock.patch.object(_format, "_BLOCK", block), forced(memo):
         if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
             with pytest.raises(DomainError, match="NaN or infinity"):
                 "".join(render_csv(columns, rows, footnotes))
@@ -79,15 +87,16 @@ def test_csv_matches_per_cell_renderer(table, block):
             assert "".join(render_csv(columns, rows, footnotes)) == render_csv_per_cell(columns, rows, footnotes)
 
 
+@pytest.mark.parametrize("memo", [False, True])
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(table=any_tables, block=block_sizes())
-def test_json_matches_json_dumps(table, block):
+def test_json_matches_json_dumps(table, block, memo):
     payload = table_payload(*table)
     try:
         expected = render_json_dumps(payload)
     except ValueError:  # NaN or infinity: json refuses, and so must render_json
         expected = None
-    with mock.patch.object(_format, "_BLOCK", block):
+    with mock.patch.object(_format, "_BLOCK", block), forced(memo):
         if expected is None:
             with pytest.raises(DomainError, match="NaN or infinity"):
                 "".join(render_json(payload))
@@ -179,6 +188,85 @@ class TestCellTexts:
             assert "".join(render_csv(["a", "b"], rows)) == render_csv_per_cell(["a", "b"], rows)
             payload = table_payload(["a", "b"], rows)
             assert "".join(render_json(payload)) == render_json_dumps(payload)
+
+
+def render_both(columns, rows):
+    """The CSV and JSON documents, each checked against its oracle."""
+    csv_text = "".join(render_csv(columns, rows))
+    assert csv_text == render_csv_per_cell(columns, rows)
+    payload = table_payload(columns, rows)
+    json_text = "".join(render_json(payload))
+    assert json_text == render_json_dumps(payload)
+    return csv_text, json_text
+
+
+class TestFloatStrategies:
+    """The memo and the template: how a table picks one, and the memo's edges."""
+
+    @pytest.mark.parametrize("rows, memo", [
+        ([(float(i % 3), 0.5) for i in range(40)], True),   # 4 distinct of 80 cells
+        ([(float(i), 0.5) for i in range(40)], False),       # 41 distinct of 80
+        ([(1, "a")] + [(0.5, 0.5)] * 40, True),              # decided by the first float block
+    ])
+    def test_first_float_block_picks_for_the_table(self, rows, memo):
+        built = []
+
+        class Spy(_format._Memo):
+            def __init__(self, cell):
+                built.append(cell)
+                super().__init__(cell)
+
+        with mock.patch.object(_format, "_BLOCK", 8), mock.patch.object(_format, "_Memo", Spy):
+            render_both(["a", "b"], rows + [(float(i), 0.25) for i in range(40)])
+        assert built == (["%.6g", "%r"] if memo else [])
+
+    def test_memo_starts_over_at_its_cap(self):
+        sizes = []
+
+        class Spy(_format._Memo):
+            def __missing__(self, value):
+                text = super().__missing__(value)
+                sizes.append(len(self))
+                return text
+
+        rows = [(i / 7, float(i % 5), -i / 7) for i in range(60)]
+        with mock.patch.object(_format, "_BLOCK", 7), mock.patch.object(_format, "_MEMO_CAP", 4), \
+                mock.patch.object(_format, "_Memo", Spy), forced(True):
+            render_both(["a", "b", "c"], rows)
+        assert max(sizes) == 4 and sizes.count(1) > 2  # full, cleared, and refilled
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_signed_zeros_across_blocks(self, memo):
+        rows = [(-0.0, 1.0), (0.0, -0.0), (1.0, 0.0), (-0.0, -0.0), (0.0, 1.0)] * 3
+        with mock.patch.object(_format, "_BLOCK", 2), forced(memo):
+            csv_text, json_text = render_both(["a", "b"], rows)
+            assert "".join(render_csv(["x"], [(-0.0,), (0.0,), (-0.0,)])) == "x\n-0\n0\n-0\n"
+        assert csv_text.startswith("a,b\n-0,1\n0,-0\n1,0\n-0,-0\n")
+        assert json.loads(json_text)["rows"] == [list(r) for r in rows]
+        assert [math.copysign(1.0, v) for r in json.loads(json_text)["rows"] for v in r] == \
+            [math.copysign(1.0, v) for r in rows for v in r]
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_in_a_later_or_first_block(self, fmt, memo):
+        def chunks(rows):
+            if fmt == "csv":
+                return render_csv(["a", "b"], rows)
+            return render_json(table_payload(["a", "b"], rows))
+
+        rows = [(float(i % 2), 2.0) for i in range(12)]
+        if fmt == "csv":
+            written = render_csv_per_cell(["a", "b"], rows[:8])
+        else:  # all but the closing text
+            written = render_json_dumps(table_payload(["a", "b"], rows[:8]))[:-len("\n  ]\n}\n")]
+        with mock.patch.object(_format, "_BLOCK", 4), forced(memo):
+            later = chunks(rows[:8] + [(2.0, math.inf)] + rows[8:])
+            assert next(later) + next(later) == written  # two blocks of four rows
+            with pytest.raises(DomainError, match="NaN or infinity"):
+                next(later)
+            first = chunks([(1.0, math.nan)] + rows)
+            with pytest.raises(DomainError, match="NaN or infinity"):
+                next(first)
 
 
 class TestStreaming:
