@@ -10,11 +10,9 @@ realistic collection aperture.
 from ionlink import (
     CycleAmplitudes,
     default_barium_model,
-    fidelity,
     fidelity_at_na,
     geometric_branch_probabilities,
-    good_state,
-    reexcitation_mixture,
+    mixture_fidelity,
     scheme_comparison,
     solve_exact,
     PumpCycleConfig,
@@ -32,11 +30,10 @@ print("the good branch matches exactly; the closed-form bad branch undercounts t
 print("multi-visit walk, so the chain solver is the number to trust there.\n")
 
 print("== produced state vs the intended Bell pairing ==")
-state = reexcitation_mixture(exact.p_good, exact.p_bad)
-f_zero_na = fidelity(good_state(), state)
+f_zero_na = mixture_fidelity(exact.p_good, exact.p_bad)
 print(f"zero-aperture fidelity of the shelving scheme: {f_zero_na:.4f}")
 print(f"with the often-quoted branch weights 0.844/0.103 instead: "
-      f"{fidelity(good_state(), reexcitation_mixture(0.844, 0.103)):.4f}\n")
+      f"{mixture_fidelity(0.844, 0.103):.4f}\n")
 
 print("== scheme comparison at NA = 0.6 ==")
 print(f"{'scheme':<12} {'Pe*Ps':>7} {'P(0.6)':>8} {'F(0.6)':>8}")

@@ -14,9 +14,8 @@ Modules by capability:
 The modules and the names below are imported on first access (PEP 562), so
 ``import ionlink`` loads none of them, and the ``ionlink`` command loads
 only the layer of the subcommand it runs.  The package has no
-dependencies.  numpy is optional, and only two things import it: the Monte
-Carlo of :mod:`ionlink.pump_cycle` and :class:`~ionlink.schemes.TwoQubitState`
-with the functions built on it.  Without numpy they raise Python's own
+dependencies.  numpy is optional, and only one thing imports it: the Monte
+Carlo of :mod:`ionlink.pump_cycle`, which without numpy raises Python's own
 ``ModuleNotFoundError``.  Everything else, every table export and the exact
 chain solve included, is plain Python.
 """
@@ -46,9 +45,8 @@ _EXPORTS = {
     ),
     "schemes": (
         "D_SHELVING", "SCHEMES", "STRONG", "WEAK", "BranchProbabilities", "CycleAmplitudes",
-        "SchemeSpec", "TwoQubitState", "bad_state", "double_excitation_probability",
-        "entanglement_probability", "fidelity", "fidelity_at_na",
-        "geometric_branch_probabilities", "good_state", "reexcitation_mixture",
+        "SchemeSpec", "double_excitation_probability", "entanglement_probability",
+        "fidelity_at_na", "geometric_branch_probabilities", "mixture_fidelity",
         "scheme_comparison",
     ),
     "trap": ("TrapConfig", "pseudopotential", "secular_frequency"),

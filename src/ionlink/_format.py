@@ -41,29 +41,33 @@ inputs are range-checked up front so that no table cell is non-finite
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
-__all__ = ["format_cell", "render_csv", "render_json", "table_payload", "write_output"]
+__all__ = ["format_cell", "render_csv", "render_json", "stdout", "table_payload", "write_output"]
 
 #: Rows rendered per block.  A block's text is built and copied a few times
-#: (template fill, concatenation with the text before it, encode): ~170 KB
-#: a copy for 1024 rows of the emission grid as JSON.  Formatting work does
-#: not depend on it (the memo lives as long as the table), so it trades the
+#: (template fill, concatenation with the text before it, encode): ~85 KB a
+#: copy for 512 rows of the emission grid as JSON.  Formatting work does not
+#: depend on it (the memo lives as long as the table), so it trades the
 #: per-block overhead against those copies.  Measured on a 2-vCPU VM (peak
 #: RSS and cold wall time of the 0.5 x 1 degree emission / 200 km fiber JSON
 #: export, median of 7): 256 rows 15.61 / 15.25 MB, 359 / 216 ms; 512 15.63
 #: / 15.38 MB, 296 / 205 ms; 1024 16.39 / 15.84 MB, 297 / 224 ms; 2048 17.44
-#: / 18.47 MB, 320 / 224 ms; 4096 20.04 / 20.63 MB, 385 / 311 ms.
-#: 512 rows reads as fast and smaller there; it stays 1024 until alternating
-#: ``perfbench`` ``grid-export`` runs show that across the whole workload.
-_BLOCK = 1024
+#: / 18.47 MB, 320 / 224 ms; 4096 20.04 / 20.63 MB, 385 / 311 ms.  Over 6
+#: alternating perfbench ``grid-export`` pairs (``BENCH_23.json``), 512 rows
+#: against 1024 read peak RSS 15.75 against 16.47 MB (lower in 6 of 6), wall
+#: time 1.96 against 1.86 s and median command 142 against 138 ms (3 of 6
+#: each, both inside 1024's interquartile range of 190 and 11 ms).
+_BLOCK = 512
 #: Most texts a table's :class:`_Memo` holds before it starts over: ~100 KB.
 #: The 0.5 x 1 degree emission grid has 2,361 distinct values in 779,760
 #: cells; at this cap it formats 4,919 texts (2,361 from 3,072 up), which
@@ -243,13 +247,21 @@ def table_payload(columns: Sequence[str], rows: Iterable[Sequence], footnotes: S
     return payload
 
 
+def stdout():
+    """``sys.stdout``, or, where Python has left it ``None`` because descriptor 1
+    is closed, the ``OSError`` a write to that descriptor raises."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def write_output(chunks: Iterable[str], path: str | None) -> None:
     """Writes ``chunks`` as they come.  ``path`` is opened only once the first
     chunk is ready, so a run that fails before then leaves no file behind."""
     chunks = iter(chunks)
     first = next(chunks, "")
     if path is None or path == "-":
-        sys.stdout.writelines(itertools.chain((first,), chunks))
+        stdout().writelines(itertools.chain((first,), chunks))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(itertools.chain((first,), chunks))

@@ -23,13 +23,13 @@ out-of-range physics input, a result that over- or underflows and a grid
 above 2**20 rows are refused naming the argument; neither CSV nor JSON
 output carries NaN or infinity.  Exit codes: 0 success; 1 domain or numeric
 error, a file that cannot be read, parsed or written (standard output too:
-also when the write fails only as it is flushed at the end of the run, when
-a reader such as ``head -1`` closes the pipe early, and for ``--help`` and
-``--version`` text), or ``chain mc`` without numpy (one ``error:`` line); 2
-usage error.  A malformed value or unknown flag prints argparse's usage
-synopsis and ``error: argument --na: invalid float value: 'banana'``; a
-missing required flag or an unreadable config file prints one ``usage
-error:`` line.
+also when it is closed, when the write fails only as it is flushed at the
+end of the run, when a reader such as ``head -1`` closes the pipe early, and
+for ``--help`` and ``--version`` text), or ``chain mc`` without numpy (one
+``error:`` line); 2 usage error.  A malformed value or unknown flag prints
+argparse's usage synopsis and ``error: argument --na: invalid float value:
+'banana'``; a missing required flag or an unreadable config file prints one
+``usage error:`` line.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import sys
 from typing import Iterator
 
 from . import __version__
-from ._format import render_csv, render_json, table_payload, write_output
+from ._format import render_csv, render_json, stdout, table_payload, write_output
 from .errors import DomainError, NumericError, check
 
 __all__ = ["main", "run"]
@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
-            file.write(message)
+            stdout().write(message)
         else:  # usage errors, on standard error
             super()._print_message(message, file)
 
@@ -479,7 +479,8 @@ def main(argv=None) -> int:
     """
     code = _command(argv)
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None: descriptor 1 is closed, and nothing was due on it
+            sys.stdout.flush()
     except OSError as exc:
         if code == 0:
             code = _write_error("-", exc)

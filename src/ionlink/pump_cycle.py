@@ -21,8 +21,8 @@ Two independent solvers share this chain:
   bit-identical for a given ``(seed, config, n_trials)`` no matter how many
   workers process the trajectories.
 
-Only the Monte Carlo path imports numpy, which the package does not
-require: without it, :func:`simulate` raises Python's own
+The Monte Carlo path is the package's one numpy user, and the package does
+not require numpy: without it, :func:`simulate` raises Python's own
 ``ModuleNotFoundError`` once its arguments pass their checks.  Its kernel
 walks fixed-size chunks of trajectories, so its memory does not grow with
 ``n_trials``.  Each cycle jumps the counter of the ``(seed, k)`` stream to

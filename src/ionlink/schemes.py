@@ -10,11 +10,13 @@ Three ways of driving the ion produce a polarization-entangled photon:
 * ``strong``: saturating pulsed excitation, unit excitation probability,
   fidelity near unity.
 
-Photon/ion states live on the 4-dimensional space with basis ordered
-|H0>, |H1>, |V0>, |V1> (photon polarization x ion qubit).  The intended
-state pairs V with 1 and H with 0; re-excitation through the shelf can
-instead produce the swapped pairing, and the emitted state is a classical
-mixture of the two weighted by their production probabilities.
+The intended photon/ion state pairs H with ion state 0 and V with 1,
+(|H0> + |V1>)/sqrt(2); re-excitation through the shelf can instead produce
+the swapped pairing (|H1> + |V0>)/sqrt(2), and the emitted state is a
+classical mixture of the two weighted by their production probabilities.
+The pairings are orthogonal, so that mixture's fidelity with the intended
+one is the good branch's weight p_good / (p_good + p_bad)
+(:func:`mixture_fidelity`).
 """
 
 from __future__ import annotations
@@ -26,14 +28,10 @@ from .emission import CollectionModel, collection_fraction
 from .errors import DomainError, Record, check, steps
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .atomic import BranchingModel
 
 __all__ = [
-    "BASIS_LABELS",
     "POLARIZATION_MIXING_COEFF",
-    "TwoQubitState",
     "CycleAmplitudes",
     "BranchProbabilities",
     "SchemeSpec",
@@ -41,11 +39,8 @@ __all__ = [
     "WEAK",
     "STRONG",
     "SCHEMES",
-    "good_state",
-    "bad_state",
-    "fidelity",
     "geometric_branch_probabilities",
-    "reexcitation_mixture",
+    "mixture_fidelity",
     "fidelity_at_na",
     "entanglement_probability",
     "double_excitation_probability",
@@ -54,75 +49,9 @@ __all__ = [
     "probability_curve",
 ]
 
-BASIS_LABELS = ("H0", "H1", "V0", "V1")
-
 #: Fidelity penalty per unit of collected solid-angle fraction, from the
 #: standard analysis of sigma/pi mixing over a finite aperture.
 POLARIZATION_MIXING_COEFF = 0.24
-
-_TRACE_TOL = 1e-10
-_HERMITICITY_TOL = 1e-10
-_EIGENVALUE_TOL = -1e-10
-_PURITY_TOL = 1e-8
-
-
-class TwoQubitState(Record):
-    """Density operator on the photon (H/V) x ion (0/1) space.
-
-    The matrix must be Hermitian, unit trace and positive semidefinite
-    within tight tolerances; it is copied and frozen on construction.
-    """
-
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise DomainError(f"density matrix must be 4x4, got shape {rho.shape}")
-        if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
-            raise DomainError(f"trace must be 1, got {np.trace(rho)!r}")
-        if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
-            raise DomainError("density matrix must be Hermitian")
-        if np.linalg.eigvalsh(rho).min() < _EIGENVALUE_TOL:
-            raise DomainError("density matrix must be positive semidefinite")
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def purity(self) -> float:
-        return float((self.rho @ self.rho).trace().real)
-
-    @classmethod
-    def from_vector(cls, amplitudes) -> "TwoQubitState":
-        """Rank-1 state from a (not necessarily normalized) ket."""
-        import numpy as np
-
-        psi = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(psi)
-        if norm == 0.0:
-            raise DomainError("zero vector cannot define a state")
-        psi = psi / norm
-        return cls(np.outer(psi, psi.conj()))
-
-
-def good_state() -> TwoQubitState:
-    """Intended Bell pairing (|H0> + |V1>)/sqrt(2) as a density operator."""
-    return TwoQubitState.from_vector([1.0, 0.0, 0.0, 1.0])
-
-
-def bad_state() -> TwoQubitState:
-    """Swapped Bell pairing (|H1> + |V0>)/sqrt(2), orthogonal to the good state."""
-    return TwoQubitState.from_vector([0.0, 1.0, 1.0, 0.0])
-
-
-def fidelity(target: TwoQubitState, actual: TwoQubitState) -> float:
-    """Overlap <psi| rho |psi> of a pure target with the produced state."""
-    if abs(target.purity - 1.0) > _PURITY_TOL:
-        raise DomainError(f"target state must be pure, purity={target.purity!r}")
-    value = float((target.rho @ actual.rho).trace().real)
-    return min(max(value, 0.0), 1.0)
 
 
 class CycleAmplitudes(Record):
@@ -198,14 +127,11 @@ def geometric_branch_probabilities(
     return BranchProbabilities(p_good, p_bad, 1.0 - p_good - p_bad)
 
 
-def reexcitation_mixture(p_good: float, p_bad: float) -> TwoQubitState:
-    """Classical mixture of the two Bell pairings with normalized weights."""
+def mixture_fidelity(p_good: float, p_bad: float) -> float:
+    """Fidelity of the two-pairing mixture with the intended Bell pairing:
+    the good branch's weight p_good / (p_good + p_bad)."""
     total = check("p_good", p_good) + check("p_bad", p_bad)
-    if total <= 0.0:
-        raise DomainError("at least one branch probability must be positive")
-    w_good = p_good / total
-    w_bad = p_bad / total
-    return TwoQubitState(w_good * good_state().rho + w_bad * bad_state().rho)
+    return p_good / check("p_good + p_bad", total, open_lo=True)
 
 
 class SchemeSpec(Record):

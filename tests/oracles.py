@@ -110,6 +110,21 @@ def cone_mixing_weight_meshgrid(na: float, n_polar: int = 200, n_azimuth: int = 
     return float(((1.0 - cos_theta**2) * cos_theta**2 / 2.0 * weight).sum() / weight.sum())
 
 
+def bell_mixture_fidelity(p_good: float, p_bad: float) -> float:
+    """tr(|good><good| rho) for rho = w_g |good><good| + w_b |bad><bad|, the weights
+    normalized: 4x4 complex density matrices on the (H0, H1, V0, V1) basis, where
+    |good> = (|H0> + |V1>)/sqrt(2) and |bad> = (|H1> + |V0>)/sqrt(2)."""
+
+    def pure(ket):
+        psi = np.array(ket, dtype=complex) / np.linalg.norm(ket)
+        return np.outer(psi, psi.conj())
+
+    good, bad = pure([1.0, 0.0, 0.0, 1.0]), pure([0.0, 1.0, 1.0, 0.0])
+    total = p_good + p_bad
+    rho = p_good / total * good + p_bad / total * bad
+    return float((good @ rho).trace().real)
+
+
 def random_branching_model(rng: np.random.Generator) -> BranchingModel:
     """A valid random model: random branching ratio, random signed amplitudes."""
     br_493 = float(rng.uniform(0.2, 0.95))

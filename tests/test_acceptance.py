@@ -23,11 +23,9 @@ from ionlink.schemes import (
     SCHEMES,
     CycleAmplitudes,
     entanglement_probability,
-    fidelity,
     fidelity_at_na,
     geometric_branch_probabilities,
-    good_state,
-    reexcitation_mixture,
+    mixture_fidelity,
     scheme_comparison,
 )
 from ionlink.trap import TrapConfig, pseudopotential, secular_frequency
@@ -47,7 +45,7 @@ def test_criterion_1_geometric_good_branch():
 
 
 def test_criterion_2_mixed_state_fidelity():
-    f_max = fidelity(good_state(), reexcitation_mixture(0.844, 0.103))
+    f_max = mixture_fidelity(0.844, 0.103)
     assert f_max == pytest.approx(0.891, abs=2e-3)
     f_at_06 = fidelity_at_na(f_max, 0.6)
     assert f_at_06 == pytest.approx(0.868, abs=3e-3)

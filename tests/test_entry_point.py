@@ -5,7 +5,8 @@ flushed standard output.
 Each child runs with ``PYTHONUNBUFFERED`` removed from its environment, so
 standard output is block-buffered as in a normal shell and only the final
 flush writes it; the failed-write cases also run with it set, where each
-write fails as it is made.
+write fails as it is made.  A case ending in `` >&-`` runs with descriptor 1
+closed, where Python sets ``sys.stdout`` to None.
 """
 
 import contextlib
@@ -34,8 +35,10 @@ CASES = [
     "chain mc --trials 200001 --threads 2",                      # worker threads
 ]
 
-#: What every failed write to ``/dev/full`` prints, and nothing else.
+#: What every failed write prints, and nothing else: to ``/dev/full``, or to a
+#: closed descriptor.
 FULL = "error: cannot write '-': No space left on device\n"
+CLOSED = "error: cannot write '-': Bad file descriptor\n"
 
 
 def child_env(unbuffered: bool = False) -> dict[str, str]:
@@ -50,6 +53,12 @@ def child_env(unbuffered: bool = False) -> dict[str, str]:
 def run_child(argv: list[str], stdout, unbuffered: bool = False) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "ionlink.cli", *argv], env=child_env(unbuffered),
                           stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+def run_closed(argv: list[str], unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """``run_child`` with descriptor 1 closed, as the shell's ``>&-`` closes it."""
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ionlink.cli",
+                           *argv], env=child_env(unbuffered), stderr=subprocess.PIPE, timeout=120)
 
 
 def file_bytes(path: Path) -> bytes | None:
@@ -81,11 +90,23 @@ def test_process_prints_what_main_returns(case, tmp_path, monkeypatch):
     "schemes", "chain exact",
     "--version", "schemes --help",  # written by argparse, which would drop the error
     "emission pattern",  # larger than the buffer: fails inside write_output, not at the flush
+    "schemes >&-", "chain exact >&-", "--version >&-", "schemes --help >&-",
 ])
 def test_write_failure_exits_1_with_one_line(case, unbuffered):
-    with open("/dev/full", "w") as full:
-        child = run_child(case.split(), full, unbuffered)
-    assert (child.returncode, child.stderr.decode()) == (1, FULL)
+    if case.endswith(" >&-"):
+        child, expected = run_closed(case.removesuffix(" >&-").split(), unbuffered), CLOSED
+    else:
+        with open("/dev/full", "w") as full:
+            child, expected = run_child(case.split(), full, unbuffered), FULL
+    assert (child.returncode, child.stderr.decode()) == (1, expected)
+
+
+def test_closed_stdout_is_no_error_when_the_output_goes_to_a_file(tmp_path):
+    child_file, inproc_file = tmp_path / "child.csv", tmp_path / "main.csv"
+    child = run_closed(["schemes", "--output", str(child_file)])
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert main(["schemes", "--output", str(inproc_file)]) == 0
+    assert child_file.read_bytes() == inproc_file.read_bytes()
 
 
 def test_closed_pipe_exits_1_with_one_line():

@@ -13,7 +13,7 @@ from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
 from ionlink.qfc import (
     ConversionStage, DispersionModel, LightField, MixKind, load_dispersion, plan_stage,
 )
-from ionlink.schemes import CycleAmplitudes, SchemeSpec, TwoQubitState
+from ionlink.schemes import CycleAmplitudes, SchemeSpec, mixture_fidelity
 from ionlink.trap import TrapConfig, pseudopotential
 
 
@@ -131,12 +131,14 @@ def test_library_refuses_what_is_not_a_whole_number_in_range(name, call):
         call()
 
 
-#: Records given a non-finite float field; each must raise a DomainError naming it.
+#: Records and functions given a non-finite float; each must raise a DomainError naming it.
 NON_FINITE_CASES = [
     ("mj", lambda x: ZeemanState(Level.D32, x)),  # was a ValueError (nan) or OverflowError (inf)
     ("reinit", lambda x: CycleAmplitudes(x, 0.0, 0.0)),  # nan was accepted
     ("crossover", lambda x: CycleAmplitudes(0.0, x, 0.0)),
     ("bad_loop", lambda x: CycleAmplitudes(0.0, 0.0, x)),
+    ("p_good", lambda x: mixture_fidelity(x, 0.5)),
+    ("p_bad", lambda x: mixture_fidelity(0.5, x)),
 ]
 
 
@@ -161,6 +163,11 @@ OUT_OF_RANGE_CASES = [
     ("reinit and crossover amplitudes squared sum to 2.0, above 1",
      lambda: CycleAmplitudes(1.0, 1.0, 1.0)),  # p_dark was -0.2696
     ("reinit and crossover amplitudes squared sum to", lambda: CycleAmplitudes(0.8, -0.7, 0.0)),
+    ("p_good out of range: -0.1", lambda: mixture_fidelity(-0.1, 0.5)),
+    ("p_bad out of range: -5e-324", lambda: mixture_fidelity(0.5, -5e-324)),
+    ("p_good + p_bad out of range: 0.0", lambda: mixture_fidelity(0.0, 0.0)),
+    ("p_good + p_bad out of range: -0.0", lambda: mixture_fidelity(-0.0, -0.0)),
+    ("p_good + p_bad out of range: inf", lambda: mixture_fidelity(1e308, 1e308)),
 ]
 
 
@@ -228,11 +235,6 @@ RECORDS = [
      f"pump={LIGHT_REPR.format(1000.0, 299.792458)}, "
      f"output={LIGHT_REPR.format(1000.0, 299.792458)}, kind=<MixKind.DFG: 'dfg'>, "
      "poling_period_um=20.0, poling_order=1, efficiency=1.0)"),
-    (TwoQubitState, {"rho": np.eye(4) / 4},
-     "TwoQubitState(rho=array([[0.25+0.j, 0.  +0.j, 0.  +0.j, 0.  +0.j],\n"
-     "       [0.  +0.j, 0.25+0.j, 0.  +0.j, 0.  +0.j],\n"
-     "       [0.  +0.j, 0.  +0.j, 0.25+0.j, 0.  +0.j],\n"
-     "       [0.  +0.j, 0.  +0.j, 0.  +0.j, 0.25+0.j]]))"),
     (CycleAmplitudes, {"reinit": 0.5, "crossover": -0.5, "bad_loop": 0.25},
      "CycleAmplitudes(reinit=0.5, crossover=-0.5, bad_loop=0.25)"),
     (SchemeSpec, {"name": "weak", "excite_prob": 0.2, "s_decay_prob": 0.7304,
@@ -251,7 +253,7 @@ class TestRecord:
 
     def test_every_record_class_is_listed(self):
         assert {cls for cls, _, _ in RECORDS} == set(Record.__subclasses__())
-        assert len(RECORDS) == 16
+        assert len(RECORDS) == 15
 
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
     def test_frozen_value_semantics(self, cls, fields, text):
@@ -266,12 +268,7 @@ class TestRecord:
                 action()
         assert tuple(getattr(a, n) for n in fields) == values
 
-        if cls is TwoQubitState:  # an array has no truth value, as under the dataclass
-            assert a == a
-            with pytest.raises(ValueError):
-                a == b  # noqa: B015
-        else:
-            assert a == b and not a != b
+        assert a == b and not a != b
         assert a != values and a.__eq__(values) is NotImplemented
         try:
             expected = hash(values)

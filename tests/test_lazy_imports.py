@@ -27,14 +27,14 @@ STAR_NAMES = sorted("""
     ConversionStage CycleAmplitudes D_SHELVING DecayChannel DispersionModel DomainError
     EmissionDirection FiberChannel Level LightField LinkBudget MixKind NoCrossingError
     NoiseFinding NumericError Polarization PolarizationVector PumpCycleConfig SCHEMES STRONG
-    SchemeSpec TrapConfig TwoQubitState WEAK ZeemanState allowed_decays atomic bad_state
-    chain_efficiency collection_fraction conversion_crossing default_barium_model dfg_output
+    SchemeSpec TrapConfig WEAK ZeemanState allowed_decays atomic chain_efficiency
+    collection_fraction conversion_crossing default_barium_model dfg_output
     double_excitation_probability emission end_to_end_rate entanglement_probability errors
-    fiber fidelity fidelity_at_na geometric_branch_probabilities good_state link_rate
-    load_dispersion load_model noise_audit pi_emission plan_stage polarization_overlap
-    pseudopotential pump_cycle qfc qpm_residual reexcitation_mixture save_model
-    scheme_comparison schemes secular_frequency sfg_output sigma_emission simulate solve_exact
-    solve_poling_period standard_channel standard_conversion_table transmission trap
+    fiber fidelity_at_na geometric_branch_probabilities link_rate load_dispersion load_model
+    mixture_fidelity noise_audit pi_emission plan_stage polarization_overlap pseudopotential
+    pump_cycle qfc qpm_residual save_model scheme_comparison schemes secular_frequency
+    sfg_output sigma_emission simulate solve_exact solve_poling_period standard_channel
+    standard_conversion_table transmission trap
 """.split())
 
 TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
@@ -114,7 +114,7 @@ def test_scalar_commands_and_package_import_never_load_numpy():
     assert report.get("unknown") == "AttributeError"
     assert report["commands"] == [[argv, code, numpy] for argv, code, numpy, _ in COMMANDS]
     assert report["simulate"] is True
-    assert len(STAR_NAMES) == 74
+    assert len(STAR_NAMES) == 70
     assert report["star"] == STAR_NAMES
 
 
@@ -209,10 +209,10 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
     """numpy is not a dependency.  With it blocked before ``ionlink`` is imported,
     every argv of ``tests/cli_golden.json`` but ``chain mc`` writes its golden bytes
     (to the file, for ``--output FILE``), ``chain mc`` exits 1 with one ``error:``
-    line naming numpy, and the demos that do no array work print their golden
-    bytes (01 uses ``TwoQubitState``, 03 the Monte Carlo)."""
-    demos = ["02_emission_and_collection.py", "04_trap_confinement.py", "05_qfc_planning.py",
-             "06_fiber_link_budget.py"]
+    line naming numpy, and every demo but 03, which runs the Monte Carlo, prints
+    its golden bytes."""
+    demos = ["01_entanglement_schemes.py", "02_emission_and_collection.py",
+             "04_trap_confinement.py", "05_qfc_planning.py", "06_fiber_link_budget.py"]
     report = run_fresh("""
         import contextlib, hashlib, io, json, runpy, sys
 
@@ -260,6 +260,45 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
     assert report["cases"] == expected
     demo_golden = json.loads((ROOT / "tests" / "demo_golden.json").read_text())
     assert report["demos"] == {name: demo_golden[name] for name in demos}
+
+
+#: One use of each name ``ionlink`` exports from ``schemes``, as an expression.
+SCHEMES_EXPORT_CALLS = {
+    "D_SHELVING": "D_SHELVING",
+    "SCHEMES": "SCHEMES",
+    "STRONG": "STRONG",
+    "WEAK": "WEAK",
+    "BranchProbabilities": "BranchProbabilities(0.5, 0.25, 0.25)",
+    "CycleAmplitudes": "CycleAmplitudes.from_model(default_barium_model())",
+    "SchemeSpec": "SchemeSpec('x', 0.5, 0.5, 0.9)",
+    "double_excitation_probability": "double_excitation_probability(1e-9, 8e-9)",
+    "entanglement_probability": "entanglement_probability(D_SHELVING, 0.6, 'exact')",
+    "fidelity_at_na": "fidelity_at_na(0.891, 0.6)",
+    "geometric_branch_probabilities": "geometric_branch_probabilities(default_barium_model(), "
+                                      "CycleAmplitudes.from_model(default_barium_model()))",
+    "mixture_fidelity": "mixture_fidelity(0.844, 0.103)",
+    "scheme_comparison": "scheme_comparison(0.6)",
+}
+
+
+def test_every_schemes_export_runs_without_numpy():
+    """With numpy blocked, each name ``ionlink`` exports from ``schemes`` is used
+    and gives what it gives with numpy loaded."""
+    assert sorted(SCHEMES_EXPORT_CALLS) == sorted(ionlink._EXPORTS["schemes"])
+    report = run_fresh("""
+        import json, sys
+
+        sys.modules["numpy"] = None  # ``import numpy`` now raises ModuleNotFoundError
+        import ionlink
+        namespace = {name: getattr(ionlink, name)
+                     for name in (*ionlink._EXPORTS["schemes"], "default_barium_model")}
+        print(json.dumps({name: repr(eval(expression, namespace))
+                          for name, expression in json.loads(sys.argv[1]).items()}))
+    """, json.dumps(SCHEMES_EXPORT_CALLS))
+    namespace = {name: getattr(ionlink, name)
+                 for name in (*ionlink._EXPORTS["schemes"], "default_barium_model")}
+    assert report == {name: repr(eval(expression, namespace))
+                      for name, expression in SCHEMES_EXPORT_CALLS.items()}
 
 
 @pytest.mark.parametrize("argv, code, numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from ionlink.atomic import BranchingModel, default_barium_model
 from ionlink.emission import CollectionModel
@@ -15,77 +17,22 @@ from ionlink.schemes import (
     WEAK,
     CycleAmplitudes,
     SchemeSpec,
-    TwoQubitState,
-    bad_state,
     double_excitation_probability,
     entanglement_probability,
-    fidelity,
     fidelity_at_na,
     fidelity_curve,
     geometric_branch_probabilities,
-    good_state,
+    mixture_fidelity,
     probability_curve,
-    reexcitation_mixture,
     scheme_comparison,
 )
 
-from oracles import geometric_p_good, random_branching_model
+from oracles import bell_mixture_fidelity, geometric_p_good, random_branching_model
 
 # frozen from the term-by-term series and the normalized-weight identity
 P_GOOD_DEFAULT = 0.844197873324087
 P_BAD_CLOSED_FORM_DEFAULT = 0.06872673460840428
 MIXTURE_FIDELITY = 0.8912354804646252
-
-
-class TestBellPairings:
-    def test_traces(self):
-        assert np.trace(good_state().rho).real == pytest.approx(1.0, abs=1e-15)
-        assert np.trace(bad_state().rho).real == pytest.approx(1.0, abs=1e-15)
-
-    def test_purity(self):
-        assert good_state().purity == pytest.approx(1.0, abs=1e-12)
-        assert bad_state().purity == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert fidelity(good_state(), bad_state()) == pytest.approx(0.0, abs=1e-15)
-        assert fidelity(bad_state(), good_state()) == pytest.approx(0.0, abs=1e-15)
-
-    def test_self_fidelity(self):
-        assert fidelity(good_state(), good_state()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_pairings_use_the_right_slots(self):
-        # good pairs H with 0 and V with 1 in the (H0, H1, V0, V1) ordering
-        rho = good_state().rho
-        assert rho[0, 0].real == pytest.approx(0.5, abs=1e-15)
-        assert rho[3, 3].real == pytest.approx(0.5, abs=1e-15)
-        assert rho[1, 1].real == 0.0 and rho[2, 2].real == 0.0
-
-
-class TestStateValidation:
-    def test_trace_enforced(self):
-        with pytest.raises(DomainError):
-            TwoQubitState(np.eye(4) * 0.5)
-
-    def test_hermiticity_enforced(self):
-        rho = np.eye(4, dtype=complex) / 4.0
-        rho[0, 1] = 0.3
-        with pytest.raises(DomainError):
-            TwoQubitState(rho)
-
-    def test_positivity_enforced(self):
-        rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
-        with pytest.raises(DomainError):
-            TwoQubitState(rho)
-
-    def test_matrix_is_frozen(self):
-        state = good_state()
-        with pytest.raises(ValueError):
-            state.rho[0, 0] = 9.0
-
-    def test_fidelity_requires_pure_target(self):
-        mixed = TwoQubitState(np.eye(4, dtype=complex) / 4.0)
-        with pytest.raises(DomainError):
-            fidelity(mixed, good_state())
 
 
 class TestGeometricBranches:
@@ -173,41 +120,38 @@ class TestGeometricBranches:
 
 class TestMixture:
     def test_reference_weights(self):
-        state = reexcitation_mixture(0.844, 0.103)
-        assert fidelity(good_state(), state) == pytest.approx(MIXTURE_FIDELITY, abs=1e-12)
-        assert fidelity(good_state(), state) == pytest.approx(0.891, abs=2e-3)
+        assert mixture_fidelity(0.844, 0.103) == MIXTURE_FIDELITY
+        assert MIXTURE_FIDELITY == pytest.approx(0.891, abs=2e-3)
 
-    def test_pure_limit(self):
-        assert fidelity(good_state(), reexcitation_mixture(0.3, 0.0)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+    def test_pure_limits_are_exact(self):
+        assert mixture_fidelity(0.3, 0.0) == 1.0  # the density-matrix form gives 1 - 4.4e-16
+        assert mixture_fidelity(0.0, 0.3) == 0.0
 
     def test_even_mixture(self):
-        assert fidelity(good_state(), reexcitation_mixture(0.5, 0.5)) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert mixture_fidelity(0.5, 0.5) == 0.5
 
-    def test_weight_identity_over_random_pairs(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p_g, p_b = rng.uniform(0.01, 1.0, size=2)
-            state = reexcitation_mixture(p_g, p_b)
-            assert fidelity(good_state(), state) == pytest.approx(
-                p_g / (p_g + p_b), abs=1e-14
-            )
-
-    def test_mixture_state_is_valid(self):
-        state = reexcitation_mixture(0.844, 0.103)
-        assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-12)
-        assert state.purity < 1.0
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))  # subnormals included
+    @example(5e-324, 0.0)
+    @example(0.0, 5e-324)
+    @example(1e-310, 1.0)
+    @example(1.0, 1e-310)
+    @example(5e-324, 5e-324)
+    @example(1.0, 0.0)
+    @example(0.0, 1.0)
+    def test_matches_the_density_matrix_form(self, p_good, p_bad):
+        assume(p_good or p_bad)
+        value = mixture_fidelity(p_good, p_bad)
+        assert abs(bell_mixture_fidelity(p_good, p_bad) - value) <= 4 * math.ulp(value)
 
     def test_degenerate_inputs_rejected(self):
-        with pytest.raises(DomainError):
-            reexcitation_mixture(0.0, 0.0)
-        with pytest.raises(DomainError):
-            reexcitation_mixture(-0.1, 0.5)
-        with pytest.raises(DomainError, match="p_bad"):
-            reexcitation_mixture(0.5, math.nan)
+        with pytest.raises(DomainError, match="^p_good \\+ p_bad out of range: 0.0"):
+            mixture_fidelity(0.0, 0.0)
+        with pytest.raises(DomainError, match="^p_good out of range"):
+            mixture_fidelity(-0.1, 0.5)
+        with pytest.raises(DomainError, match="^p_bad out of range: nan"):
+            mixture_fidelity(0.5, math.nan)
+        with pytest.raises(DomainError, match="^p_good \\+ p_bad out of range: inf"):
+            mixture_fidelity(1e308, 1e308)
 
 
 class TestFidelityVsAperture:
