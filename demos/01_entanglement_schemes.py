@@ -8,7 +8,6 @@ realistic collection aperture.
 """
 
 from ionlink import (
-    CycleAmplitudes,
     default_barium_model,
     fidelity_at_na,
     geometric_branch_probabilities,
@@ -19,10 +18,9 @@ from ionlink import (
 )
 
 model = default_barium_model()
-amps = CycleAmplitudes.from_model(model)
 
 print("== pump-cycle branch probabilities ==")
-closed = geometric_branch_probabilities(model, amps)
+closed = geometric_branch_probabilities(model)
 exact = solve_exact(PumpCycleConfig(model=model))
 print(f"geometric closed form : p_good={closed.p_good:.4f}  p_bad={closed.p_bad:.4f}")
 print(f"exact absorbing chain : p_good={exact.p_good:.4f}  p_bad={exact.p_bad:.4f}")

@@ -37,17 +37,17 @@ _EXPORTS = {
         "FiberChannel", "LinkBudget", "conversion_crossing", "end_to_end_rate", "link_rate",
         "standard_channel", "transmission",
     ),
-    "pump_cycle": ("ChainOutcome", "PumpCycleConfig", "simulate", "solve_exact"),
+    "pump_cycle": ("ChainOutcome", "PumpCycleConfig", "geometric_branch_probabilities",
+                   "simulate", "solve_exact"),
     "qfc": (
         "ConversionStage", "DispersionModel", "LightField", "MixKind", "NoiseFinding",
         "chain_efficiency", "dfg_output", "load_dispersion", "noise_audit", "plan_stage",
         "qpm_residual", "sfg_output", "solve_poling_period", "standard_conversion_table",
     ),
     "schemes": (
-        "D_SHELVING", "SCHEMES", "STRONG", "WEAK", "BranchProbabilities", "CycleAmplitudes",
-        "SchemeSpec", "double_excitation_probability", "entanglement_probability",
-        "fidelity_at_na", "geometric_branch_probabilities", "mixture_fidelity",
-        "scheme_comparison",
+        "D_SHELVING", "SCHEMES", "STRONG", "WEAK", "SchemeSpec",
+        "double_excitation_probability", "entanglement_probability", "fidelity_at_na",
+        "mixture_fidelity", "scheme_comparison",
     ),
     "trap": ("TrapConfig", "pseudopotential", "secular_frequency"),
 }

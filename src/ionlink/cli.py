@@ -107,14 +107,14 @@ def _channel(nm: float, override_db_per_km) -> fiber.FiberChannel:
 # Each handler imports its layer when it runs, so a command loads only its own
 # layer (and numpy only with pump_cycle's Monte Carlo, for chain mc).  Handlers
 # call the layer through its module, where a tracer patches it.
-def _chain_config(args, **cutoff):
+def _chain_config(args):
     from . import atomic, pump_cycle
 
     model = atomic.load_model(args.model) if args.model else atomic.default_barium_model()
     drive = atomic.Polarization[args.drive.replace("-", "_").upper()]
     initial = (None if args.initial_mj is None  # the config picks the drive's stretched state
                else atomic.ZeemanState(atomic.Level.D32, atomic.mj_from_text(args.initial_mj)))
-    return pump_cycle.PumpCycleConfig(initial=initial, drive=drive, model=model, **cutoff)
+    return pump_cycle.PumpCycleConfig(initial=initial, drive=drive, model=model)
 
 
 def _schemes(args):
@@ -159,8 +159,8 @@ def _chain_exact(args):
 def _chain_mc(args):
     from . import pump_cycle
 
-    outcome = pump_cycle.simulate(_chain_config(args, max_cycles=args.max_cycles),
-                                  n_trials=args.trials, seed=args.seed, workers=args.threads)
+    outcome = pump_cycle.simulate(_chain_config(args), n_trials=args.trials, seed=args.seed,
+                                  workers=args.threads, max_cycles=args.max_cycles)
     return outcome.as_dict()
 
 

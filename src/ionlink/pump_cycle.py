@@ -8,18 +8,22 @@ manifold (emitting the photon we care about, tagged good or bad by which
 P1/2 sublevel emitted it), or back into the shelf, where the drive either
 recycles it or leaves it in a sublevel it cannot address (dark).
 
-Two independent solvers share this chain:
+Three routes give this chain's branch probabilities as a :class:`ChainOutcome`:
 
 * :func:`solve_exact` computes absorption probabilities of the underlying
   absorbing Markov chain by a 2x2 linear solve in plain Python.  It takes
   the steps of LAPACK's ``dgesv`` as OpenBLAS runs them, fused
   multiply-subtract included, so it prints the bits ``numpy.linalg.solve``
-  printed without loading numpy; a test compares the two bit for bit.
+  printed without loading numpy; a test compares the two bit for bit.  It
+  serves ``ionlink chain exact``.
 * :func:`simulate` runs Monte Carlo trajectories.  The uniform deviate
   consumed by trajectory ``i`` at cycle ``k`` is element ``i`` of the
   counter-based Philox stream keyed by ``(seed, k)``, so results are
-  bit-identical for a given ``(seed, config, n_trials)`` no matter how many
-  workers process the trajectories.
+  bit-identical for a given ``(seed, config, n_trials, max_cycles)``
+  whatever the number of workers.  It serves ``ionlink chain mc``.
+* :func:`geometric_branch_probabilities` is the closed-form geometric series
+  for a sigma-minus drive from D3/2 m=+3/2.  No command uses it; the library
+  and demos 01 and 03 do.
 
 The Monte Carlo path is the package's one numpy user, and the package does
 not require numpy: without it, :func:`simulate` raises Python's own
@@ -51,23 +55,22 @@ from .atomic import (
 )
 from .errors import DomainError, NumericError, Record, whole
 
-__all__ = ["PumpCycleConfig", "ChainOutcome", "solve_exact", "simulate"]
+__all__ = ["PumpCycleConfig", "ChainOutcome", "geometric_branch_probabilities", "solve_exact",
+           "simulate"]
 
 _GOOD, _BAD, _DARK = -1, -2, -3
 
 
 class PumpCycleConfig(Record):
-    """Initial shelf sublevel, drive polarization, model and trajectory cutoff.
+    """Initial shelf sublevel, drive polarization and model of the chain.
 
     An omitted ``initial`` is the stretched D3/2 sublevel the drive
-    addresses: m = -3/2 under sigma+, and +3/2 otherwise.  ``max_cycles``
-    is read only by :func:`simulate`; :func:`solve_exact` ignores it.
+    addresses: m = -3/2 under sigma+, and +3/2 otherwise.
     """
 
     initial: ZeemanState = None
     drive: Polarization = Polarization.SIGMA_MINUS
     model: BranchingModel = None  # omitted: a fresh default_barium_model()
-    max_cycles: int = 1000
 
     def __post_init__(self) -> None:
         if self.model is None:
@@ -77,7 +80,6 @@ class PumpCycleConfig(Record):
             object.__setattr__(self, "initial", ZeemanState(Level.D32, mj))
         if self.initial.level is not Level.D32:
             raise DomainError(f"initial state must lie in the D3/2 shelf, got {self.initial}")
-        whole("max_cycles", self.max_cycles, 1)
 
 
 class ChainOutcome(Record):
@@ -171,7 +173,9 @@ def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
 
     Within floating point, ``p_good`` equals the geometric-series closed
     form br_493 / (1 - a^2 br_650) with ``a`` the amplitude of the decay
-    back to the initialized sublevel.
+    back to the initialized sublevel.  Under the default drive and initial
+    sublevel that is the ``p_good`` of :func:`geometric_branch_probabilities`,
+    whose ``p_bad`` undercounts this one's.
 
     The 2x2 solve reproduces the steps of LAPACK ``dgesv`` (see
     :func:`_solve_2x2`).  Its fused multiply-subtract is there because the
@@ -198,6 +202,39 @@ def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
             "(the chain is too nearly closed to solve)"
         )
     return ChainOutcome(p_good, p_bad, p_dark)
+
+
+def geometric_branch_probabilities(model: BranchingModel) -> ChainOutcome:
+    """Closed-form geometric series for the branches of a sigma-minus drive from D3/2 +3/2.
+
+        p_good = br_493 / (1 - reinit^2 br_650)
+        p_bad  = br_493 br_650 crossover^2 / (1 - bad_loop^2 br_650)
+
+    over the model's amplitudes reinit (P1/2 +1/2 -> D3/2 +3/2, back to the
+    start), crossover (P1/2 +1/2 -> D3/2 +1/2, whose re-excitation feeds the
+    wrong upper sublevel) and bad_loop (P1/2 -1/2 -> D3/2 +1/2, the wrong
+    branch's own loop).  The default amplitudes (squares 1/2, 1/3, 1/6) give
+    p_good = 0.8442 and p_bad = 0.0687, below the 0.0794 that
+    :func:`solve_exact` gives for the same walk; the commonly quoted 0.103 is
+    the probability of ever reaching the wrong upper sublevel rather than of
+    emitting from it.  The closed form is kept as stated.
+
+    Rounding and the model's 1e-12 normalization tolerance can carry the sums
+    a hair past 1 (reinit 1 gives br_493 / (1 - br_650), which may round to
+    1 + 2e-16), so p_good is capped at 1 and p_bad at 1 - p_good: all three
+    lie in [0, 1].  A series that does not converge is a DomainError.
+    """
+    p_plus, p_minus = ZeemanState(Level.P12, +0.5), ZeemanState(Level.P12, -0.5)
+    reinit = model.amplitude(p_plus, ZeemanState(Level.D32, +1.5))
+    crossover = model.amplitude(p_plus, ZeemanState(Level.D32, +0.5))
+    bad_loop = model.amplitude(p_minus, ZeemanState(Level.D32, +0.5))
+    den_good = 1.0 - reinit**2 * model.br_650
+    den_bad = 1.0 - bad_loop**2 * model.br_650
+    if den_good <= 0.0 or den_bad <= 0.0:
+        raise DomainError("geometric series does not converge: denominator <= 0")
+    p_good = min(model.br_493 / den_good, 1.0)
+    p_bad = min(model.br_493 * model.br_650 * crossover**2 / den_bad, 1.0 - p_good)
+    return ChainOutcome(p_good, p_bad, 1.0 - p_good - p_bad)
 
 
 _CHUNK = 1 << 16
@@ -245,10 +282,10 @@ class _Walker:
     or ``_GOOD``/``_BAD``/``_DARK`` once absorbed.
     """
 
-    def __init__(self, chain: _CompiledChain, config: PumpCycleConfig, n_trials: int, seed: int):
+    def __init__(self, chain: _CompiledChain, n_trials: int, seed: int, max_cycles: int):
         self.seed = seed
         self.n_trials = n_trials
-        self.max_cycles = config.max_cycles
+        self.max_cycles = max_cycles
         self.start = chain.p_index[chain.start]
         import numpy as np
 
@@ -341,9 +378,8 @@ def _walk_in_threads(walker: _Walker, groups: list[range]) -> np.ndarray:
     return sum(results)
 
 
-def simulate(
-    config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1
-) -> ChainOutcome:
+def simulate(config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1,
+             max_cycles: int = 1000) -> ChainOutcome:
     """Monte Carlo estimate of the branch probabilities.
 
     Parameters
@@ -351,13 +387,16 @@ def simulate(
     n_trials : int
         Number of independent trajectories, below 2**63 (counts are int64).
     seed : int
-        64-bit unsigned stream key.  Identical (seed, config, n_trials)
-        give bit-identical results for any ``workers`` value.
+        64-bit unsigned stream key.  Identical (seed, config, n_trials,
+        max_cycles) give bit-identical results for any ``workers`` value.
     workers : int
         Threads walking trajectory chunks, capped at the number of chunks
         and at ``os.cpu_count()``.  Purely a throughput knob; the counts
         reduce by plain summation.
+    max_cycles : int
+        Cycles walked per trajectory, at least 1; one still walking after them is dark.
     """
+    whole("max_cycles", max_cycles, 1)
     whole("n_trials", n_trials, 1, 2**63 - 1)
     whole("seed", seed, 0, 2**64 - 1)
     whole("workers", workers, 1)
@@ -366,7 +405,7 @@ def simulate(
     chain = _CompiledChain(config)
     good_bad = np.zeros(2, dtype=np.int64)
     if chain.start is not None:
-        walker = _Walker(chain, config, n_trials, seed)
+        walker = _Walker(chain, n_trials, seed, max_cycles)
         starts = range(0, n_trials, _CHUNK)
         n_threads = min(workers, len(starts), os.cpu_count() or 1)
         good_bad = _walk_in_threads(walker, [starts[i::n_threads] for i in range(n_threads)])

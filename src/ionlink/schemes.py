@@ -22,24 +22,18 @@ one is the good branch's weight p_good / (p_good + p_bad)
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .emission import CollectionModel, collection_fraction
-from .errors import DomainError, Record, check, steps
-
-if TYPE_CHECKING:
-    from .atomic import BranchingModel
+from .errors import Record, check, steps
 
 __all__ = [
     "POLARIZATION_MIXING_COEFF",
-    "CycleAmplitudes",
-    "BranchProbabilities",
     "SchemeSpec",
     "D_SHELVING",
     "WEAK",
     "STRONG",
     "SCHEMES",
-    "geometric_branch_probabilities",
     "mixture_fidelity",
     "fidelity_at_na",
     "entanglement_probability",
@@ -52,79 +46,6 @@ __all__ = [
 #: Fidelity penalty per unit of collected solid-angle fraction, from the
 #: standard analysis of sigma/pi mixing over a finite aperture.
 POLARIZATION_MIXING_COEFF = 0.24
-
-
-class CycleAmplitudes(Record):
-    """Signed amplitudes steering the repeated-excitation walk.
-
-    reinit:    decay back to the initialized shelf sublevel (keeps cycling
-               on the good branch).
-    crossover: pi decay into the shelf sublevel whose re-excitation feeds
-               the wrong upper sublevel.
-    bad_loop:  decay that returns the wrong branch to itself.
-    """
-
-    reinit: float
-    crossover: float
-    bad_loop: float
-
-    def __post_init__(self) -> None:
-        for name in ("reinit", "crossover", "bad_loop"):
-            if check(name, getattr(self, name), -math.inf) ** 2 > 1.0 + 1e-12:
-                raise DomainError(f"{name} amplitude squared exceeds 1")
-        # both decay P1/2 +1/2 into the shelf, whose squares sum to 1
-        if (total := self.reinit**2 + self.crossover**2) > 1.0 + 1e-12:
-            raise DomainError(f"reinit and crossover amplitudes squared sum to {total!r}, above 1")
-
-    @classmethod
-    def from_model(cls, model: BranchingModel) -> "CycleAmplitudes":
-        """Default amplitudes for a sigma-minus drive initialized at D3/2 m=+3/2."""
-        from .atomic import Level, ZeemanState  # the scheme commands need no atomic model
-
-        p_plus = ZeemanState(Level.P12, +0.5)
-        p_minus = ZeemanState(Level.P12, -0.5)
-        d = lambda m: ZeemanState(Level.D32, m)  # noqa: E731
-        return cls(
-            reinit=model.amplitude(p_plus, d(+1.5)),
-            crossover=model.amplitude(p_plus, d(+0.5)),
-            bad_loop=model.amplitude(p_minus, d(+0.5)),
-        )
-
-
-class BranchProbabilities(NamedTuple):
-    p_good: float
-    p_bad: float
-    p_dark: float
-
-
-def geometric_branch_probabilities(
-    model: BranchingModel, amps: CycleAmplitudes
-) -> BranchProbabilities:
-    """Closed-form geometric series for the pump-cycle branch probabilities.
-
-        p_good = br_493 / (1 - reinit^2 br_650)
-        p_bad  = br_493 br_650 crossover^2 / (1 - bad_loop^2 br_650)
-
-    With the default barium amplitudes (squares 1/2, 1/3, 1/6) this gives
-    p_good = 0.8442 and p_bad = 0.0687.  Note the p_bad form undercounts
-    relative to an exact absorbing-chain treatment of the same walk, which
-    yields 0.0794 (see ``pump_cycle.solve_exact``); the commonly quoted
-    0.103 for this branch corresponds to the probability of ever reaching
-    the wrong upper sublevel rather than of emitting from it.  The closed
-    form is kept as stated; pass explicit amplitudes to explore variants.
-
-    Rounding and the amplitudes' 1e-12 tolerance can carry the sums a hair
-    past 1 (``reinit`` 1 gives br_493 / (1 - br_650), which may round to
-    1 + 2e-16), so ``p_good`` is capped at 1 and ``p_bad`` at 1 - p_good:
-    all three probabilities lie in [0, 1].
-    """
-    den_good = 1.0 - amps.reinit**2 * model.br_650
-    den_bad = 1.0 - amps.bad_loop**2 * model.br_650
-    if den_good <= 0.0 or den_bad <= 0.0:
-        raise DomainError("geometric series does not converge: denominator <= 0")
-    p_good = min(model.br_493 / den_good, 1.0)
-    p_bad = min(model.br_493 * model.br_650 * amps.crossover**2 / den_bad, 1.0 - p_good)
-    return BranchProbabilities(p_good, p_bad, 1.0 - p_good - p_bad)
 
 
 def mixture_fidelity(p_good: float, p_bad: float) -> float:

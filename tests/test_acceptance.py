@@ -12,19 +12,22 @@ import time
 import numpy as np
 import pytest
 
-from ionlink.atomic import default_barium_model
+from ionlink.atomic import Level, ZeemanState, default_barium_model
 from ionlink.cli import main
 from ionlink.emission import EmissionDirection, pi_emission, polarization_overlap, sigma_emission
 from ionlink.fiber import conversion_crossing, standard_channel, transmission
-from ionlink.pump_cycle import PumpCycleConfig, simulate, solve_exact
+from ionlink.pump_cycle import (
+    PumpCycleConfig,
+    geometric_branch_probabilities,
+    simulate,
+    solve_exact,
+)
 from ionlink.qfc import MixKind, load_dispersion, plan_stage, qpm_residual, standard_conversion_table
 from ionlink.schemes import (
     D_SHELVING,
     SCHEMES,
-    CycleAmplitudes,
     entanglement_probability,
     fidelity_at_na,
-    geometric_branch_probabilities,
     mixture_fidelity,
     scheme_comparison,
 )
@@ -37,9 +40,9 @@ def report(number, text):
 
 def test_criterion_1_geometric_good_branch():
     model = default_barium_model()
-    amps = CycleAmplitudes.from_model(model)
-    assert amps.reinit**2 == pytest.approx(0.5, abs=1e-12)
-    p_good = geometric_branch_probabilities(model, amps).p_good
+    reinit = model.amplitude(ZeemanState(Level.P12, +0.5), ZeemanState(Level.D32, +1.5))
+    assert reinit**2 == pytest.approx(0.5, abs=1e-12)
+    p_good = geometric_branch_probabilities(model).p_good
     assert p_good == pytest.approx(0.844, abs=1e-3)
     report(1, f"geometric series good branch {p_good:.6f} within 0.844 +- 0.001")
 
@@ -100,8 +103,7 @@ def test_criterion_5_oracle_equivalence():
     for name in ("p_good", "p_bad", "p_dark"):
         se = max(getattr(mc, name.replace("p_", "se_")), 1e-9)
         assert abs(getattr(mc, name) - getattr(exact, name)) < 3.0 * se
-    model = default_barium_model()
-    closed = geometric_branch_probabilities(model, CycleAmplitudes.from_model(model))
+    closed = geometric_branch_probabilities(config.model)
     assert abs(exact.p_good - closed.p_good) < 1e-9
     assert elapsed < 10.0
     report(5, f"10^6 trajectories agree with the exact chain within 3 sigma in {elapsed:.2f} s; "

@@ -535,6 +535,12 @@ class TestFailuresExitOne:
         (("fiber", "budget", "--source-rate", "2"), "source_rate"),
         (("fiber", "budget", "--qfc-efficiency", "1.5"), "qfc_efficiency"),
         (("fiber", "budget", "--qfc-efficiency", "2", "--qfc-efficiency", "0.1"), "qfc_efficiency"),
+        # the cutoff is checked after the model file is read and before the trial count
+        (("chain", "mc", "--max-cycles", "0"),
+         "max_cycles out of range: 0 (must be an integer in [1, inf))"),
+        (("chain", "mc", "--trials", "0", "--max-cycles", "0"), "max_cycles out of range: 0"),
+        (("chain", "mc", "--model", "/nonexistent/model.txt", "--max-cycles", "0"),
+         "/nonexistent/model.txt"),
     ])
     def test_bad_files_and_link_inputs(self, capsys, argv, fragment):
         self.assert_one_line_error(*run(capsys, *argv), fragment)

@@ -13,7 +13,7 @@ from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
 from ionlink.qfc import (
     ConversionStage, DispersionModel, LightField, MixKind, load_dispersion, plan_stage,
 )
-from ionlink.schemes import CycleAmplitudes, SchemeSpec, mixture_fidelity
+from ionlink.schemes import SchemeSpec, mixture_fidelity
 from ionlink.trap import TrapConfig, pseudopotential
 
 
@@ -114,7 +114,7 @@ WHOLE_NUMBER_CASES = [
         LightField.from_wavelength_nm(650.0),
         LightField.from_wavelength_nm(1343.0),
         _plan()[0].output, MixKind.DFG, 7.4, poling_order=3.0)),
-    ("max_cycles", lambda: PumpCycleConfig(max_cycles=1.5)),  # was accepted
+    ("max_cycles", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0, max_cycles=1.5)),
     ("n_trials", lambda: simulate(PumpCycleConfig(), n_trials=10.0, seed=0)),  # was a TypeError
     ("seed", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0.5)),  # ran on seed 0's bits
     ("workers", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0, workers=1.5)),  # ran
@@ -134,9 +134,6 @@ def test_library_refuses_what_is_not_a_whole_number_in_range(name, call):
 #: Records and functions given a non-finite float; each must raise a DomainError naming it.
 NON_FINITE_CASES = [
     ("mj", lambda x: ZeemanState(Level.D32, x)),  # was a ValueError (nan) or OverflowError (inf)
-    ("reinit", lambda x: CycleAmplitudes(x, 0.0, 0.0)),  # nan was accepted
-    ("crossover", lambda x: CycleAmplitudes(0.0, x, 0.0)),
-    ("bad_loop", lambda x: CycleAmplitudes(0.0, 0.0, x)),
     ("p_good", lambda x: mixture_fidelity(x, 0.5)),
     ("p_bad", lambda x: mixture_fidelity(0.5, x)),
 ]
@@ -160,9 +157,6 @@ OUT_OF_RANGE_CASES = [
     (f"pseudopotential of {TRAP} out of range: inf",
      lambda: pseudopotential(TRAP, 1e200, 0.0)),  # returned inf
     (f"pseudopotential of {TRAP} out of range: inf", lambda: pseudopotential(TRAP, 1e-3, 1e160)),
-    ("reinit and crossover amplitudes squared sum to 2.0, above 1",
-     lambda: CycleAmplitudes(1.0, 1.0, 1.0)),  # p_dark was -0.2696
-    ("reinit and crossover amplitudes squared sum to", lambda: CycleAmplitudes(0.8, -0.7, 0.0)),
     ("p_good out of range: -0.1", lambda: mixture_fidelity(-0.1, 0.5)),
     ("p_bad out of range: -5e-324", lambda: mixture_fidelity(0.5, -5e-324)),
     ("p_good + p_bad out of range: 0.0", lambda: mixture_fidelity(0.0, 0.0)),
@@ -213,9 +207,9 @@ RECORDS = [
      "wavelength_nm=1550.0, attenuation_db_per_km=0.2), length_km=10.0, "
      "detector_efficiency=0.9, conversion_efficiency=1.0)"),
     (PumpCycleConfig, {"initial": ZeemanState(D32, -1.5), "drive": Polarization.SIGMA_PLUS,
-                       "model": BranchingModel(0.75, 0.25, SMALL_CG), "max_cycles": 3},
+                       "model": BranchingModel(0.75, 0.25, SMALL_CG)},
      "PumpCycleConfig(initial=ZeemanState(level=<Level.D32: 'D32'>, mj=-1.5), "
-     f"drive=<Polarization.SIGMA_PLUS: 'sigma+'>, model={SMALL_MODEL_REPR}, max_cycles=3)"),
+     f"drive=<Polarization.SIGMA_PLUS: 'sigma+'>, model={SMALL_MODEL_REPR})"),
     (ChainOutcome, {"p_good": 0.5, "p_bad": 0.25, "p_dark": 0.25, "se_good": None,
                     "se_bad": None, "se_dark": None, "n_trials": None, "seed": None},
      "ChainOutcome(p_good=0.5, p_bad=0.25, p_dark=0.25, se_good=None, se_bad=None, "
@@ -235,8 +229,6 @@ RECORDS = [
      f"pump={LIGHT_REPR.format(1000.0, 299.792458)}, "
      f"output={LIGHT_REPR.format(1000.0, 299.792458)}, kind=<MixKind.DFG: 'dfg'>, "
      "poling_period_um=20.0, poling_order=1, efficiency=1.0)"),
-    (CycleAmplitudes, {"reinit": 0.5, "crossover": -0.5, "bad_loop": 0.25},
-     "CycleAmplitudes(reinit=0.5, crossover=-0.5, bad_loop=0.25)"),
     (SchemeSpec, {"name": "weak", "excite_prob": 0.2, "s_decay_prob": 0.7304,
                   "max_fidelity": 1.0},
      "SchemeSpec(name='weak', excite_prob=0.2, s_decay_prob=0.7304, max_fidelity=1.0)"),
@@ -253,7 +245,7 @@ class TestRecord:
 
     def test_every_record_class_is_listed(self):
         assert {cls for cls, _, _ in RECORDS} == set(Record.__subclasses__())
-        assert len(RECORDS) == 15
+        assert len(RECORDS) == 14
 
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
     def test_frozen_value_semantics(self, cls, fields, text):
@@ -297,7 +289,7 @@ class TestRecord:
     def test_omitted_model_is_a_fresh_default(self):
         first, second = PumpCycleConfig(), PumpCycleConfig()
         assert first.model == default_barium_model() and first.model is not second.model
-        assert PumpCycleConfig(max_cycles=3).model == default_barium_model()
+        assert PumpCycleConfig(drive=Polarization.SIGMA_PLUS).model == default_barium_model()
 
     def test_checks_run_once_per_construction(self, monkeypatch):
         checked = []

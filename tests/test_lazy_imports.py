@@ -23,25 +23,24 @@ SRC = ROOT / "src"
 
 #: What ``from ionlink import *`` binds: the exported names and the modules.
 STAR_NAMES = sorted("""
-    BranchProbabilities BranchingModel ChainError ChainOutcome CollectionModel CollectionOptic
-    ConversionStage CycleAmplitudes D_SHELVING DecayChannel DispersionModel DomainError
-    EmissionDirection FiberChannel Level LightField LinkBudget MixKind NoCrossingError
-    NoiseFinding NumericError Polarization PolarizationVector PumpCycleConfig SCHEMES STRONG
-    SchemeSpec TrapConfig WEAK ZeemanState allowed_decays atomic chain_efficiency
-    collection_fraction conversion_crossing default_barium_model dfg_output
-    double_excitation_probability emission end_to_end_rate entanglement_probability errors
-    fiber fidelity_at_na geometric_branch_probabilities link_rate load_dispersion load_model
-    mixture_fidelity noise_audit pi_emission plan_stage polarization_overlap pseudopotential
-    pump_cycle qfc qpm_residual save_model scheme_comparison schemes secular_frequency
-    sfg_output sigma_emission simulate solve_exact solve_poling_period standard_channel
-    standard_conversion_table transmission trap
+    BranchingModel ChainError ChainOutcome CollectionModel CollectionOptic ConversionStage
+    D_SHELVING DecayChannel DispersionModel DomainError EmissionDirection FiberChannel Level
+    LightField LinkBudget MixKind NoCrossingError NoiseFinding NumericError Polarization
+    PolarizationVector PumpCycleConfig SCHEMES STRONG SchemeSpec TrapConfig WEAK ZeemanState
+    allowed_decays atomic chain_efficiency collection_fraction conversion_crossing
+    default_barium_model dfg_output double_excitation_probability emission end_to_end_rate
+    entanglement_probability errors fiber fidelity_at_na geometric_branch_probabilities
+    link_rate load_dispersion load_model mixture_fidelity noise_audit pi_emission plan_stage
+    polarization_overlap pseudopotential pump_cycle qfc qpm_residual save_model
+    scheme_comparison schemes secular_frequency sfg_output sigma_emission simulate solve_exact
+    solve_poling_period standard_channel standard_conversion_table transmission trap
 """.split())
 
 TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
 
 #: (argv, exit code, numpy loaded afterwards, the layers it loads), run in
 #: this order in one process for the numpy column; each alone for the layers.
-SCHEMES = ("emission", "schemes")  # CycleAmplitudes.from_model alone imports atomic
+SCHEMES = ("emission", "schemes")  # no scheme needs the atomic model
 QFC = ("data", "qfc")  # importlib.resources imports the bundled data directory
 CHAIN_DEFAULT = ("atomic", "data", "pump_cycle")
 COMMANDS = [
@@ -114,7 +113,7 @@ def test_scalar_commands_and_package_import_never_load_numpy():
     assert report.get("unknown") == "AttributeError"
     assert report["commands"] == [[argv, code, numpy] for argv, code, numpy, _ in COMMANDS]
     assert report["simulate"] is True
-    assert len(STAR_NAMES) == 70
+    assert len(STAR_NAMES) == 68
     assert report["star"] == STAR_NAMES
 
 
@@ -268,14 +267,10 @@ SCHEMES_EXPORT_CALLS = {
     "SCHEMES": "SCHEMES",
     "STRONG": "STRONG",
     "WEAK": "WEAK",
-    "BranchProbabilities": "BranchProbabilities(0.5, 0.25, 0.25)",
-    "CycleAmplitudes": "CycleAmplitudes.from_model(default_barium_model())",
     "SchemeSpec": "SchemeSpec('x', 0.5, 0.5, 0.9)",
     "double_excitation_probability": "double_excitation_probability(1e-9, 8e-9)",
     "entanglement_probability": "entanglement_probability(D_SHELVING, 0.6, 'exact')",
     "fidelity_at_na": "fidelity_at_na(0.891, 0.6)",
-    "geometric_branch_probabilities": "geometric_branch_probabilities(default_barium_model(), "
-                                      "CycleAmplitudes.from_model(default_barium_model()))",
     "mixture_fidelity": "mixture_fidelity(0.844, 0.103)",
     "scheme_comparison": "scheme_comparison(0.6)",
 }
@@ -283,22 +278,21 @@ SCHEMES_EXPORT_CALLS = {
 
 def test_every_schemes_export_runs_without_numpy():
     """With numpy blocked, each name ``ionlink`` exports from ``schemes`` is used
-    and gives what it gives with numpy loaded."""
+    and gives what it gives with numpy loaded, and none loads ``atomic``."""
     assert sorted(SCHEMES_EXPORT_CALLS) == sorted(ionlink._EXPORTS["schemes"])
     report = run_fresh("""
         import json, sys
 
         sys.modules["numpy"] = None  # ``import numpy`` now raises ModuleNotFoundError
         import ionlink
-        namespace = {name: getattr(ionlink, name)
-                     for name in (*ionlink._EXPORTS["schemes"], "default_barium_model")}
-        print(json.dumps({name: repr(eval(expression, namespace))
-                          for name, expression in json.loads(sys.argv[1]).items()}))
+        namespace = {name: getattr(ionlink, name) for name in ionlink._EXPORTS["schemes"]}
+        print(json.dumps([{name: repr(eval(expression, namespace))
+                           for name, expression in json.loads(sys.argv[1]).items()},
+                          "ionlink.atomic" in sys.modules]))
     """, json.dumps(SCHEMES_EXPORT_CALLS))
-    namespace = {name: getattr(ionlink, name)
-                 for name in (*ionlink._EXPORTS["schemes"], "default_barium_model")}
-    assert report == {name: repr(eval(expression, namespace))
-                      for name, expression in SCHEMES_EXPORT_CALLS.items()}
+    namespace = {name: getattr(ionlink, name) for name in ionlink._EXPORTS["schemes"]}
+    assert report == [{name: repr(eval(expression, namespace))
+                       for name, expression in SCHEMES_EXPORT_CALLS.items()}, False]
 
 
 @pytest.mark.parametrize("argv, code, numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])

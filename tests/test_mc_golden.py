@@ -66,10 +66,11 @@ def test_simulate_and_cli_match_golden(case, model_files):
     polarization, initial_mj = DRIVES[drive]
     config = pump_cycle.PumpCycleConfig(
         initial=atomic.ZeemanState(atomic.Level.D32, initial_mj), drive=polarization,
-        model=model_with_br650(br_650), max_cycles=max_cycles,
+        model=model_with_br650(br_650),
     )
     for threads in (1, 2):
-        outcome = pump_cycle.simulate(config, n_trials=n, seed=seed, workers=threads)
+        outcome = pump_cycle.simulate(config, n_trials=n, seed=seed, workers=threads,
+                                      max_cycles=max_cycles)
         assert outcome.as_dict() == expected["as_dict"], f"simulate, workers={threads}"
 
         argv = ["chain", "mc", "--model", str(model_files[br_650]), "--drive", drive,

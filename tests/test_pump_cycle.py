@@ -1,3 +1,6 @@
+import inspect
+import math
+import re
 import threading
 import tracemalloc
 
@@ -13,17 +16,26 @@ from ionlink.atomic import (
     default_barium_model,
 )
 from ionlink.errors import DomainError
-from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate, solve_exact
-from ionlink.schemes import CycleAmplitudes, geometric_branch_probabilities
+from ionlink.pump_cycle import (
+    ChainOutcome,
+    PumpCycleConfig,
+    geometric_branch_probabilities,
+    simulate,
+    solve_exact,
+)
 
-from oracles import pump_cycle_power_iteration, random_branching_model
+from oracles import geometric_p_good, pump_cycle_power_iteration, random_branching_model
 
 # frozen from the 9-state power-iteration oracle
 EXACT_P_GOOD = 0.8441978733240868
 EXACT_P_BAD = 0.07943450601988476
 EXACT_P_DARK = 0.07636762065602828
 
+# the closed form on the default model, frozen
+CLOSED_FORM = ChainOutcome(0.844197873324087, 0.06872673460840428, 0.0870753920675087)
+
 D = lambda m: ZeemanState(Level.D32, m)  # noqa: E731
+P_PLUS, P_MINUS = ZeemanState(Level.P12, +0.5), ZeemanState(Level.P12, -0.5)
 
 
 class TestConfig:
@@ -31,15 +43,10 @@ class TestConfig:
         config = PumpCycleConfig()
         assert config.initial == D(+1.5)
         assert config.drive is Polarization.SIGMA_MINUS
-        assert config.max_cycles == 1000
 
     def test_initial_must_be_shelf(self):
         with pytest.raises(DomainError):
             PumpCycleConfig(initial=ZeemanState(Level.S12, 0.5))
-
-    def test_max_cycles_positive(self):
-        with pytest.raises(DomainError):
-            PumpCycleConfig(max_cycles=0)
 
 
 class TestSolveExact:
@@ -55,8 +62,7 @@ class TestSolveExact:
 
     def test_good_branch_closed_form_identity(self):
         # the closed form with the reinit amplitude is exact for this topology
-        model = default_barium_model()
-        closed = geometric_branch_probabilities(model, CycleAmplitudes.from_model(model))
+        closed = geometric_branch_probabilities(default_barium_model())
         assert solve_exact(PumpCycleConfig()).p_good == pytest.approx(closed.p_good, abs=1e-9)
 
     def test_matches_power_iteration_oracle_on_default(self):
@@ -130,6 +136,103 @@ class TestSolveExact:
         assert min(pivots.values()) > 0, pivots  # both pivot branches are exercised
 
 
+def with_shelf_amplitudes(model, plus, minus):
+    """``model`` with the D3/2 amplitudes of P1/2 +1/2 (to m = +3/2, +1/2, -1/2) set to
+    ``plus``, and those of P1/2 -1/2 (to m = +1/2, -1/2, -3/2) to ``minus``."""
+    cg = dict(model.cg)
+    for upper, ms, amps in ((P_PLUS, (1.5, 0.5, -0.5), plus), (P_MINUS, (0.5, -0.5, -1.5), minus)):
+        cg.update({(upper, D(m)): amp for m, amp in zip(ms, amps)})
+    return BranchingModel(model.br_493, model.br_650, cg)
+
+
+class TestGeometricBranches:
+    def test_default_model_values(self):
+        assert geometric_branch_probabilities(default_barium_model()) == CLOSED_FORM
+        assert CLOSED_FORM.p_good == pytest.approx(0.844, abs=1e-3)
+
+    def test_default_amplitude_squares(self):
+        model = default_barium_model()
+        assert model.amplitude(P_PLUS, D(+1.5)) ** 2 == pytest.approx(0.5, abs=1e-12)
+        assert model.amplitude(P_PLUS, D(+0.5)) ** 2 == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert model.amplitude(P_MINUS, D(+0.5)) ** 2 == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+    def test_good_branch_matches_series_oracle(self):
+        model = default_barium_model()
+        series = geometric_p_good(model.br_493, model.br_650, model.amplitude(P_PLUS, D(1.5)) ** 2)
+        assert geometric_branch_probabilities(model).p_good == pytest.approx(series, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "reinit_one", "bad_loop_one", "shelf_squares_at_edge",
+                 "crossover_at_edge"])
+    def test_probabilities_lie_in_the_unit_interval_for_any_accepted_model(self, kind):
+        """Random models, and the edges that BranchingModel accepts: reinit 1 gives
+        br_493 / (1 - br_650), which rounds to 1 + 2e-16 on some models, and shelf
+        squares summing to just under the model's 1 + 1e-12 overshoot further."""
+        rng = np.random.default_rng(19)
+        edge = 1.0 + 0.999e-12
+        for _ in range(600):
+            model = random_branching_model(rng)
+            share = float(rng.uniform(0.0, 1.0))
+            sign = lambda: float(rng.choice([-1.0, 1.0]))  # noqa: E731
+            if kind == "reinit_one":
+                model = with_shelf_amplitudes(model, (sign(), 0.0, 0.0), (0.0, sign(), 0.0))
+            elif kind == "bad_loop_one":
+                model = with_shelf_amplitudes(model, (0.0, 0.0, sign()), (sign(), 0.0, 0.0))
+            elif kind == "shelf_squares_at_edge":
+                model = with_shelf_amplitudes(
+                    model, (sign() * math.sqrt(share * edge),
+                            sign() * math.sqrt((1.0 - share) * edge), 0.0),
+                    (sign() * math.sqrt(edge), 0.0, 0.0))
+            elif kind == "crossover_at_edge":  # bad_loop 1 as well
+                model = with_shelf_amplitudes(
+                    model, (0.0, sign() * math.sqrt(edge), 0.0), (sign(), 0.0, 0.0))
+            result = geometric_branch_probabilities(model)
+            probabilities = (result.p_good, result.p_bad, result.p_dark)
+            assert all(0.0 <= p <= 1.0 for p in probabilities), (model, result)
+            assert sum(probabilities) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_amplitudes_collapse_to_single_attempt(self):
+        model = with_shelf_amplitudes(default_barium_model(), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+        result = geometric_branch_probabilities(model)
+        assert result.p_good == model.br_493
+        assert result.p_bad == 0.0
+        assert result.p_dark == pytest.approx(model.br_650, abs=1e-12)
+
+    def test_good_branch_matches_exact_chain_across_random_models(self):
+        """P1/2 +1/2 is fed only from D3/2 +3/2, so the good branch's series is exact."""
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            model = random_branching_model(rng)
+            closed = geometric_branch_probabilities(model)
+            exact = solve_exact(PumpCycleConfig(model=model))
+            assert closed.p_good == pytest.approx(exact.p_good, abs=1e-14)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, upper, lower", [
+        ("reinit", P_PLUS, D(+1.5)), ("crossover", P_PLUS, D(+0.5)),
+        ("bad_loop", P_MINUS, D(+0.5))])
+    def test_no_model_carries_a_non_finite_cycle_amplitude(self, name, upper, lower, value):
+        cg = dict(default_barium_model().cg)
+        cg[(upper, lower)] = value
+        with pytest.raises(DomainError, match="non-finite amplitude"):
+            BranchingModel(0.7304, 0.2696, cg)
+
+    @pytest.mark.parametrize("plus, minus, upper", [
+        ((1.0, 1.0, 1.0), (1.0, 0.0, 0.0), "+1/2"),  # reinit and crossover squares sum to 2
+        ((0.0, 0.0, 1.0), (0.8, -0.7, 0.0), "-1/2"),  # bad_loop shelf overfilled
+    ])
+    def test_no_model_overfills_a_shelf(self, plus, minus, upper):
+        with pytest.raises(DomainError, match=re.escape(f"from P12 {upper} into D32 sum to ")):
+            with_shelf_amplitudes(default_barium_model(), plus, minus)
+
+    def test_divergent_series_rejected(self):
+        model = default_barium_model()
+        reinit_one = with_shelf_amplitudes(model, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        all_to_shelf = BranchingModel(br_493=0.0, br_650=1.0, cg=reinit_one.cg)
+        with pytest.raises(DomainError, match="does not converge"):
+            geometric_branch_probabilities(all_to_shelf)
+
+
 class TestSimulate:
     def test_single_trajectory_is_one_hot(self):
         for seed in range(6):
@@ -163,8 +266,7 @@ class TestSimulate:
             assert abs(getattr(mc, name) - getattr(exact, name)) < 3.0 * se
 
     def test_geometric_closed_form_within_mc_errors(self):
-        model = default_barium_model()
-        closed = geometric_branch_probabilities(model, CycleAmplitudes.from_model(model))
+        closed = geometric_branch_probabilities(default_barium_model())
         mc = simulate(PumpCycleConfig(), n_trials=1_000_000, seed=77)
         assert abs(closed.p_good - mc.p_good) < 3.0 * mc.se_good
 
@@ -183,7 +285,7 @@ class TestSimulate:
 
     def test_single_cycle_truncation(self):
         # one cycle only: emission probability is the bare ground-state branching
-        mc = simulate(PumpCycleConfig(max_cycles=1), n_trials=200_000, seed=11)
+        mc = simulate(PumpCycleConfig(), n_trials=200_000, seed=11, max_cycles=1)
         assert mc.p_bad == 0.0
         se = max(mc.se_good, 1e-9)
         assert abs(mc.p_good - 0.7304) < 3.0 * se
@@ -191,7 +293,7 @@ class TestSimulate:
     def test_emission_grows_with_cycle_budget(self):
         totals = []
         for cycles in (1, 2, 3, 5, 10, 50):
-            mc = simulate(PumpCycleConfig(max_cycles=cycles), n_trials=100_000, seed=4)
+            mc = simulate(PumpCycleConfig(), n_trials=100_000, seed=4, max_cycles=cycles)
             totals.append(mc.p_good + mc.p_bad)
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
@@ -224,6 +326,11 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(PumpCycleConfig(), n_trials=10, seed=0, workers=0)
 
+    def test_max_cycles_positive(self):
+        assert inspect.signature(simulate).parameters["max_cycles"].default == 1000
+        with pytest.raises(DomainError):
+            simulate(PumpCycleConfig(), n_trials=10, seed=0, max_cycles=0)
+
     @pytest.mark.parametrize("n_trials", [2**63, 10**30])
     def test_trial_count_must_fit_int64(self, n_trials, monkeypatch):
         monkeypatch.setattr(pump_cycle, "_Walker", None)  # an accepted count fails, not runs
@@ -255,7 +362,7 @@ class TestKernel:
         for model in models:
             config = PumpCycleConfig(model=model)
             chain = pump_cycle._CompiledChain(config)
-            walker = pump_cycle._Walker(chain, config, n_trials=1, seed=0)
+            walker = pump_cycle._Walker(chain, n_trials=1, seed=0, max_cycles=1)
             steps = np.ceil(np.concatenate(chain.cum) * 2.0**53).astype(np.uint64)
             steps = np.concatenate([steps, steps - 1, steps + 1,
                                     rng.integers(0, 2**53, 2_000, dtype=np.uint64)])
@@ -275,11 +382,12 @@ class TestKernel:
         "chunk, n", [(1_000, 30_001), (4_099, 30_001), (7, 2_003), (131_072, 262_147)])
     def test_chunking_does_not_change_results(self, monkeypatch, br_650, max_cycles, chunk, n):
         model = BranchingModel(br_493=1.0 - br_650, br_650=br_650, cg=default_barium_model().cg)
-        config = PumpCycleConfig(model=model, max_cycles=max_cycles)
-        reference = simulate(config, n_trials=n, seed=2**64 - 1)
+        config = PumpCycleConfig(model=model)
+        reference = simulate(config, n_trials=n, seed=2**64 - 1, max_cycles=max_cycles)
         monkeypatch.setattr(pump_cycle, "_CHUNK", chunk)
         for workers in (1, 2):
-            assert simulate(config, n_trials=n, seed=2**64 - 1, workers=workers) == reference
+            assert simulate(config, n_trials=n, seed=2**64 - 1, workers=workers,
+                            max_cycles=max_cycles) == reference
 
     @pytest.mark.parametrize(
         "workers, cpus, n_chunks, n_threads",

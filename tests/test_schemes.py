@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from ionlink.atomic import BranchingModel, default_barium_model
+from ionlink.atomic import default_barium_model
 from ionlink.emission import CollectionModel
 from ionlink.errors import DomainError
 from ionlink.pump_cycle import PumpCycleConfig, solve_exact
@@ -15,107 +15,20 @@ from ionlink.schemes import (
     SCHEMES,
     STRONG,
     WEAK,
-    CycleAmplitudes,
     SchemeSpec,
     double_excitation_probability,
     entanglement_probability,
     fidelity_at_na,
     fidelity_curve,
-    geometric_branch_probabilities,
     mixture_fidelity,
     probability_curve,
     scheme_comparison,
 )
 
-from oracles import bell_mixture_fidelity, geometric_p_good, random_branching_model
+from oracles import bell_mixture_fidelity
 
-# frozen from the term-by-term series and the normalized-weight identity
-P_GOOD_DEFAULT = 0.844197873324087
-P_BAD_CLOSED_FORM_DEFAULT = 0.06872673460840428
+# frozen from the normalized-weight identity
 MIXTURE_FIDELITY = 0.8912354804646252
-
-
-class TestGeometricBranches:
-    def test_default_good_branch(self):
-        model = default_barium_model()
-        amps = CycleAmplitudes.from_model(model)
-        result = geometric_branch_probabilities(model, amps)
-        assert result.p_good == pytest.approx(P_GOOD_DEFAULT, rel=1e-12)
-        assert result.p_good == pytest.approx(0.844, abs=1e-3)
-
-    def test_good_branch_matches_series_oracle(self):
-        model = default_barium_model()
-        amps = CycleAmplitudes.from_model(model)
-        series = geometric_p_good(model.br_493, model.br_650, amps.reinit**2)
-        assert geometric_branch_probabilities(model, amps).p_good == pytest.approx(
-            series, rel=1e-12
-        )
-
-    def test_default_bad_branch_closed_form(self):
-        model = default_barium_model()
-        amps = CycleAmplitudes.from_model(model)
-        result = geometric_branch_probabilities(model, amps)
-        assert result.p_bad == pytest.approx(P_BAD_CLOSED_FORM_DEFAULT, rel=1e-12)
-
-    def test_default_amplitude_squares(self):
-        amps = CycleAmplitudes.from_model(default_barium_model())
-        assert amps.reinit**2 == pytest.approx(0.5, abs=1e-12)
-        assert amps.crossover**2 == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert amps.bad_loop**2 == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-    def test_zero_amplitudes_collapse_to_single_attempt(self):
-        model = default_barium_model()
-        result = geometric_branch_probabilities(model, CycleAmplitudes(0.0, 0.0, 0.0))
-        assert result.p_good == model.br_493
-        assert result.p_bad == 0.0
-        assert result.p_dark == pytest.approx(model.br_650, abs=1e-12)
-
-    def test_probabilities_sum_to_one(self):
-        model = default_barium_model()
-        amps = CycleAmplitudes.from_model(model)
-        result = geometric_branch_probabilities(model, amps)
-        assert result.p_good + result.p_bad + result.p_dark == pytest.approx(1.0, abs=1e-12)
-
-    def test_amplitude_bounds_checked(self):
-        with pytest.raises(DomainError):
-            CycleAmplitudes(1.2, 0.0, 0.0)
-
-    def test_probabilities_lie_in_the_unit_interval_for_any_accepted_input(self):
-        """Random models and amplitudes inside their bounds, the edges included:
-        reinit 1 gives br_493 / (1 - br_650), which rounds to 1 + 2e-16 on some
-        models, and an amplitude at the 1e-12 tolerance overshoots further."""
-        rng = np.random.default_rng(19)
-        edge = math.sqrt(1.0 + 1e-12)
-        for i in range(3_000):
-            model = random_branching_model(rng)
-            reinit_sq = float(rng.uniform(0.0, 1.0))
-            crossover_sq = float(rng.uniform(0.0, 1.0 - reinit_sq))
-            reinit, crossover, bad_loop = (math.sqrt(reinit_sq), math.sqrt(crossover_sq),
-                                           math.sqrt(float(rng.uniform(0.0, 1.0))))
-            kind = i % 6
-            if kind == 0:
-                reinit, crossover = 1.0, 0.0
-            elif kind == 1:
-                crossover = math.sqrt(1.0 - reinit_sq)  # the shelf's sum of 1
-            elif kind == 2:
-                bad_loop = 1.0
-            elif kind == 3:
-                reinit, crossover, bad_loop = edge, 0.0, edge
-            elif kind == 4:
-                reinit, crossover, bad_loop = 0.0, edge, 1.0
-            signs = rng.choice([-1.0, 1.0], size=3).tolist()
-            amps = CycleAmplitudes(*(s * a for s, a in zip(signs, (reinit, crossover, bad_loop))))
-            result = geometric_branch_probabilities(model, amps)
-            assert all(0.0 <= p <= 1.0 for p in result), (model, amps, result)
-            assert sum(result) == pytest.approx(1.0, abs=1e-12)
-
-    def test_divergent_series_rejected(self):
-        model = default_barium_model()
-        all_to_shelf = BranchingModel(
-            br_493=0.0, br_650=1.0, cg=dict(model.cg)
-        )
-        with pytest.raises(DomainError):
-            geometric_branch_probabilities(all_to_shelf, CycleAmplitudes(1.0, 0.0, 0.0))
 
 
 class TestMixture:
