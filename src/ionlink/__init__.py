@@ -29,13 +29,12 @@ _EXPORTS = {
         "allowed_decays", "default_barium_model", "load_model", "save_model",
     ),
     "emission": (
-        "CollectionModel", "CollectionOptic", "EmissionDirection", "PolarizationVector",
+        "CollectionModel", "EmissionDirection", "PolarizationVector",
         "collection_fraction", "pi_emission", "polarization_overlap", "sigma_emission",
     ),
     "errors": ("ChainError", "DomainError", "NoCrossingError", "NumericError"),
     "fiber": (
-        "FiberChannel", "LinkBudget", "conversion_crossing", "end_to_end_rate", "link_rate",
-        "standard_channel", "transmission",
+        "FiberChannel", "conversion_crossing", "link_rate", "standard_channel", "transmission",
     ),
     "pump_cycle": ("ChainOutcome", "PumpCycleConfig", "geometric_branch_probabilities",
                    "simulate", "solve_exact"),
@@ -45,9 +44,8 @@ _EXPORTS = {
         "qpm_residual", "sfg_output", "solve_poling_period", "standard_conversion_table",
     ),
     "schemes": (
-        "D_SHELVING", "SCHEMES", "STRONG", "WEAK", "SchemeSpec",
-        "double_excitation_probability", "entanglement_probability", "fidelity_at_na",
-        "mixture_fidelity", "scheme_comparison",
+        "D_SHELVING", "SCHEMES", "STRONG", "WEAK", "SchemeSpec", "entanglement_probability",
+        "fidelity_at_na", "mixture_fidelity", "scheme_comparison",
     ),
     "trap": ("TrapConfig", "pseudopotential", "secular_frequency"),
 }

@@ -279,7 +279,8 @@ def model_to_text(model: BranchingModel) -> str:
 
 
 def model_from_text(text: str) -> BranchingModel:
-    """Parse the serialization produced by :func:`model_to_text`."""
+    """Parse the serialization produced by :func:`model_to_text`; a header key
+    or channel given twice is refused, naming the repeated line."""
     header: dict[str, str] = {}
     cg: dict[tuple[ZeemanState, ZeemanState], float] = {}
     in_table = False
@@ -292,6 +293,8 @@ def model_from_text(text: str) -> BranchingModel:
             continue
         if not in_table:
             key, _, value = line.partition("=")
+            if key.strip() in header:
+                raise DomainError(f"repeated key in line {line!r}")
             header[key.strip()] = value.strip()
             continue
         m = re.fullmatch(
@@ -301,6 +304,8 @@ def model_from_text(text: str) -> BranchingModel:
             raise DomainError(f"cannot parse amplitude line {line!r}")
         upper = ZeemanState(Level(m.group(1)), mj_from_text(m.group(2)))
         lower = ZeemanState(Level(m.group(3)), mj_from_text(m.group(4)))
+        if (upper, lower) in cg:
+            raise DomainError(f"repeated channel in line {line!r}")
         cg[(upper, lower)] = float(m.group(5))
     if header.get("format") != _FORMAT_TAG:
         raise DomainError(f"unknown model file format {header.get('format')!r}")

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Every capability of the library is reachable from one executable::
+One executable runs each planning command of the library::
 
     ionlink schemes --na 0.6                    # scheme comparison table
     ionlink fidelity-curve --scheme d-shelving  # fidelity vs NA sweep
@@ -14,6 +14,11 @@ Every capability of the library is reachable from one executable::
     ionlink fiber crossing --raw-nm 493 --converted-nm 780 --efficiency 0.05
     ionlink fiber budget --length-km 1
     ionlink emission pattern                    # angular intensity/overlap grid
+
+``fiber budget`` takes a conversion chain as bare efficiencies (repeated
+``--qfc-efficiency``).  Chains of planned ``qfc`` stages, with
+``qfc.chain_efficiency``'s check that they connect, are library-only, as
+are building blocks such as ``allowed_decays`` and ``noise_audit``.
 
 Tabular subcommands default to CSV, scalar ones to JSON; ``--output-format``
 switches either way and ``--output`` redirects to a file.  A ``--config``

@@ -17,13 +17,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from array import array
 
 from .errors import DomainError, Record, check, steps, whole
 
 __all__ = [
     "EmissionDirection",
     "PolarizationVector",
-    "CollectionOptic",
     "CollectionModel",
     "pi_emission",
     "sigma_emission",
@@ -96,22 +96,13 @@ class CollectionModel(enum.Enum):
                           f"{', '.join(model.value for model in cls)})")
 
 
-class CollectionOptic(Record):
-    """A collection lens of numerical aperture ``na`` in (0, 1]."""
-
-    na: float
-
-    def __post_init__(self) -> None:
-        check("NA", self.na, 0.0, 1.0, open_lo=True)
-
-
 def collection_fraction(
-    optic: CollectionOptic | float,
-    model: CollectionModel | str = CollectionModel.QUADRATIC,
+    na: float, model: CollectionModel | str = CollectionModel.QUADRATIC
 ) -> float:
-    """Fraction of the full sphere captured by the optic; ``model`` may be a
-    :class:`CollectionModel` or its value, and anything else is refused."""
-    na = check("NA", optic.na if isinstance(optic, CollectionOptic) else float(optic), 0.0, 1.0)
+    """Fraction of the full sphere captured by a lens of numerical aperture ``na``
+    in [0, 1]; ``model`` may be a :class:`CollectionModel` or its value, and
+    anything else is refused."""
+    na = check("NA", na, 0.0, 1.0)
     if CollectionModel(model) is CollectionModel.QUADRATIC:
         return na * na / 4.0
     return (1.0 - math.sqrt(1.0 - na * na)) / 2.0
@@ -158,25 +149,29 @@ def pattern_rows(theta_step_deg: float, phi_step_deg: float):
     is sigma+'s conjugate, and the intensities take only magnitudes.  The
     overlap drops the point-by-point sum's zero terms, which change at most
     the sign of a zero, and ``abs`` ignores it.  Every grid direction lies
-    in range, so none is checked again.  Only the phi factors are held; each
-    theta line is computed as its rows are pulled, so memory does not grow
-    with the number of theta lines.
+    in range, so none is checked again.  Only the phi factors are held, in
+    two float arrays and one list of phases; each theta line is computed as
+    its rows are pulled, so memory does not grow with the number of theta
+    lines.
     """
     n_theta = steps("theta_step_deg", theta_step_deg, 180.0) + 1
     steps("phi_step_deg", phi_step_deg, 360.0 * n_theta)  # the cap is on theta x phi rows
-    factors = []
+    # 8 B per phi and factor in the arrays, ~40 B per complex: no tuple per phi
+    phis, phases, e_phi_sqs = array("d"), [], array("d")
     for p in range(math.ceil(360.0 / phi_step_deg)):
         if p * phi_step_deg < 360.0:
             # sigma_emission(EmissionDirection(0.0, phi), +1), operation for operation
             phi = math.radians(p * phi_step_deg)
             phase = cmath.exp(1j * 1 * phi) / _SQRT2
-            factors.append((phi, phase * math.cos(0.0), abs(phase * 1 * 1j) ** 2))
+            phis.append(phi)
+            phases.append(phase * math.cos(0.0))
+            e_phi_sqs.append(abs(phase * 1 * 1j) ** 2)
     for t in range(n_theta):
         theta = math.radians(min(t * theta_step_deg, 180.0))
         # pi_emission's e_theta and intensity: adding |e_phi|^2 = 0.0 is exact
         minus_sin, cos = -math.sin(theta), math.cos(theta)
         i_pi = abs(minus_sin) ** 2
-        for phi, phase, e_phi_sq in factors:
+        for phi, phase, e_phi_sq in zip(phis, phases, e_phi_sqs):
             e = phase * cos
             i_sigma = abs(e) ** 2 + e_phi_sq
             yield theta, phi, i_pi, i_sigma, i_sigma, abs(minus_sin * e)

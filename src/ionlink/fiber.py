@@ -15,13 +15,11 @@ from .errors import DomainError, NoCrossingError, Record, check, steps
 
 __all__ = [
     "FiberChannel",
-    "LinkBudget",
     "STANDARD_ATTENUATION_DB_PER_KM",
     "standard_channel",
     "transmission",
     "conversion_crossing",
     "link_rate",
-    "end_to_end_rate",
 ]
 
 #: Representative attenuation of wavelength-specific single-mode fiber.
@@ -84,23 +82,6 @@ def conversion_crossing(
     return check(f"crossing_km at efficiency {efficiency}", crossing_km)
 
 
-class LinkBudget(Record):
-    """Everything multiplying into the delivered entanglement rate."""
-
-    source_rate: float                      # entangled-photon probability per attempt
-    repetition_rate_hz: float               # attempts per second
-    fiber: FiberChannel
-    length_km: float
-    detector_efficiency: float
-    conversion_efficiency: float = 1.0      # of all stages, e.g. qfc.chain_efficiency(stages)
-
-    def __post_init__(self) -> None:
-        for name in ("source_rate", "detector_efficiency", "conversion_efficiency"):
-            check(name, getattr(self, name), 0.0, 1.0)
-        for name in ("repetition_rate_hz", "length_km"):
-            check(name, getattr(self, name))
-
-
 def link_rate(
     source_rate: float,
     repetition_rate_hz: float,
@@ -109,23 +90,21 @@ def link_rate(
     length_km: float,
     detector_efficiency: float,
 ) -> float:
-    """Delivered rate in Hz for a scalar conversion efficiency: the
-    :func:`end_to_end_rate` of the :class:`LinkBudget` these inputs make,
-    which checks them."""
-    return end_to_end_rate(LinkBudget(source_rate, repetition_rate_hz, fiber, length_km,
-                                      detector_efficiency, conversion_efficiency))
+    """Delivered entanglement rate in Hz: attempts per second times the
+    entangled-photon probability per attempt, the conversion efficiency (of
+    all stages, e.g. ``qfc.chain_efficiency(stages)``), the fiber's
+    :func:`transmission` and the detector efficiency.
 
-
-def end_to_end_rate(budget: LinkBudget) -> float:
-    """Delivered entanglement rate of a full budget, in Hz: the product of its
-    rates, efficiencies and fiber transmission, from inputs the budget checked."""
-    return (
-        budget.repetition_rate_hz
-        * budget.source_rate
-        * budget.conversion_efficiency
-        * transmission(budget.fiber, budget.length_km)
-        * budget.detector_efficiency
-    )
+    The source rate, detector and conversion efficiencies must lie in [0, 1],
+    the repetition rate and length be finite and non-negative; the first
+    input that does not is refused by name, in that order.
+    """
+    for name, value in (("source_rate", source_rate), ("detector_efficiency", detector_efficiency),
+                        ("conversion_efficiency", conversion_efficiency)):
+        check(name, value, 0.0, 1.0)
+    check("repetition_rate_hz", repetition_rate_hz)
+    return (repetition_rate_hz * source_rate * conversion_efficiency
+            * transmission(fiber, length_km) * detector_efficiency)
 
 
 def transmission_curves(

@@ -37,7 +37,6 @@ __all__ = [
     "mixture_fidelity",
     "fidelity_at_na",
     "entanglement_probability",
-    "double_excitation_probability",
     "scheme_comparison",
     "fidelity_curve",
     "probability_curve",
@@ -104,12 +103,6 @@ def entanglement_probability(
     P = P_excite * P_s * NA^2/4 for the quadratic collection model.
     """
     return spec.excite_prob * spec.s_decay_prob * collection_fraction(na, collection)
-
-
-def double_excitation_probability(pulse_duration_s: float, lifetime_s: float) -> float:
-    """Probability 1 - exp(-dt/tau) of a second excitation during a pulse."""
-    check("pulse_duration_s", pulse_duration_s)
-    return -math.expm1(-pulse_duration_s / check("lifetime_s", lifetime_s, open_lo=True))
 
 
 class SchemeRow(NamedTuple):

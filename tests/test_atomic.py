@@ -227,6 +227,23 @@ class TestSerialization:
             load_model(path)
         assert str(info.value).startswith(f"model file {path}: ")
 
+    @pytest.mark.parametrize("before, extra, repeated", [
+        ("P12 +1/2 -> S12 +1/2", "P12 +1/2 -> S12 +1/2 : 0.123",
+         "repeated channel in line 'P12 +1/2 -> S12 +1/2 : 0.5773502691896257'"),
+        ("br_493", "br_493 = 0.5", "repeated key in line 'br_493 = 0.7304'"),
+        ("[cg]", "format = branching-model/1",
+         "repeated key in line 'format = branching-model/1'"),
+    ], ids=["channel", "key", "format"])
+    def test_repeated_key_or_channel_rejected(self, tmp_path, before, extra, repeated):
+        """The bundled model with one line given twice, the earlier copy inserted
+        before the original: the last value used to win, silently."""
+        text = model_to_text(default_barium_model())
+        path = tmp_path / "model.txt"
+        path.write_text(text.replace(before, f"{extra}\n{before}", 1))
+        with pytest.raises(DomainError) as info:
+            load_model(path)
+        assert str(info.value) == f"model file {path}: {repeated}"
+
     def test_random_model_round_trip(self):
         rng = np.random.default_rng(3)
         m = random_branching_model(rng)

@@ -3,12 +3,15 @@
 ``demo_golden.json`` maps each script in ``demos/`` to the SHA-256 of what
 it prints.  Every demo is deterministic (the Monte Carlo ones are seeded),
 so a changed digest means a changed number or message; never regenerate the
-file to make new code pass.
+file to make new code pass.  The README's library examples must run too.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +32,14 @@ def test_every_demo_prints_its_golden_bytes():
         assert done.returncode == 0, done.stderr.decode()
         digests[name] = hashlib.sha256(done.stdout).hexdigest()
     assert digests == GOLDEN
+
+
+def test_readme_library_examples_run():
+    """Each ``python`` block of the README runs, in order, in one namespace."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    assert "SRS_RISK" in out.getvalue()

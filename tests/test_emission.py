@@ -10,7 +10,6 @@ from ionlink import emission
 from ionlink._format import _BLOCK
 from ionlink.emission import (
     CollectionModel,
-    CollectionOptic,
     EmissionDirection,
     collection_fraction,
     cone_mixing_weight,
@@ -160,16 +159,15 @@ class TestCollectionFraction:
                 cap_fraction_quadrature(na), abs=1e-9
             )
 
-    def test_optic_validation(self):
-        with pytest.raises(DomainError):
-            CollectionOptic(0.0)
-        with pytest.raises(DomainError):
-            CollectionOptic(1.2)
-        assert collection_fraction(CollectionOptic(0.6)) == pytest.approx(0.09, abs=1e-15)
-
     def test_fraction_range_check(self):
         with pytest.raises(DomainError):
             collection_fraction(1.5)
+
+    def test_string_aperture_is_a_type_error(self):
+        """A numeric string is not an NA: it used to pass through ``float``."""
+        for call in (collection_fraction, cone_mixing_weight):
+            with pytest.raises(TypeError):
+                call("0.5")
 
     def test_model_given_by_value(self):
         """The model's value selects the same formula as the member itself."""
@@ -184,7 +182,7 @@ class TestCollectionFraction:
 
     @pytest.mark.parametrize("na", [math.nan, math.inf, -math.inf])
     def test_non_finite_aperture_rejected(self, na):
-        for call in (collection_fraction, CollectionOptic, cone_mixing_weight):
+        for call in (collection_fraction, cone_mixing_weight):
             with pytest.raises(DomainError, match="^NA out of range"):
                 call(na)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -5,15 +6,17 @@ import numpy as np
 import pytest
 
 from ionlink.atomic import BranchingModel, Level, Polarization, ZeemanState, default_barium_model
-from ionlink.emission import CollectionOptic, EmissionDirection, PolarizationVector
+from ionlink.emission import EmissionDirection, PolarizationVector, collection_fraction
 from ionlink.emission import cone_mixing_weight
 from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps, whole
-from ionlink.fiber import FiberChannel, LinkBudget
+from ionlink.fiber import FiberChannel, conversion_crossing, link_rate, transmission
 from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
 from ionlink.qfc import (
     ConversionStage, DispersionModel, LightField, MixKind, load_dispersion, plan_stage,
 )
-from ionlink.schemes import SchemeSpec, mixture_fidelity
+from ionlink.schemes import (
+    D_SHELVING, SchemeSpec, entanglement_probability, fidelity_at_na, mixture_fidelity,
+)
 from ionlink.trap import TrapConfig, pseudopotential
 
 
@@ -164,6 +167,32 @@ OUT_OF_RANGE_CASES = [
     ("p_good + p_bad out of range: inf", lambda: mixture_fidelity(1e308, 1e308)),
 ]
 
+RAW, CONVERTED = FiberChannel(493.0, 50.0), FiberChannel(780.0, 3.5)
+#: Float inputs of the scalar library functions, each with the nearest floats
+#: outside its range (None: unbounded above); NaN, +-inf and those are refused.
+FLOAT_INPUTS = [
+    ("source_rate", lambda x: link_rate(x, 1e6, 0.05, CONVERTED, 1.0, 0.95),
+     -5e-324, 1.0000000000000002),
+    ("repetition_rate_hz", lambda x: link_rate(0.085, x, 0.05, CONVERTED, 1.0, 0.95),
+     -5e-324, None),
+    ("conversion_efficiency", lambda x: link_rate(0.085, 1e6, x, CONVERTED, 1.0, 0.95),
+     -5e-324, 1.0000000000000002),
+    ("length_km", lambda x: link_rate(0.085, 1e6, 0.05, CONVERTED, x, 0.95), -5e-324, None),
+    ("detector_efficiency", lambda x: link_rate(0.085, 1e6, 0.05, CONVERTED, 1.0, x),
+     -5e-324, 1.0000000000000002),
+    ("length_km", lambda x: transmission(CONVERTED, x), -5e-324, None),
+    ("efficiency", lambda x: conversion_crossing(RAW, CONVERTED, x), 0.0, 1.0000000000000002),
+    ("NA", collection_fraction, -5e-324, 1.0000000000000002),
+    ("max_fidelity", lambda x: fidelity_at_na(x, 0.6), -5e-324, 1.0000000000000002),
+    ("NA", lambda x: fidelity_at_na(0.891, x), -5e-324, 1.0000000000000002),
+    ("NA", lambda x: entanglement_probability(D_SHELVING, x), -5e-324, 1.0000000000000002),
+]
+OUT_OF_RANGE_CASES += [
+    (f"{name} out of range: {value} ", functools.partial(call, value))
+    for name, call, *outside in FLOAT_INPUTS
+    for value in (math.nan, math.inf, -math.inf, *outside) if value is not None
+]
+
 
 @pytest.mark.parametrize("start, call", OUT_OF_RANGE_CASES,
                          ids=[f"{i}-{start.split()[0]}"
@@ -197,15 +226,8 @@ RECORDS = [
     (EmissionDirection, {"theta": 0.5, "phi": 1.0}, "EmissionDirection(theta=0.5, phi=1.0)"),
     (PolarizationVector, {"e_theta": 1j, "e_phi": 0.5},
      "PolarizationVector(e_theta=1j, e_phi=0.5)"),
-    (CollectionOptic, {"na": 0.6}, "CollectionOptic(na=0.6)"),
     (FiberChannel, {"wavelength_nm": 780.0, "attenuation_db_per_km": 4.0},
      "FiberChannel(wavelength_nm=780.0, attenuation_db_per_km=4.0)"),
-    (LinkBudget, {"source_rate": 0.085, "repetition_rate_hz": 1e6,
-                  "fiber": FiberChannel(1550.0, 0.2), "length_km": 10.0,
-                  "detector_efficiency": 0.9, "conversion_efficiency": 1.0},
-     "LinkBudget(source_rate=0.085, repetition_rate_hz=1000000.0, fiber=FiberChannel("
-     "wavelength_nm=1550.0, attenuation_db_per_km=0.2), length_km=10.0, "
-     "detector_efficiency=0.9, conversion_efficiency=1.0)"),
     (PumpCycleConfig, {"initial": ZeemanState(D32, -1.5), "drive": Polarization.SIGMA_PLUS,
                        "model": BranchingModel(0.75, 0.25, SMALL_CG)},
      "PumpCycleConfig(initial=ZeemanState(level=<Level.D32: 'D32'>, mj=-1.5), "
@@ -245,7 +267,7 @@ class TestRecord:
 
     def test_every_record_class_is_listed(self):
         assert {cls for cls, _, _ in RECORDS} == set(Record.__subclasses__())
-        assert len(RECORDS) == 14
+        assert len(RECORDS) == 12
 
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
     def test_frozen_value_semantics(self, cls, fields, text):

@@ -8,9 +8,7 @@ from ionlink.errors import DomainError, NoCrossingError
 from ionlink.fiber import (
     STANDARD_ATTENUATION_DB_PER_KM,
     FiberChannel,
-    LinkBudget,
     conversion_crossing,
-    end_to_end_rate,
     link_rate,
     standard_channel,
     transmission,
@@ -24,6 +22,10 @@ from oracles import transmission_curve_rows_per_row
 CROSSING_493_TO_780_AT_5PCT = 0.27979139691698524
 CROSSING_650_TO_1259_AT_5PCT = 0.8850544188190349
 BUDGET_EXAMPLE_RATE_HZ = 1803.4850033095138
+
+#: The worked example's inputs, by keyword.
+LINK_INPUTS = dict(source_rate=0.085, repetition_rate_hz=1e6, conversion_efficiency=0.05,
+                   fiber=standard_channel(780), length_km=1.0, detector_efficiency=0.95)
 
 
 class TestChannels:
@@ -158,32 +160,11 @@ class TestLinkRate:
         assert link_rate(0.08, 1e6, 0.06, standard_channel(780), 1.0, 0.9) > base
         assert link_rate(0.08, 1e6, 0.05, standard_channel(780), 1.0, 0.95) > base
 
-
-class TestLinkBudget:
-    def _chain(self):
+    def test_conversion_chain_efficiency(self):
         stage, _ = plan_stage(493.0, 1343.0, MixKind.DFG, load_dispersion("ppktp"),
                               efficiency=0.05)
-        return (stage,)
-
-    def test_budget_with_conversion_chain(self):
-        budget = LinkBudget(
-            source_rate=0.085, repetition_rate_hz=1e6, fiber=standard_channel(780),
-            length_km=1.0, detector_efficiency=0.95,
-            conversion_efficiency=chain_efficiency(self._chain()),
-        )
-        assert end_to_end_rate(budget) == pytest.approx(BUDGET_EXAMPLE_RATE_HZ, rel=1e-12)
-
-    def test_budget_without_chain(self):
-        budget = LinkBudget(
-            source_rate=0.085, repetition_rate_hz=1e6, fiber=standard_channel(780),
-            length_km=0.0, detector_efficiency=1.0,
-        )
-        assert end_to_end_rate(budget) == pytest.approx(85000.0, rel=1e-12)
-
-    def test_probability_bounds(self):
-        with pytest.raises(DomainError):
-            LinkBudget(source_rate=1.2, repetition_rate_hz=1e6,
-                       fiber=standard_channel(780), length_km=1.0, detector_efficiency=0.9)
+        rate = link_rate(0.085, 1e6, chain_efficiency((stage,)), standard_channel(780), 1.0, 0.95)
+        assert rate == pytest.approx(BUDGET_EXAMPLE_RATE_HZ, rel=1e-12)
 
     @pytest.mark.parametrize("field, value", [
         ("conversion_efficiency", 2.0), ("conversion_efficiency", -0.1),
@@ -192,12 +173,16 @@ class TestLinkBudget:
         ("repetition_rate_hz", -1.0), ("length_km", math.nan), ("length_km", -math.inf),
     ])
     def test_non_finite_or_out_of_range_rejected(self, field, value):
-        fields = dict(source_rate=0.085, repetition_rate_hz=1e6, fiber=standard_channel(780),
-                      length_km=1.0, detector_efficiency=0.95)
-        with pytest.raises(DomainError, match=field):
-            LinkBudget(**{**fields, field: value})
-        with pytest.raises(DomainError, match=field):
-            link_rate(**{"conversion_efficiency": 1.0, **fields, field: value})
+        with pytest.raises(DomainError, match=f"^{field} out of range"):
+            link_rate(**{**LINK_INPUTS, field: value})
+
+    def test_first_bad_input_is_named(self):
+        """The [0, 1] fractions are checked first, then the rate and the length."""
+        order = ["source_rate", "detector_efficiency", "conversion_efficiency",
+                 "repetition_rate_hz", "length_km"]
+        for first, second in zip(order, order[1:]):
+            with pytest.raises(DomainError, match=f"^{first} out of range"):
+                link_rate(**{**LINK_INPUTS, first: math.nan, second: math.nan})
 
 
 class TestCurves:

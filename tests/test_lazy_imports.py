@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -23,17 +24,17 @@ SRC = ROOT / "src"
 
 #: What ``from ionlink import *`` binds: the exported names and the modules.
 STAR_NAMES = sorted("""
-    BranchingModel ChainError ChainOutcome CollectionModel CollectionOptic ConversionStage
-    D_SHELVING DecayChannel DispersionModel DomainError EmissionDirection FiberChannel Level
-    LightField LinkBudget MixKind NoCrossingError NoiseFinding NumericError Polarization
-    PolarizationVector PumpCycleConfig SCHEMES STRONG SchemeSpec TrapConfig WEAK ZeemanState
-    allowed_decays atomic chain_efficiency collection_fraction conversion_crossing
-    default_barium_model dfg_output double_excitation_probability emission end_to_end_rate
-    entanglement_probability errors fiber fidelity_at_na geometric_branch_probabilities
-    link_rate load_dispersion load_model mixture_fidelity noise_audit pi_emission plan_stage
-    polarization_overlap pseudopotential pump_cycle qfc qpm_residual save_model
-    scheme_comparison schemes secular_frequency sfg_output sigma_emission simulate solve_exact
-    solve_poling_period standard_channel standard_conversion_table transmission trap
+    BranchingModel ChainError ChainOutcome CollectionModel ConversionStage D_SHELVING
+    DecayChannel DispersionModel DomainError EmissionDirection FiberChannel Level LightField
+    MixKind NoCrossingError NoiseFinding NumericError Polarization PolarizationVector
+    PumpCycleConfig SCHEMES STRONG SchemeSpec TrapConfig WEAK ZeemanState allowed_decays
+    atomic chain_efficiency collection_fraction conversion_crossing default_barium_model
+    dfg_output emission entanglement_probability errors fiber fidelity_at_na
+    geometric_branch_probabilities link_rate load_dispersion load_model mixture_fidelity
+    noise_audit pi_emission plan_stage polarization_overlap pseudopotential pump_cycle qfc
+    qpm_residual save_model scheme_comparison schemes secular_frequency sfg_output
+    sigma_emission simulate solve_exact solve_poling_period standard_channel
+    standard_conversion_table transmission trap
 """.split())
 
 TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
@@ -113,7 +114,7 @@ def test_scalar_commands_and_package_import_never_load_numpy():
     assert report.get("unknown") == "AttributeError"
     assert report["commands"] == [[argv, code, numpy] for argv, code, numpy, _ in COMMANDS]
     assert report["simulate"] is True
-    assert len(STAR_NAMES) == 68
+    assert len(STAR_NAMES) == 64
     assert report["star"] == STAR_NAMES
 
 
@@ -121,6 +122,39 @@ def test_every_exported_name_is_in_its_modules_all():
     for module, names in ionlink._EXPORTS.items():
         missing = set(names) - set(importlib.import_module(f"ionlink.{module}").__all__)
         assert not missing, module
+
+
+#: Where an exported name counts as used: the command line, the demos, the
+#: README, the acceptance suite and the benchmark.
+USER_SOURCES = ("src/ionlink/cli.py", "demos/*.py", "README.md", "tests/test_acceptance.py",
+                "perfbench/*.py", "perfbench/*.md")
+
+#: Exports that no user source names, each a type that a named export
+#: takes, returns or raises: the type, then that export.
+TYPES_OF_USED_CALLABLES = {
+    "ChainError": "chain_efficiency",            # raised for stages that do not connect
+    "ConversionStage": "plan_stage",             # returned, with the noise findings
+    "DecayChannel": "allowed_decays",            # returned, one per channel
+    "DispersionModel": "load_dispersion",        # returned
+    "NoCrossingError": "conversion_crossing",    # raised when conversion never wins
+    "NoiseFinding": "noise_audit",               # returned, one per finding
+    "PolarizationVector": "pi_emission",         # returned, as by sigma_emission
+    "SchemeSpec": "entanglement_probability",    # taken, as D_SHELVING, WEAK and STRONG are
+}
+
+
+def test_every_export_has_a_user():
+    """Each name ``ionlink`` exports is named where the package is used, or is
+    listed above as the type of a name that is; a listed type that gains a
+    user leaves the list."""
+    text = "\n".join(path.read_text(encoding="utf-8") for pattern in USER_SOURCES
+                     for path in sorted(ROOT.glob(pattern)))
+    named = {name for name in ionlink._MODULE_OF if re.search(rf"\b{name}\b", text)}
+    assert sorted(set(ionlink._MODULE_OF) - named - set(TYPES_OF_USED_CALLABLES)) == []
+    assert sorted(named & set(TYPES_OF_USED_CALLABLES)) == []
+    for name, user in TYPES_OF_USED_CALLABLES.items():
+        assert isinstance(getattr(ionlink, name), type), name
+        assert user in named, user
 
 
 def test_chain_commands_call_the_module_attributes_a_tracer_patches():
@@ -268,7 +302,6 @@ SCHEMES_EXPORT_CALLS = {
     "STRONG": "STRONG",
     "WEAK": "WEAK",
     "SchemeSpec": "SchemeSpec('x', 0.5, 0.5, 0.9)",
-    "double_excitation_probability": "double_excitation_probability(1e-9, 8e-9)",
     "entanglement_probability": "entanglement_probability(D_SHELVING, 0.6, 'exact')",
     "fidelity_at_na": "fidelity_at_na(0.891, 0.6)",
     "mixture_fidelity": "mixture_fidelity(0.844, 0.103)",

@@ -16,7 +16,6 @@ from ionlink.schemes import (
     STRONG,
     WEAK,
     SchemeSpec,
-    double_excitation_probability,
     entanglement_probability,
     fidelity_at_na,
     fidelity_curve,
@@ -119,34 +118,6 @@ class TestEntanglementProbability:
     def test_range_check(self):
         with pytest.raises(DomainError):
             entanglement_probability(WEAK, 1.01)
-
-
-class TestDoubleExcitation:
-    def test_zero_duration(self):
-        assert double_excitation_probability(0.0, 1e-8) == 0.0
-
-    def test_one_lifetime(self):
-        assert double_excitation_probability(1.0, 1.0) == pytest.approx(
-            0.6321205588285577, rel=1e-12
-        )
-
-    def test_long_exposure_saturates(self):
-        assert double_excitation_probability(1000.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_monotone_in_duration(self):
-        durations = np.linspace(0.0, 5.0, 40)
-        values = [double_excitation_probability(float(t), 1.0) for t in durations]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_zero_lifetime_rejected(self):
-        with pytest.raises(DomainError):
-            double_excitation_probability(1.0, 0.0)
-        with pytest.raises(DomainError):
-            double_excitation_probability(-1.0, 1.0)
-        with pytest.raises(DomainError, match="lifetime_s"):
-            double_excitation_probability(1.0, math.nan)
-        with pytest.raises(DomainError, match="pulse_duration_s"):
-            double_excitation_probability(math.inf, 1.0)
 
 
 class TestSchemeTable:
