@@ -32,7 +32,7 @@ _EXPORTS = {
         "CollectionModel", "EmissionDirection", "PolarizationVector",
         "collection_fraction", "pi_emission", "polarization_overlap", "sigma_emission",
     ),
-    "errors": ("ChainError", "DomainError", "NoCrossingError", "NumericError"),
+    "errors": ("DomainError", "NumericError"),
     "fiber": (
         "FiberChannel", "conversion_crossing", "link_rate", "standard_channel", "transmission",
     ),

@@ -147,13 +147,6 @@ class BranchingModel(Record):
         """Signed amplitude of the upper -> lower channel (0 if absent)."""
         return self.cg.get((upper, lower), 0.0)
 
-    def branching(self, lower_level: Level) -> float:
-        if lower_level is Level.S12:
-            return self.br_493
-        if lower_level is Level.D32:
-            return self.br_650
-        raise DomainError(f"no branching fraction for decay into {lower_level.value}")
-
 
 def _sublevels(level: Level) -> list[ZeemanState]:
     j = level.j
@@ -210,8 +203,7 @@ def allowed_decays(upper: ZeemanState, model: BranchingModel) -> list[DecayChann
     if upper.level is not Level.P12:
         raise DomainError(f"only P1/2 decays are modeled, got {upper}")
     channels = []
-    for lower_level in (Level.S12, Level.D32):
-        fraction = model.branching(lower_level)
+    for lower_level, fraction in ((Level.S12, model.br_493), (Level.D32, model.br_650)):
         for lower in sorted(_sublevels(lower_level), key=lambda z: -z.mj):
             amp = model.amplitude(upper, lower)
             if amp == 0.0:
@@ -279,8 +271,9 @@ def model_to_text(model: BranchingModel) -> str:
 
 
 def model_from_text(text: str) -> BranchingModel:
-    """Parse the serialization produced by :func:`model_to_text`; a header key
-    or channel given twice is refused, naming the repeated line."""
+    """Parse the serialization produced by :func:`model_to_text`; a header line
+    other than ``key = value`` with a known key, and a header key or channel
+    given twice, are refused, naming the line."""
     header: dict[str, str] = {}
     cg: dict[tuple[ZeemanState, ZeemanState], float] = {}
     in_table = False
@@ -292,10 +285,14 @@ def model_from_text(text: str) -> BranchingModel:
             in_table = True
             continue
         if not in_table:
-            key, _, value = line.partition("=")
-            if key.strip() in header:
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep or key not in ("format", "br_493", "br_650"):
+                raise DomainError(f"cannot parse header line {line!r} "
+                                  "(expected 'key = value', key one of: format, br_493, br_650)")
+            if key in header:
                 raise DomainError(f"repeated key in line {line!r}")
-            header[key.strip()] = value.strip()
+            header[key] = value.strip()
             continue
         m = re.fullmatch(
             r"(\w+)\s+([+-]\d+/2)\s*->\s*(\w+)\s+([+-]\d+/2)\s*:\s*(\S+)", line

@@ -22,19 +22,20 @@ are building blocks such as ``allowed_decays`` and ``noise_audit``.
 
 Tabular subcommands default to CSV, scalar ones to JSON; ``--output-format``
 switches either way and ``--output`` redirects to a file.  A ``--config``
-file of ``key = value`` lines supplies defaults for the subcommand's own
-flags, checked as flags are; explicit flags override it.  A non-finite or
-out-of-range physics input, a result that over- or underflows and a grid
-above 2**20 rows are refused naming the argument; neither CSV nor JSON
-output carries NaN or infinity.  Exit codes: 0 success; 1 domain or numeric
-error, a file that cannot be read, parsed or written (standard output too:
-also when it is closed, when the write fails only as it is flushed at the
-end of the run, when a reader such as ``head -1`` closes the pipe early, and
-for ``--help`` and ``--version`` text), or ``chain mc`` without numpy (one
-``error:`` line); 2 usage error.  A malformed value or unknown flag prints
-argparse's usage synopsis and ``error: argument --na: invalid float value:
-'banana'``; a missing required flag or an unreadable config file prints one
-``usage error:`` line.
+file of ``key = value`` lines, each key once, supplies defaults for the
+subcommand's own flags, checked as flags are; explicit flags override it.
+A non-finite or out-of-range physics input, a result that over- or
+underflows and a grid above 2**20 rows are refused naming the argument;
+neither CSV nor JSON output carries NaN or infinity.  Exit codes: 0
+success; 1 domain or numeric error, a file that cannot be read, parsed or
+written (standard output too: also when it is closed, when the write fails
+only as it is flushed at the end of the run, when a reader such as
+``head -1`` closes the pipe early, and for ``--help`` and ``--version``
+text), or ``chain mc`` without numpy (one ``error:`` line); 2 usage error.
+A malformed value or unknown flag prints argparse's usage synopsis and
+``error: argument --na: invalid float value: 'banana'``; a missing
+required flag, or a config file that cannot be read or repeats a key,
+prints one ``usage error:`` line.
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ def _read_config(path: str) -> dict[str, str]:
                 key, sep, value = line.partition("=")
                 if not sep:
                     raise _UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in values:
+                    raise _UsageError(f"{path}:{lineno}: repeated key {key!r}")
+                values[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config file {path}: {exc}") from exc
     return values

@@ -19,7 +19,7 @@ import enum
 import math
 from array import array
 
-from .errors import DomainError, Record, check, steps, whole
+from .errors import DomainError, Record, check, steps
 
 __all__ = [
     "EmissionDirection",
@@ -108,25 +108,25 @@ def collection_fraction(
     return (1.0 - math.sqrt(1.0 - na * na)) / 2.0
 
 
-def cone_mixing_weight(na: float, n_polar: int = 200, n_azimuth: int = 100) -> float:
+def cone_mixing_weight(na: float) -> float:
     """Average |<pi|sigma+>|^2 over the collection cone, observation axis in the
     theta = pi/2 plane.
 
-    Midpoint-rule average used only as a qualitative check: it grows
-    monotonically with NA, mirroring how a larger aperture admits more
-    polarization mixing.  It is not the coefficient of any fidelity formula.
+    Midpoint-rule average on a fixed grid of 200 polar x 100 azimuthal cells,
+    used only as a qualitative check: it grows monotonically with NA,
+    mirroring how a larger aperture admits more polarization mixing.  It is
+    not the coefficient of any fidelity formula.
     """
     beta = math.asin(check("NA", na, 0.0, 1.0, open_lo=True))
-    n_polar, n_azimuth = whole("n_polar", n_polar, 1), whole("n_azimuth", n_azimuth, 1)
-    sin_psi = [math.sin((j + 0.5) * (2.0 * math.pi / n_azimuth)) for j in range(n_azimuth)]
+    sin_psi = [math.sin((j + 0.5) * (2.0 * math.pi / 100)) for j in range(100)]
     mixing = weight = 0.0
-    for i in range(n_polar):
-        sin_alpha = math.sin((i + 0.5) * (beta / n_polar))
+    for i in range(200):
+        sin_alpha = math.sin((i + 0.5) * (beta / 200))
         for s in sin_psi:
             cos_theta = sin_alpha * s  # direction at angle alpha from the x axis
             mixing += (1.0 - cos_theta * cos_theta) * cos_theta * cos_theta * sin_alpha
         weight += sin_alpha
-    return mixing / (2.0 * n_azimuth * weight)
+    return mixing / (2.0 * 100 * weight)
 
 
 def pattern_rows(theta_step_deg: float, phi_step_deg: float):

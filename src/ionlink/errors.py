@@ -1,11 +1,11 @@
-"""Exception types shared across the package, the range checks on real and whole-number
-inputs, and :class:`Record`, the base of the package's immutable value types."""
+"""The package's two exception types, :class:`DomainError` for every refused input and
+:class:`NumericError` for a failed numerical step, the range checks on real and
+whole-number inputs, and :class:`Record`, the base of the package's immutable value types."""
 
 import math
 import operator
 
-__all__ = ["MAX_ROWS", "ChainError", "DomainError", "NoCrossingError", "NumericError", "Record",
-           "check", "steps", "whole"]
+__all__ = ["MAX_ROWS", "DomainError", "NumericError", "Record", "check", "steps", "whole"]
 
 #: Most rows a grid export may have: 8x the 0.5 x 1 degree emission grid.
 MAX_ROWS = 2**20
@@ -13,14 +13,6 @@ MAX_ROWS = 2**20
 
 class DomainError(ValueError):
     """An input violates a documented physical or numerical precondition."""
-
-
-class ChainError(DomainError):
-    """Stages in a conversion chain do not connect (wavelength mismatch)."""
-
-
-class NoCrossingError(DomainError):
-    """The raw fiber never loses to the converted one, so no crossover distance exists."""
 
 
 class NumericError(RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import DomainError, NoCrossingError, Record, check, steps
+from .errors import DomainError, Record, check, steps
 
 __all__ = [
     "FiberChannel",
@@ -72,7 +72,7 @@ def conversion_crossing(
     check("efficiency", efficiency, 0.0, 1.0, open_lo=True)
     delta = raw.attenuation_db_per_km - converted.attenuation_db_per_km
     if delta <= 0.0:
-        raise NoCrossingError(
+        raise DomainError(
             f"converted channel ({converted.attenuation_db_per_km} dB/km) does not "
             f"improve on the raw one ({raw.attenuation_db_per_km} dB/km): no crossover"
         )

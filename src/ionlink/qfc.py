@@ -29,7 +29,7 @@ import math
 from importlib import resources
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ChainError, DomainError, Record, check, whole
+from .errors import DomainError, Record, check, whole
 
 __all__ = [
     "C_NM_THZ",
@@ -367,7 +367,7 @@ def chain_efficiency(stages: Sequence[ConversionStage]) -> float:
     for first, second in zip(stages, stages[1:]):
         gap = abs(first.output.wavelength_nm - second.input.wavelength_nm)
         if gap > _CHAIN_MATCH_NM:
-            raise ChainError(
+            raise DomainError(
                 f"stage output {first.output.wavelength_nm} nm does not feed the next "
                 f"input {second.input.wavelength_nm} nm (gap {gap} nm)"
             )

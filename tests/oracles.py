@@ -99,11 +99,12 @@ def cap_fraction_quadrature(na: float, n: int = 200_001) -> float:
     return float(np.trapezoid(np.sin(alpha), alpha) / 2.0)
 
 
-def cone_mixing_weight_meshgrid(na: float, n_polar: int = 200, n_azimuth: int = 100) -> float:
-    """The cone's midpoint-rule average of sin^2 cos^2 / 2 as whole-grid numpy arrays."""
+def cone_mixing_weight_meshgrid(na: float) -> float:
+    """The cone's midpoint-rule average of sin^2 cos^2 / 2 as whole-grid numpy arrays,
+    200 polar x 100 azimuthal cells."""
     beta = math.asin(na)
-    alpha = (np.arange(n_polar) + 0.5) * (beta / n_polar)
-    psi = (np.arange(n_azimuth) + 0.5) * (2.0 * math.pi / n_azimuth)
+    alpha = (np.arange(200) + 0.5) * (beta / 200)
+    psi = (np.arange(100) + 0.5) * (2.0 * math.pi / 100)
     a, p = np.meshgrid(alpha, psi, indexing="ij")
     cos_theta = np.sin(a) * np.sin(p)
     weight = np.sin(a)

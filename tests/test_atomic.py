@@ -23,6 +23,8 @@ from ionlink.errors import DomainError
 
 from oracles import random_branching_model
 
+BUNDLED = Path(atomic.__file__).parent / "data" / "ba138_branching.txt"
+
 S = lambda m: ZeemanState(Level.S12, m)  # noqa: E731
 P = lambda m: ZeemanState(Level.P12, m)  # noqa: E731
 D = lambda m: ZeemanState(Level.D32, m)  # noqa: E731
@@ -201,8 +203,7 @@ class TestSerialization:
 
     def test_bundled_file_matches_default(self):
         # the file is the default model's one source; TestDefaultModel checks its values
-        bundled = Path(atomic.__file__).parent / "data" / "ba138_branching.txt"
-        assert default_barium_model() == load_model(bundled)
+        assert default_barium_model() == load_model(BUNDLED)
 
     def test_bad_format_tag_rejected(self):
         with pytest.raises(DomainError):
@@ -219,6 +220,12 @@ class TestSerialization:
         (b"format = branching-model/1\nbr_493 = 0.7\nbr_650 = 0.3\n[cg]\n"
          b"Q12 +1/2 -> S12 +1/2 : 0.5\n", "'Q12' is not a valid Level"),
         (b"format = branching-model/1\nbr_493 = nan\nbr_650 = 0.3\n[cg]\n", "br_493 out of range"),
+        # the bundled model below a stray header line: it used to load as the default
+        pytest.param(b"hello world\nbr_650_typo = 5\n" + BUNDLED.read_bytes(),
+                     "^model file .*: cannot parse header line 'hello world' \\(expected "
+                     "'key = value', key one of: format, br_493, br_650\\)$", id="no-equals"),
+        pytest.param(b"br_650_typo = 5\n" + BUNDLED.read_bytes(),
+                     "cannot parse header line 'br_650_typo = 5'", id="unknown-key"),
     ])
     def test_malformed_file_names_the_path(self, tmp_path, content, fragment):
         path = tmp_path / "model.txt"

@@ -431,6 +431,19 @@ class TestOutputAndConfig:
         assert out == run(capsys, *reference)[1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
+    @pytest.mark.parametrize("config_text, key", [
+        ("na = 0.4\nna = 0.6\n", "na"),  # ran as --na 0.6
+        ("# trap\nr-um = 260\n\nr_um = 300\n", "r_um"),
+        ("v0 = 200\nv0 = 300\n", "v0"),  # another subcommand's key, else ignored
+    ], ids=["na", "dash-and-underscore", "other-subcommand"])
+    def test_repeated_config_key_is_usage_error(self, capsys, tmp_path, config_text, key):
+        config = tmp_path / "run.conf"
+        config.write_text(config_text)
+        code, out, err = run(capsys, "schemes", "--config", str(config), "--na", "0.5")
+        line = len(config_text.splitlines())
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {config}:{line}: repeated key {key!r}\n"
+
     def test_non_utf8_config_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"na = 0.5 # \xe9\n")
@@ -552,6 +565,9 @@ class TestFailuresExitOne:
         ("--model", b"format = branching-model/1\nbr_493 = 0.7\nbr_650 = 0.3\n[cg]\n"
          b"P12 +1/2 -> S12 +1/2 : 0.123\nP12 +1/2 -> S12 +1/2 : 0.5\n",
          "repeated channel in line 'P12 +1/2 -> S12 +1/2 : 0.5'"),
+        pytest.param("--model", b"hello world\nbr_650_typo = 5\n"
+                     + resources.files("ionlink.data").joinpath("ba138_branching.txt").read_bytes(),
+                     "cannot parse header line 'hello world'", id="model-stray-header-line"),
         ("--material", b'{"form": "mgo', "cannot parse dispersion file"),
         ("--material", b"\xff\xfe", "cannot parse dispersion file"),
         ("--material", b"[1, 2]", "unsupported dispersion form"),

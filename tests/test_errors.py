@@ -121,9 +121,6 @@ WHOLE_NUMBER_CASES = [
     ("n_trials", lambda: simulate(PumpCycleConfig(), n_trials=10.0, seed=0)),  # was a TypeError
     ("seed", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0.5)),  # ran on seed 0's bits
     ("workers", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0, workers=1.5)),  # ran
-    ("n_polar", lambda: cone_mixing_weight(0.5, n_polar=0)),
-    ("n_polar", lambda: cone_mixing_weight(0.5, n_polar=2.5)),
-    ("n_azimuth", lambda: cone_mixing_weight(0.5, n_azimuth=0)),
 ]
 
 
@@ -186,6 +183,7 @@ FLOAT_INPUTS = [
     ("max_fidelity", lambda x: fidelity_at_na(x, 0.6), -5e-324, 1.0000000000000002),
     ("NA", lambda x: fidelity_at_na(0.891, x), -5e-324, 1.0000000000000002),
     ("NA", lambda x: entanglement_probability(D_SHELVING, x), -5e-324, 1.0000000000000002),
+    ("NA", cone_mixing_weight, 0.0, 1.0000000000000002),
 ]
 OUT_OF_RANGE_CASES += [
     (f"{name} out of range: {value} ", functools.partial(call, value))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ionlink.errors import DomainError, NoCrossingError
+from ionlink.errors import DomainError
 from ionlink.fiber import (
     STANDARD_ATTENUATION_DB_PER_KM,
     FiberChannel,
@@ -119,7 +119,8 @@ class TestCrossing:
         assert conversion_crossing(standard_channel(493), standard_channel(780), 1.0) == 0.0
 
     def test_no_crossing_when_conversion_does_not_help(self):
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(DomainError, match=r"^converted channel \(\S+ dB/km\) does not improve "
+                                              r"on the raw one \(\S+ dB/km\): no crossover$"):
             conversion_crossing(standard_channel(1550), standard_channel(493), 0.5)
 
     def test_efficiency_bounds(self):

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ionlink.errors import ChainError, DomainError
+from ionlink.errors import DomainError
 from ionlink.qfc import (
     C_NM_THZ,
     ConversionStage,
@@ -388,7 +388,8 @@ class TestChains:
     def test_disconnected_chain_rejected(self):
         first = self._stage(493.0, 1343.0, 0.05)
         second = self._stage(650.0, 1343.0, 0.18)
-        with pytest.raises(ChainError):
+        with pytest.raises(DomainError, match=r"^stage output 778\.94 nm does not feed the next "
+                                              r"input 650\.0 nm \(gap 128\.94\d* nm\)$"):
             chain_efficiency([first, second])
 
     def test_validity_is_order_sensitive(self):
@@ -396,7 +397,8 @@ class TestChains:
         second, _ = plan_stage(first.output.wavelength_nm, 1569.0, MixKind.DFG,
                                load_dispersion("ppln"), efficiency=0.18)
         chain_efficiency([first, second])
-        with pytest.raises(ChainError):
+        with pytest.raises(DomainError, match=r"^stage output \S+ nm does not feed the next "
+                                              r"input \S+ nm \(gap \S+ nm\)$"):
             chain_efficiency([second, first])
 
 
