@@ -320,7 +320,7 @@ def save_model(model: BranchingModel, path) -> None:
 
 
 def load_model(path) -> BranchingModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return model_from_text(fh.read())
         except ValueError as exc:  # not UTF-8, a bad number or level, or a DomainError

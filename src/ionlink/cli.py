@@ -88,7 +88,7 @@ class _UsageError(Exception):
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

@@ -3,8 +3,10 @@
 A stage mixes an input photon with a strong pump in a periodically poled
 crystal.  Difference frequency generation (DFG) emits at nu_in - nu_pump,
 sum frequency generation (SFG) at nu_in + nu_pump; energy conservation is
-enforced exactly on construction.  Momentum conservation is arranged by
-choosing the poling period Lambda so that
+enforced exactly on construction.  Poling design phase-matches DFG only:
+an SFG stage is held to the same condition, which normal dispersion leaves
+unsolvable.  Momentum conservation is arranged by choosing the poling
+period Lambda so that
 
     k_in - k_pump - k_out - 2 pi m / Lambda = 0
 
@@ -192,7 +194,7 @@ def load_dispersion(name_or_path: str) -> DispersionModel:
         )
     else:
         try:
-            with open(name_or_path, "r", encoding="utf-8") as fh:
+            with open(name_or_path, "r", encoding="utf-8-sig") as fh:
                 payload = json.load(fh)
         except FileNotFoundError as exc:
             raise DomainError(

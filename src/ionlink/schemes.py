@@ -116,17 +116,10 @@ def scheme_comparison(
     na: float, collection: CollectionModel | str = CollectionModel.QUADRATIC
 ) -> list[SchemeRow]:
     """Side-by-side success probability and fidelity of all schemes at one NA."""
-    rows = []
-    for spec in (D_SHELVING, WEAK, STRONG):
-        rows.append(
-            SchemeRow(
-                spec.name,
-                spec.excite_prob * spec.s_decay_prob,
-                entanglement_probability(spec, na, collection),
-                fidelity_at_na(spec.max_fidelity, na, collection),
-            )
-        )
-    return rows
+    return [SchemeRow(spec.name, spec.excite_prob * spec.s_decay_prob,
+                      entanglement_probability(spec, na, collection),
+                      fidelity_at_na(spec.max_fidelity, na, collection))
+            for spec in SCHEMES.values()]
 
 
 def _na_fractions(na_step: float, collection: CollectionModel) -> Iterator[tuple[float, float]]:

@@ -421,11 +421,12 @@ class TestOutputAndConfig:
         ("initial_mj = -3/2\n", ("chain", "exact"), ("chain", "exact", "--initial-mj=-3/2")),
         ("trials = 5\nscheme = weak\noutput_format = json\noutput = {tmp}/x.csv\n"
          "config = {tmp}/other.conf\ncommand = trap\n", ("schemes",), ("schemes",)),
+        ("\ufeffna = 0.3\n", ("schemes",), ("schemes", "--na", "0.3")),  # a byte-order mark
     ])
     def test_config_contract(self, capsys, tmp_path, config_text, argv, reference):
         """argv > config > default; only the chosen subcommand's keys are read."""
         config = tmp_path / "run.conf"
-        config.write_text(config_text.format(tmp=tmp_path))
+        config.write_text(config_text.format(tmp=tmp_path), encoding="utf-8")
         code, out, err = run(capsys, *argv, "--config", str(config))
         assert (code, err) == (0, "")
         assert out == run(capsys, *reference)[1]
@@ -578,6 +579,20 @@ class TestFailuresExitOne:
         path.write_bytes(content)
         head = ("chain", "exact") if flag == "--model" else QFC_PLAN[:-2]
         self.assert_one_line_error(*run(capsys, *head, flag, str(path)), fragment, str(path))
+
+    @pytest.mark.parametrize("flag, data, head", [
+        ("--model", "ba138_branching.txt", ("chain", "exact")),
+        ("--material", "ppln_mgo_cln.json", QFC_PLAN[:-2]),
+    ])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, flag, data, head):
+        """A file saved with a UTF-8 byte-order mark reads as the same file without one."""
+        path = tmp_path / data
+        content = resources.files("ionlink.data").joinpath(data).read_bytes()
+        printed = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + content)
+            printed.append(run(capsys, *head, flag, str(path)))
+        assert printed[1] == printed[0] and printed[0][0] == 0
 
     @pytest.mark.parametrize("br_493, fragment", [
         (0.0, "error: absorbing-chain solve failed: Singular matrix\n"),

@@ -9,10 +9,13 @@ from ionlink.atomic import BranchingModel, Level, Polarization, ZeemanState, def
 from ionlink.emission import EmissionDirection, PolarizationVector, collection_fraction
 from ionlink.emission import cone_mixing_weight
 from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps, whole
-from ionlink.fiber import FiberChannel, conversion_crossing, link_rate, transmission
+from ionlink.fiber import (
+    FiberChannel, conversion_crossing, link_rate, transmission, transmission_curves,
+)
 from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
 from ionlink.qfc import (
-    ConversionStage, DispersionModel, LightField, MixKind, load_dispersion, plan_stage,
+    ConversionStage, DispersionModel, LightField, MixKind, load_dispersion, noise_audit,
+    plan_stage,
 )
 from ionlink.schemes import (
     D_SHELVING, SchemeSpec, entanglement_probability, fidelity_at_na, mixture_fidelity,
@@ -166,7 +169,8 @@ OUT_OF_RANGE_CASES = [
 
 RAW, CONVERTED = FiberChannel(493.0, 50.0), FiberChannel(780.0, 3.5)
 #: Float inputs of the scalar library functions, each with the nearest floats
-#: outside its range (None: unbounded above); NaN, +-inf and those are refused.
+#: outside its range (None: unbounded above; none listed: only NaN and +-inf
+#: are tested); NaN, +-inf and those are refused.
 FLOAT_INPUTS = [
     ("source_rate", lambda x: link_rate(x, 1e6, 0.05, CONVERTED, 1.0, 0.95),
      -5e-324, 1.0000000000000002),
@@ -184,6 +188,30 @@ FLOAT_INPUTS = [
     ("NA", lambda x: fidelity_at_na(0.891, x), -5e-324, 1.0000000000000002),
     ("NA", lambda x: entanglement_probability(D_SHELVING, x), -5e-324, 1.0000000000000002),
     ("NA", cone_mixing_weight, 0.0, 1.0000000000000002),
+    ("wavelength_nm", lambda x: plan_stage(x, 1343.0, MixKind.DFG, load_dispersion("ppln")),
+     0.0, None),
+    ("wavelength_nm", lambda x: plan_stage(650.0, x, MixKind.DFG, load_dispersion("ppln")),
+     0.0, None),
+    ("efficiency", lambda x: _plan(efficiency=x), -5e-324, 1.0000000000000002),
+    ("srs_threshold_thz", lambda x: _plan(srs_threshold_thz=x), -5e-324, None),
+    ("srs_threshold_thz", lambda x: noise_audit(_plan()[0], x), -5e-324, None),
+    ("v0", lambda x: TrapConfig.from_lab_units(x, 20.0, 260.0, 0.9, 138.0), 0.0, None),
+    ("eta", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, x, 138.0),
+     0.0, 1.0000000000000002),
+    # the lab-unit inputs below are checked after conversion, under their SI names
+    ("omega_rf", lambda x: TrapConfig.from_lab_units(200.0, x, 260.0, 0.9, 138.0)),
+    ("r", lambda x: TrapConfig.from_lab_units(200.0, 20.0, x, 0.9, 138.0)),
+    ("mass", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, x)),
+    ("charge", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, 138.0, x)),
+    # a generator checks its inputs when the first row is pulled
+    ("max_km", lambda x: next(transmission_curves(x, 1.0)), -5e-324, None),
+    ("step_km", lambda x: next(transmission_curves(10.0, x)), 0.0, None),
+    ("eta_780", lambda x: next(transmission_curves(10.0, 1.0, eta_780=x)),
+     -5e-324, 1.0000000000000002),
+    ("eta_1259", lambda x: next(transmission_curves(10.0, 1.0, eta_1259=x)),
+     -5e-324, 1.0000000000000002),
+    ("eta_1550", lambda x: next(transmission_curves(10.0, 1.0, eta_1550=x)),
+     -5e-324, 1.0000000000000002),
 ]
 OUT_OF_RANGE_CASES += [
     (f"{name} out of range: {value} ", functools.partial(call, value))

@@ -1,5 +1,7 @@
 """Start-up contract: ``import ionlink`` is lazy, each command loads only its own
-layer, and only the Monte Carlo (``chain mc``) loads numpy.
+layer, only the Monte Carlo (``chain mc``) loads numpy, and nothing but the
+Monte Carlo needs a third-party package: without site-packages (``python -S``)
+every other golden command and demo writes its golden bytes.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported numpy and every ionlink module.
@@ -75,12 +77,13 @@ COMMANDS = [
 CLI_MODULES = ("ionlink", "ionlink._format", "ionlink.cli", "ionlink.errors")
 
 
-def run_fresh(code: str, *argv: str):
-    """Runs ``code`` in a new interpreter on this checkout with ``argv`` as
-    ``sys.argv[1:]`` from the checkout's root; returns the JSON it prints."""
+def run_fresh(code: str, *argv: str, flags: tuple[str, ...] = ()):
+    """Runs ``code`` in a new interpreter, started with the interpreter ``flags``,
+    on this checkout with ``argv`` as ``sys.argv[1:]`` from the checkout's root;
+    returns the JSON it prints."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code), *argv], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -208,24 +211,6 @@ def test_chain_commands_call_the_module_attributes_a_tracer_patches():
     assert report["calls"] == ["simulate", "solve_exact"]
 
 
-def test_no_command_loads_dataclasses_and_only_numpy_loads_inspect():
-    """The records need no ``dataclasses``, so a command that leaves numpy
-    unloaded never loads ``inspect`` either; numpy itself imports it.  The
-    commands run in one process, in order, so each check covers those before."""
-    report = run_fresh(f"""
-        import contextlib, io, json, sys
-
-        from ionlink.cli import main
-        loaded = []
-        for argv, _, _, _ in {COMMANDS!r}:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                main(argv.split())
-            loaded.append([argv, "dataclasses" in sys.modules, "inspect" in sys.modules])
-        print(json.dumps(loaded))
-    """)
-    assert report == [[argv, False, numpy] for argv, _, numpy, _ in COMMANDS]
-
-
 def test_monte_carlo_loads_neither_numpy_ma_nor_fractions():
     """``chain mc`` builds its decay table without ``np.unique`` (which loads
     ``numpy.ma``), and the exact solve's fused multiply-subtract is integer
@@ -251,17 +236,21 @@ def test_monte_carlo_loads_neither_numpy_ma_nor_fractions():
 
 
 def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
-    """numpy is not a dependency.  With it blocked before ``ionlink`` is imported,
-    every argv of ``tests/cli_golden.json`` but ``chain mc`` writes its golden bytes
-    (to the file, for ``--output FILE``), ``chain mc`` exits 1 with one ``error:``
-    line naming numpy, and every demo but 03, which runs the Monte Carlo, prints
-    its golden bytes."""
+    """numpy is not a dependency, nor is any other third-party package.  Under
+    ``python -S``, so without site-packages, and with numpy also blocked before
+    ``ionlink`` is imported, should ``PYTHONPATH`` reach one,
+    ``from ionlink import *`` binds every export, every argv of
+    ``tests/cli_golden.json`` but ``chain mc`` writes its golden bytes (to the
+    file, for ``--output FILE``), ``chain mc`` exits 1 with one ``error:`` line
+    naming numpy, and every demo but 03, which runs the Monte Carlo, prints its
+    golden bytes."""
     demos = ["01_entanglement_schemes.py", "02_emission_and_collection.py",
              "04_trap_confinement.py", "05_qfc_planning.py", "06_fiber_link_budget.py"]
     report = run_fresh("""
         import contextlib, hashlib, io, json, runpy, sys
 
         sys.modules["numpy"] = None  # ``import numpy`` now raises ModuleNotFoundError
+        exec("from ionlink import *", {})
         from ionlink.cli import main
 
         def sha(data):
@@ -285,9 +274,10 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
             with contextlib.redirect_stdout(stdout):
                 runpy.run_path(f"demos/{name}", run_name="__main__")
             printed[name] = sha(stdout.getvalue().encode())
-        print(json.dumps({"blocked": sys.modules.get("numpy", 0) is None,
+        print(json.dumps({"no_site": sys.flags.no_site, "blocked": sys.modules.get("numpy", 0) is None,
                           "cases": cases, "demos": printed}))
-    """, "tests/cli_golden.json", str(tmp_path / "out"), *demos)
+    """, "tests/cli_golden.json", str(tmp_path / "out"), *demos, flags=("-S",))
+    assert report["no_site"] == 1
     assert report["blocked"] is True
     golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
     nothing = hashlib.sha256(b"").hexdigest()
@@ -343,17 +333,20 @@ def test_every_schemes_export_runs_without_numpy():
 @pytest.mark.parametrize("argv, code, numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_each_command_loads_only_its_own_layer(argv, code, numpy, layers):
     """A fresh ``ionlink <argv>`` loads the CLI and the import closure of its own
-    layer, and no other: ``--version`` loads ``qfc``, a usage error no layer."""
+    layer, and no other: ``--version`` loads ``qfc``, a usage error no layer.
+    The records need no ``dataclasses``, so a command that leaves numpy
+    unloaded never loads ``inspect`` either; numpy itself imports it."""
     report = run_fresh("""
         import contextlib, io, json, sys
 
         from ionlink.cli import main
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(sys.argv[1:])
-        print(json.dumps([code, "numpy" in sys.modules,
+        print(json.dumps([code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")),
                           sorted(name for name in sys.modules if name.startswith("ionlink"))]))
     """, *argv.split())
-    assert report == [code, numpy, sorted([*CLI_MODULES, *(f"ionlink.{m}" for m in layers)])]
+    assert report == [code, numpy, False, numpy,
+                      sorted([*CLI_MODULES, *(f"ionlink.{m}" for m in layers)])]
 
 
 def test_every_handler_calls_the_layer_functions_a_tracer_patches(tmp_path):
