@@ -15,10 +15,10 @@ through ``%``-templates, with no Python loop over its cells; the texts hold
 nothing CSV quotes.  Each table picks how once, from its first such block.
 When fewer than half of that block's cells are distinct (the emission grid
 repeats its angles and intensities), the table keeps a memo of texts, each
-distinct value formatted once (``0.0`` and ``-0.0``, equal but printed
-differently, share an entry, and the minus signs are put back), cleared
-whenever it holds ``_MEMO_CAP`` texts; a block's texts fill one template
-of all its rows.  Otherwise (the fiber and NA curves, whose values rarely
+distinct nonzero value formatted once (``0.0`` and ``-0.0``, equal but
+printed differently, are formatted wherever they occur), cleared whenever
+it holds ``_MEMO_CAP`` texts; a block's texts fill one template of all its
+rows.  Otherwise (the fiber and NA curves, whose values rarely
 repeat) one row template formats every cell, row by row.  Both give the
 same bytes.  Any other block goes row by row through ``csv.writer``, or through
 ``json.dumps`` re-indented to the row's depth.  JSON tables are the
@@ -48,7 +48,7 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -70,8 +70,9 @@ __all__ = ["format_cell", "render_csv", "render_json", "stdout", "table_payload"
 _BLOCK = 512
 #: Most texts a table's :class:`_Memo` holds before it starts over: ~100 KB.
 #: The 0.5 x 1 degree emission grid has 2,361 distinct values in 779,760
-#: cells; at this cap it formats 4,919 texts (2,361 from 3,072 up), which
-#: costs well under a millisecond more than a memo that never clears.
+#: cells, zero among them; at this cap it formats 4,918 texts of the 2,360
+#: nonzero ones and each of its 1,441 zero cells, which costs well under a
+#: millisecond more than a memo that never clears.
 _MEMO_CAP = 1024
 _NON_FINITE = "the result holds NaN or infinity, which neither CSV nor JSON output carries"
 
@@ -119,8 +120,8 @@ class _Memo(dict):
     """The texts of one table's floats, keyed by value, each rendered once until
     ``_MEMO_CAP`` are held; then the memo starts over, so memory stays bounded.
 
-    ``0.0`` and ``-0.0`` are equal, so they share a key, rendered unsigned;
-    :meth:`texts` puts the minus signs back.
+    A zero is rendered each time it is looked up and never held: ``0.0`` and
+    ``-0.0`` are equal keys, but print differently.
     """
 
     def __init__(self, cell: str):
@@ -130,19 +131,12 @@ class _Memo(dict):
     def __missing__(self, value: float) -> str:
         if not math.isfinite(value):
             raise DomainError(_NON_FINITE)
+        if not value:
+            return self.cell % value
         if len(self) >= _MEMO_CAP:
             self.clear()
-        text = self[value] = self.cell % (value + 0.0)  # -0.0 + 0.0 is 0.0
+        text = self[value] = self.cell % value
         return text
-
-    def texts(self, cells: tuple) -> list[str]:
-        texts = list(map(self.__getitem__, cells))
-        i = -1
-        for _ in range(cells.count(0.0)):  # either zero; only these are scanned
-            i = cells.index(0.0, i + 1)
-            if math.copysign(1.0, cells[i]) < 0.0:
-                texts[i] = self.cell % -0.0
-        return texts
 
 
 #: How a format frames rows of cell texts: (row start, cell separator, row
@@ -184,7 +178,7 @@ class _FloatBlocks:
             row = start + sep.join([self.cell] * width) + end
             return between.join(map(row.__mod__, zip(*[iter(_finite(cells))] * width)))
         row = start + sep.join(["%s"] * width) + end
-        return between.join([row] * len(block)) % tuple(self.memo.texts(cells))
+        return between.join([row] * len(block)) % tuple(map(self.memo.__getitem__, cells))
 
 
 def _csv_text(rows: Iterable[Sequence[str]]) -> str:

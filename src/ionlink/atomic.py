@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import re
-from importlib import resources
+from collections import namedtuple
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
 
 from .errors import DomainError, Record, check
 
@@ -112,10 +113,7 @@ def polarization_for(upper: ZeemanState, lower: ZeemanState) -> Polarization:
     return _POL_BY_Q[q]
 
 
-class DecayChannel(NamedTuple):
-    lower: ZeemanState
-    polarization: Polarization
-    probability: float
+DecayChannel = namedtuple("DecayChannel", "lower polarization probability")
 
 
 class BranchingModel(Record):
@@ -189,8 +187,9 @@ def default_barium_model() -> BranchingModel:
     pi, remaining sigma channel); the P1/2 -> S1/2 squares are 2/3 (sigma)
     and 1/3 (pi).  Signs follow the module-level Condon-Shortley convention.
     """
-    data = resources.files("ionlink.data").joinpath("ba138_branching.txt")
-    return model_from_text(data.read_text())
+    with open(os.path.join(os.path.dirname(__file__), "data", "ba138_branching.txt"),
+              encoding="utf-8") as fh:
+        return model_from_text(fh.read())
 
 
 def allowed_decays(upper: ZeemanState, model: BranchingModel) -> list[DecayChannel]:

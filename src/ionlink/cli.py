@@ -44,7 +44,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import __version__
 from ._format import render_csv, render_json, stdout, table_payload, write_output

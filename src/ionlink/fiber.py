@@ -9,7 +9,7 @@ distance the converted channel wins.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import DomainError, Record, check, steps
 

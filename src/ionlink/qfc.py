@@ -28,8 +28,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from importlib import resources
-from typing import Mapping, NamedTuple, Sequence
+import os
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 from .errors import DomainError, Record, check, whole
 
@@ -189,9 +190,9 @@ def load_dispersion(name_or_path: str) -> DispersionModel:
     """Load a bundled model by name (``ppln``, ``ppktp``) or a JSON file by path."""
     key = name_or_path.lower()
     if key in _PACKAGED_MODELS:
-        payload = json.loads(
-            resources.files("ionlink.data").joinpath(_PACKAGED_MODELS[key]).read_text()
-        )
+        with open(os.path.join(os.path.dirname(__file__), "data", _PACKAGED_MODELS[key]),
+                  encoding="utf-8") as fh:
+            payload = json.load(fh)
     else:
         try:
             with open(name_or_path, "r", encoding="utf-8-sig") as fh:
@@ -313,9 +314,7 @@ def solve_poling_period(
 # ---------------------------------------------------------------------------
 
 
-class NoiseFinding(NamedTuple):
-    code: str
-    message: str
+NoiseFinding = namedtuple("NoiseFinding", "code message")
 
 
 def noise_audit(stage: ConversionStage, srs_threshold_thz: float = 5.0) -> list[NoiseFinding]:
@@ -407,13 +406,7 @@ def plan_stage(
     return stage, noise_audit(stage, srs_threshold_thz)
 
 
-class ConversionRow(NamedTuple):
-    conversion: str
-    input_thz: float
-    output_thz: float
-    pump_thz: float
-    device: str
-    stage: ConversionStage
+ConversionRow = namedtuple("ConversionRow", "conversion input_thz output_thz pump_thz device stage")
 
 
 _STANDARD_CONVERSIONS = (

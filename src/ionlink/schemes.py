@@ -22,7 +22,8 @@ one is the good branch's weight p_good / (p_good + p_bad)
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .emission import CollectionModel, collection_fraction
 from .errors import Record, check, steps
@@ -105,11 +106,7 @@ def entanglement_probability(
     return spec.excite_prob * spec.s_decay_prob * collection_fraction(na, collection)
 
 
-class SchemeRow(NamedTuple):
-    scheme: str
-    pe_ps: float
-    probability: float
-    fidelity: float
+SchemeRow = namedtuple("SchemeRow", "scheme pe_ps probability fidelity")
 
 
 def scheme_comparison(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import Record, check
+from .errors import DomainError, Record, check
 
 __all__ = ["TrapConfig", "pseudopotential", "secular_frequency"]
 
@@ -50,15 +50,20 @@ class TrapConfig(Record):
         mass_amu: float,
         charge_e: float = 1.0,
     ) -> "TrapConfig":
-        """Build from the units quoted on a lab bench (MHz, micrometers, amu)."""
-        return cls(
-            v0=v0,
-            omega_rf=2.0 * math.pi * f_rf_mhz * 1e6,
-            r=r_um * 1e-6,
-            eta=eta,
-            mass=mass_amu * _AMU,
-            charge=charge_e * _ELEMENTARY_CHARGE,
-        )
+        """Build from the units quoted on a lab bench (MHz, micrometers, amu).
+
+        Each argument is checked under its own name, in its field's range, and
+        refused also where its SI value under- or overflows to 0 or infinity."""
+        lab = {"v0": v0, "f_rf_mhz": f_rf_mhz, "r_um": r_um, "eta": eta,
+               "mass_amu": mass_amu, "charge_e": charge_e}
+        si = (v0, 2.0 * math.pi * f_rf_mhz * 1e6, r_um * 1e-6, eta, mass_amu * _AMU,
+              charge_e * _ELEMENTARY_CHARGE)
+        for (name, value), converted in zip(lab.items(), si):
+            check(name, value, 0.0, 1.0 if name == "eta" else math.inf, open_lo=True)
+            if not 0.0 < converted < math.inf:
+                raise DomainError(f"{name} out of range: {value} "
+                                  f"(its SI value {converted} is not finite and positive)")
+        return cls(*si)
 
 
 def _positive(quantity: str, config: TrapConfig, evaluate) -> float:

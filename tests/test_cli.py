@@ -482,12 +482,15 @@ class TestFailuresExitOne:
         (TRAP + ("--v0", "nan"), "v0"),
         (TRAP + ("--v0", "inf"), "v0"),
         (TRAP + ("--eta", "nan"), "eta"),
+        (TRAP + ("--charge-e", "-1"), "charge_e"),
+        (TRAP + ("--freq-mhz", "nan"), "f_rf_mhz"),
         (("fiber", "curves", "--eta-780", "nan"), "eta_780"),
         (("fiber", "curves", "--eta-1550", "-3"), "eta_1550"),
         (("fiber", "budget", "--db-per-km", "inf"), "attenuation_db_per_km"),
         (QFC_PLAN + ("--srs-threshold-thz", "nan"), "srs_threshold_thz"),
         # finite inputs whose result over- or underflows
         (TRAP + ("--freq-mhz", "1e-320"), "omega_rf"),
+        (TRAP + ("--r-um", "1e-320"), "r_um out of range: 1e-320"),
         (TRAP + ("--r-um", "1e-300"), "r=1e-306"),
         (TRAP + ("--r-um", "1e300"), "r=1e+294"),
         (("fiber", "crossing", "--efficiency", "1e-320"), "efficiency 1e-320"),

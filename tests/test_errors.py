@@ -196,13 +196,13 @@ FLOAT_INPUTS = [
     ("srs_threshold_thz", lambda x: _plan(srs_threshold_thz=x), -5e-324, None),
     ("srs_threshold_thz", lambda x: noise_audit(_plan()[0], x), -5e-324, None),
     ("v0", lambda x: TrapConfig.from_lab_units(x, 20.0, 260.0, 0.9, 138.0), 0.0, None),
+    ("f_rf_mhz", lambda x: TrapConfig.from_lab_units(200.0, x, 260.0, 0.9, 138.0), 0.0, None),
+    ("r_um", lambda x: TrapConfig.from_lab_units(200.0, 20.0, x, 0.9, 138.0), 0.0, None),
     ("eta", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, x, 138.0),
      0.0, 1.0000000000000002),
-    # the lab-unit inputs below are checked after conversion, under their SI names
-    ("omega_rf", lambda x: TrapConfig.from_lab_units(200.0, x, 260.0, 0.9, 138.0)),
-    ("r", lambda x: TrapConfig.from_lab_units(200.0, 20.0, x, 0.9, 138.0)),
-    ("mass", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, x)),
-    ("charge", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, 138.0, x)),
+    ("mass_amu", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, x), 0.0, None),
+    ("charge_e", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, 138.0, x),
+     0.0, None),
     # a generator checks its inputs when the first row is pulled
     ("max_km", lambda x: next(transmission_curves(x, 1.0)), -5e-324, None),
     ("step_km", lambda x: next(transmission_curves(10.0, x)), 0.0, None),
@@ -217,6 +217,16 @@ OUT_OF_RANGE_CASES += [
     (f"{name} out of range: {value} ", functools.partial(call, value))
     for name, call, *outside in FLOAT_INPUTS
     for value in (math.nan, math.inf, -math.inf, *outside) if value is not None
+]
+OUT_OF_RANGE_CASES += [  # a lab-unit trap input whose SI value under- or overflows
+    ("f_rf_mhz out of range: 1e+303 (its SI value inf",
+     lambda: TrapConfig.from_lab_units(200.0, 1e303, 260.0, 0.9, 138.0)),
+    ("r_um out of range: 1e-320 (its SI value 0.0",
+     lambda: TrapConfig.from_lab_units(200.0, 20.0, 1e-320, 0.9, 138.0)),
+    ("mass_amu out of range: 1e-310 (its SI value 0.0",
+     lambda: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, 1e-310)),
+    ("charge_e out of range: 5e-324 (its SI value 0.0",
+     lambda: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, 138.0, 5e-324)),
 ]
 
 

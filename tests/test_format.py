@@ -235,6 +235,25 @@ class TestFloatStrategies:
             render_both(["a", "b", "c"], rows)
         assert max(sizes) == 4 and sizes.count(1) > 2  # full, cleared, and refilled
 
+    def test_signed_zeros_across_memo_resets(self):
+        """The memo never holds a zero, so ``0.0`` and ``-0.0`` keep their signs
+        while it fills, starts over and refills around them."""
+        held = []
+
+        class Spy(_format._Memo):
+            def __missing__(self, value):
+                text = super().__missing__(value)
+                held.append(sorted(self))
+                return text
+
+        rows = [(zero, i % 5 + 0.5, -zero, -(i % 3) - 0.25)  # 9 distinct of 160 cells
+                for i, zero in enumerate([0.0, -0.0] * 20)]
+        with mock.patch.object(_format, "_BLOCK", 8), mock.patch.object(_format, "_MEMO_CAP", 2), \
+                mock.patch.object(_format, "_Memo", Spy):
+            render_both(["a", "b", "c", "d"], rows)
+        assert max(map(len, held)) == 2 and sum(len(h) == 1 for h in held) > 2
+        assert not any(0.0 in h for h in held)
+
     @pytest.mark.parametrize("memo", [False, True])
     def test_signed_zeros_across_blocks(self, memo):
         rows = [(-0.0, 1.0), (0.0, -0.0), (1.0, 0.0), (-0.0, -0.0), (0.0, 1.0)] * 3

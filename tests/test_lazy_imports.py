@@ -46,8 +46,8 @@ TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
 #: (argv, exit code, numpy loaded afterwards, the layers it loads), run in
 #: this order in one process for the numpy column; each alone for the layers.
 SCHEMES = ("emission", "schemes")  # no scheme needs the atomic model
-QFC = ("data", "qfc")  # importlib.resources imports the bundled data directory
-CHAIN_DEFAULT = ("atomic", "data", "pump_cycle")
+QFC = ("qfc",)
+CHAIN = ("atomic", "pump_cycle")
 COMMANDS = [
     ("--version", 0, False, QFC),
     (TRAP, 0, False, ("trap",)),
@@ -66,11 +66,10 @@ COMMANDS = [
       for table, layers in (("emission pattern", ("emission",)), ("fiber curves", ("fiber",)),
                             ("fidelity-curve", SCHEMES), ("prob-curve", SCHEMES))
       for fmt in ("csv", "json")],
-    # the 2x2 solve is plain Python; the default model is read from the bundled data directory
-    *[(f"chain exact{flags}", 0, False, layers) for flags, layers in (
-        ("", CHAIN_DEFAULT), (" --drive sigma-plus", CHAIN_DEFAULT),
-        (" --model src/ionlink/data/ba138_branching.txt", ("atomic", "pump_cycle")))],
-    ("chain mc --trials 10", 0, True, CHAIN_DEFAULT),  # the first command that does array work
+    # the 2x2 solve is plain Python
+    *[(f"chain exact{flags}", 0, False, CHAIN)
+      for flags in ("", " --drive sigma-plus", " --model src/ionlink/data/ba138_branching.txt")],
+    ("chain mc --trials 10", 0, True, CHAIN),  # the first command that does array work
 ]
 
 #: What every command loads: the package, the CLI and the two modules it imports.
@@ -243,11 +242,13 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
     ``tests/cli_golden.json`` but ``chain mc`` writes its golden bytes (to the
     file, for ``--output FILE``), ``chain mc`` exits 1 with one ``error:`` line
     naming numpy, and every demo but 03, which runs the Monte Carlo, prints its
-    golden bytes."""
+    golden bytes.  None of it loads ``typing`` or ``importlib.resources``, and
+    the bundled data files are opened beside the modules, so the data
+    directory is never imported as a package."""
     demos = ["01_entanglement_schemes.py", "02_emission_and_collection.py",
              "04_trap_confinement.py", "05_qfc_planning.py", "06_fiber_link_budget.py"]
     report = run_fresh("""
-        import contextlib, hashlib, io, json, runpy, sys
+        import contextlib, hashlib, io, json, sys
 
         sys.modules["numpy"] = None  # ``import numpy`` now raises ModuleNotFoundError
         exec("from ionlink import *", {})
@@ -271,14 +272,18 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
         printed = {}
         for name in demos:
             stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                runpy.run_path(f"demos/{name}", run_name="__main__")
+            # runs the demo as runpy.run_path would; run_path imports pkgutil, and so typing
+            with open(f"demos/{name}", encoding="utf-8") as fh, contextlib.redirect_stdout(stdout):
+                exec(compile(fh.read(), f"demos/{name}", "exec"), {"__name__": "__main__"})
             printed[name] = sha(stdout.getvalue().encode())
         print(json.dumps({"no_site": sys.flags.no_site, "blocked": sys.modules.get("numpy", 0) is None,
+                          "loaded": [name for name in ("typing", "importlib.resources", "ionlink.data")
+                                     if name in sys.modules],
                           "cases": cases, "demos": printed}))
     """, "tests/cli_golden.json", str(tmp_path / "out"), *demos, flags=("-S",))
     assert report["no_site"] == 1
     assert report["blocked"] is True
+    assert report["loaded"] == []
     golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
     nothing = hashlib.sha256(b"").hexdigest()
     expected = {}
