@@ -10,6 +10,7 @@ from ionlink.qfc import (
     MixKind,
     chain_efficiency,
     load_dispersion,
+    noise_audit,
     plan_stage,
     standard_conversion_table,
 )
@@ -23,12 +24,9 @@ for row in standard_conversion_table():
 print()
 
 print("== noise audit of each stage ==")
-for input_nm, pump_nm, material in ((493.0, 1343.0, "ppktp"),
-                                    (650.0, 1343.0, "ppln"),
-                                    (780.0, 1569.0, "ppln")):
-    stage, findings = plan_stage(input_nm, pump_nm, MixKind.DFG, load_dispersion(material))
-    print(f"{input_nm:g} nm -> {stage.output.wavelength_nm:.0f} nm:")
-    for finding in findings:
+for row in standard_conversion_table():
+    print(f"{row.conversion}:")
+    for finding in noise_audit(row.stage):
         print(f"  [{finding.code}] {finding.message}")
 print()
 

@@ -187,9 +187,7 @@ def default_barium_model() -> BranchingModel:
     pi, remaining sigma channel); the P1/2 -> S1/2 squares are 2/3 (sigma)
     and 1/3 (pi).  Signs follow the module-level Condon-Shortley convention.
     """
-    with open(os.path.join(os.path.dirname(__file__), "data", "ba138_branching.txt"),
-              encoding="utf-8") as fh:
-        return model_from_text(fh.read())
+    return load_model(os.path.join(os.path.dirname(__file__), "data", "ba138_branching.txt"))
 
 
 def allowed_decays(upper: ZeemanState, model: BranchingModel) -> list[DecayChannel]:

@@ -54,6 +54,11 @@ class PolarizationVector(Record):
     e_theta: complex
     e_phi: complex
 
+    def __post_init__(self) -> None:
+        for name, value in zip(self._fields, self._values()):
+            if not cmath.isfinite(value):
+                raise DomainError(f"{name} out of range: {value} (must be finite)")
+
     @property
     def intensity(self) -> float:
         return abs(self.e_theta) ** 2 + abs(self.e_phi) ** 2

@@ -18,6 +18,7 @@ __all__ = [
     "STANDARD_ATTENUATION_DB_PER_KM",
     "standard_channel",
     "transmission",
+    "transmission_curves",
     "conversion_crossing",
     "link_rate",
 ]

@@ -41,6 +41,7 @@ __all__ = [
     "DispersionModel",
     "ConversionStage",
     "NoiseFinding",
+    "ConversionRow",
     "load_dispersion",
     "dispersion_data_version",
     "dfg_output",
@@ -188,22 +189,18 @@ _INDEX_FORMS = {
 
 def load_dispersion(name_or_path: str) -> DispersionModel:
     """Load a bundled model by name (``ppln``, ``ppktp``) or a JSON file by path."""
-    key = name_or_path.lower()
-    if key in _PACKAGED_MODELS:
-        with open(os.path.join(os.path.dirname(__file__), "data", _PACKAGED_MODELS[key]),
-                  encoding="utf-8") as fh:
+    bundled = _PACKAGED_MODELS.get(name_or_path.lower())
+    path = os.path.join(os.path.dirname(__file__), "data", bundled) if bundled else name_or_path
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             payload = json.load(fh)
-    else:
-        try:
-            with open(name_or_path, "r", encoding="utf-8-sig") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError as exc:
-            raise DomainError(
-                f"unknown dispersion model {name_or_path!r}: not a bundled name "
-                f"({', '.join(sorted(set(_PACKAGED_MODELS)))}) and no such file"
-            ) from exc
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise DomainError(f"cannot parse dispersion file {name_or_path}: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise DomainError(
+            f"unknown dispersion model {name_or_path!r}: not a bundled name "
+            f"({', '.join(sorted(set(_PACKAGED_MODELS)))}) and no such file"
+        ) from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise DomainError(f"cannot parse dispersion file {name_or_path}: {exc}") from exc
     form = payload.get("form") if isinstance(payload, dict) else None
     if form not in _INDEX_FORMS:
         raise DomainError(f"unsupported dispersion form {form!r} in {name_or_path}")

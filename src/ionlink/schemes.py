@@ -31,6 +31,7 @@ from .errors import Record, check, steps
 __all__ = [
     "POLARIZATION_MIXING_COEFF",
     "SchemeSpec",
+    "SchemeRow",
     "D_SHELVING",
     "WEAK",
     "STRONG",

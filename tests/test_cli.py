@@ -709,7 +709,8 @@ class TestStreamedExport:
             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
         )
         src = str(Path(ionlink.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         argv = [sys.executable, "-c", launcher, sys.executable, "-m", "ionlink.cli", *argv]
         code, rss_kb = subprocess.run(argv, capture_output=True, text=True, env=env,
                                       check=True).stdout.split()

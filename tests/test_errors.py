@@ -228,6 +228,15 @@ OUT_OF_RANGE_CASES += [  # a lab-unit trap input whose SI value under- or overfl
     ("charge_e out of range: 5e-324 (its SI value 0.0",
      lambda: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, 138.0, 5e-324)),
 ]
+OUT_OF_RANGE_CASES += [  # a non-finite amplitude, real or complex: the intensity was nan or inf
+    ("e_theta out of range: nan", lambda: PolarizationVector(math.nan, 0j)),
+    ("e_phi out of range: inf", lambda: PolarizationVector(0j, math.inf)),
+    ("e_theta out of range: -inf", lambda: PolarizationVector(-math.inf, 0j)),
+    ("e_theta out of range: (inf+0j) (must be finite)",
+     lambda: PolarizationVector(complex("inf"), 0j)),
+    ("e_phi out of range: -infj", lambda: PolarizationVector(0j, complex(0.0, -math.inf))),
+    ("e_phi out of range: (nan+nanj)", lambda: PolarizationVector(1j, complex("nan+nanj"))),
+]
 
 
 @pytest.mark.parametrize("start, call", OUT_OF_RANGE_CASES,

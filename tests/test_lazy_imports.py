@@ -1,7 +1,8 @@
 """Start-up contract: ``import ionlink`` is lazy, each command loads only its own
-layer, only the Monte Carlo (``chain mc``) loads numpy, and nothing but the
-Monte Carlo needs a third-party package: without site-packages (``python -S``)
-every other golden command and demo writes its golden bytes.
+layer, only the Monte Carlo (``chain mc``) loads numpy, no command loads a module
+of ``NEVER_LOADED``, and nothing but the Monte Carlo needs a third-party package:
+without site-packages (``python -S``) every other command and demo runs, and the
+golden ones write their golden bytes.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported numpy and every ionlink module.
@@ -19,6 +20,7 @@ import textwrap
 import tokenize
 from pathlib import Path
 
+import numpy
 import pytest
 
 import ionlink
@@ -43,8 +45,8 @@ STAR_NAMES = sorted("""
 
 TRAP = "trap --v0 200 --freq-mhz 20 --r-um 260 --eta 0.9 --mass-amu 138"
 
-#: (argv, exit code, numpy loaded afterwards, the layers it loads), run in
-#: this order in one process for the numpy column; each alone for the layers.
+#: (argv, exit code, numpy loaded afterwards, the layers it loads): what each
+#: command may load, stated once; each row runs in its own ``python -S`` interpreter.
 SCHEMES = ("emission", "schemes")  # no scheme needs the atomic model
 QFC = ("qfc",)
 CHAIN = ("atomic", "pump_cycle")
@@ -70,53 +72,61 @@ COMMANDS = [
     *[(f"chain exact{flags}", 0, False, CHAIN)
       for flags in ("", " --drive sigma-plus", " --model src/ionlink/data/ba138_branching.txt")],
     ("chain mc --trials 10", 0, True, CHAIN),  # the first command that does array work
+    ("chain mc --trials 200001 --threads 2", 0, True, CHAIN),  # several chunks, two threads
 ]
 
 #: What every command loads: the package, the CLI and the two modules it imports.
 CLI_MODULES = ("ionlink", "ionlink._format", "ionlink.cli", "ionlink.errors")
 
+#: What no command loads.  The records need no ``dataclasses``; ``chain mc``
+#: builds its decay table without ``np.unique`` (which loads ``numpy.ma``); the
+#: exact solve's fused multiply-subtract is integer arithmetic (no ``fractions``);
+#: the Monte Carlo's worker threads are plain ``threading.Thread``s (no
+#: ``concurrent.futures`` or ``logging``); and the bundled data files are opened
+#: beside the modules, so the data directory is never imported as a package.
+NEVER_LOADED = ("dataclasses", "numpy.ma", "fractions", "concurrent.futures", "logging",
+                "importlib.resources", "ionlink.data")
+#: What a command loads only with numpy, which imports both (``typing`` as of numpy 2.4).
+NUMPY_LOADS = ("inspect", "typing")
 
-def run_fresh(code: str, *argv: str, flags: tuple[str, ...] = ()):
+#: The directory numpy is imported from: site-packages, which ``python -S`` leaves out.
+NUMPY_PATH = os.path.dirname(os.path.dirname(numpy.__file__))
+
+
+def run_fresh(code: str, *argv: str, flags: tuple[str, ...] = (), path: tuple[str, ...] = ()):
     """Runs ``code`` in a new interpreter, started with the interpreter ``flags``,
-    on this checkout with ``argv`` as ``sys.argv[1:]`` from the checkout's root;
-    returns the JSON it prints."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    on this checkout (then ``path``) with ``argv`` as ``sys.argv[1:]`` from the
+    checkout's root; returns the JSON it prints."""
+    pythonpath = [str(SRC), os.environ.get("PYTHONPATH"), *path]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     done = subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code), *argv], env=env,
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
-def test_scalar_commands_and_package_import_never_load_numpy():
-    report = run_fresh(f"""
-        import contextlib, io, json, sys
+def test_package_import_is_lazy_and_binds_every_export():
+    report = run_fresh("""
+        import json, sys
 
         import ionlink
-        report = {{"numpy_after_import": "numpy" in sys.modules,
-                   "atomic": ionlink.atomic.__name__}}
+        report = {"numpy_after_import": "numpy" in sys.modules,
+                  "atomic": ionlink.atomic.__name__}
         try:
             ionlink.no_such_name
         except AttributeError:
             report["unknown"] = "AttributeError"
 
-        from ionlink.cli import main
-        report["commands"] = []
-        for argv, _, _, _ in {COMMANDS!r}:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv.split())
-            report["commands"].append([argv, code, "numpy" in sys.modules])
-
         from ionlink import simulate
         report["simulate"] = simulate is sys.modules["ionlink.pump_cycle"].simulate
-        namespace = {{}}
+        namespace = {}
         exec("from ionlink import *", namespace)
-        report["star"] = sorted(set(namespace) - {{"__builtins__"}})
+        report["star"] = sorted(set(namespace) - {"__builtins__"})
         print(json.dumps(report))
     """)
     assert report["numpy_after_import"] is False
     assert report["atomic"] == "ionlink.atomic"
     assert report.get("unknown") == "AttributeError"
-    assert report["commands"] == [[argv, code, numpy] for argv, code, numpy, _ in COMMANDS]
     assert report["simulate"] is True
     assert len(STAR_NAMES) == 62
     assert report["star"] == STAR_NAMES
@@ -171,69 +181,6 @@ def test_every_export_has_a_user():
         assert user in named, user
 
 
-def test_chain_commands_call_the_module_attributes_a_tracer_patches():
-    """A tracer patches ``ionlink.pump_cycle`` after ``cli`` is loaded (``cli``
-    imports it only when a chain command runs), and the ``_format`` functions
-    where ``cli`` binds them; both routes must reach the patched functions."""
-    report = run_fresh("""
-        import contextlib, io, json, sys
-
-        from ionlink import _format, cli
-        report = {"pump_cycle_loaded": "ionlink.pump_cycle" in sys.modules,
-                  "format": [name for name in ("render_csv", "render_json", "table_payload",
-                                               "write_output")
-                             if vars(cli).get(name) is getattr(_format, name)]}
-
-        from ionlink import pump_cycle
-        calls = []
-
-        def patch(name):
-            original = getattr(pump_cycle, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            setattr(pump_cycle, name, wrapper)
-
-        patch("simulate")
-        patch("solve_exact")
-        codes = []
-        for argv in (["chain", "mc", "--trials", "1000"], ["chain", "exact"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(cli.main(argv))
-        report.update(codes=codes, calls=calls)
-        print(json.dumps(report))
-    """)
-    assert report["pump_cycle_loaded"] is False
-    assert report["format"] == ["render_csv", "render_json", "table_payload", "write_output"]
-    assert report["codes"] == [0, 0]
-    assert report["calls"] == ["simulate", "solve_exact"]
-
-
-def test_monte_carlo_loads_neither_numpy_ma_nor_fractions():
-    """``chain mc`` builds its decay table without ``np.unique`` (which loads
-    ``numpy.ma``), and the exact solve's fused multiply-subtract is integer
-    arithmetic, so neither command loads ``fractions``.  No command loads
-    ``concurrent.futures`` or ``logging``: the Monte Carlo's worker threads,
-    run here on more than one chunk, are plain ``threading.Thread``s."""
-    report = run_fresh("""
-        import contextlib, io, json, sys
-
-        from ionlink.cli import main
-        report = []
-        for argv in (["chain", "exact"], ["chain", "mc", "--trials", "10"],
-                     ["chain", "mc", "--trials", "200001", "--threads", "2"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-            report.append([code, *(name in sys.modules for name in (
-                "numpy", "numpy.ma", "fractions", "dataclasses", "concurrent.futures", "logging"))])
-        print(json.dumps(report))
-    """)
-    assert report == [[0, False, False, False, False, False, False],
-                      [0, True, False, False, False, False, False],
-                      [0, True, False, False, False, False, False]]
-
-
 def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
     """numpy is not a dependency, nor is any other third-party package.  Under
     ``python -S``, so without site-packages, and with numpy also blocked before
@@ -242,9 +189,8 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
     ``tests/cli_golden.json`` but ``chain mc`` writes its golden bytes (to the
     file, for ``--output FILE``), ``chain mc`` exits 1 with one ``error:`` line
     naming numpy, and every demo but 03, which runs the Monte Carlo, prints its
-    golden bytes.  None of it loads ``typing`` or ``importlib.resources``, and
-    the bundled data files are opened beside the modules, so the data
-    directory is never imported as a package."""
+    golden bytes.  None of it loads a module of ``NEVER_LOADED`` or
+    ``NUMPY_LOADS``."""
     demos = ["01_entanglement_schemes.py", "02_emission_and_collection.py",
              "04_trap_confinement.py", "05_qfc_planning.py", "06_fiber_link_budget.py"]
     report = run_fresh("""
@@ -257,7 +203,7 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
         def sha(data):
             return hashlib.sha256(data).hexdigest()
 
-        golden, target, *demos = sys.argv[1:]
+        golden, target, watched, *demos = sys.argv[1:]
         cases = {}
         for case in json.load(open(golden)):
             argv = [target if word == "FILE" else word for word in case.split()]
@@ -277,10 +223,10 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(tmp_path):
                 exec(compile(fh.read(), f"demos/{name}", "exec"), {"__name__": "__main__"})
             printed[name] = sha(stdout.getvalue().encode())
         print(json.dumps({"no_site": sys.flags.no_site, "blocked": sys.modules.get("numpy", 0) is None,
-                          "loaded": [name for name in ("typing", "importlib.resources", "ionlink.data")
-                                     if name in sys.modules],
+                          "loaded": [name for name in json.loads(watched) if name in sys.modules],
                           "cases": cases, "demos": printed}))
-    """, "tests/cli_golden.json", str(tmp_path / "out"), *demos, flags=("-S",))
+    """, "tests/cli_golden.json", str(tmp_path / "out"), json.dumps(NEVER_LOADED + NUMPY_LOADS),
+        *demos, flags=("-S",))
     assert report["no_site"] == 1
     assert report["blocked"] is True
     assert report["loaded"] == []
@@ -335,54 +281,67 @@ def test_every_schemes_export_runs_without_numpy():
                        for name, expression in SCHEMES_EXPORT_CALLS.items()}, False]
 
 
-@pytest.mark.parametrize("argv, code, numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])
-def test_each_command_loads_only_its_own_layer(argv, code, numpy, layers):
-    """A fresh ``ionlink <argv>`` loads the CLI and the import closure of its own
-    layer, and no other: ``--version`` loads ``qfc``, a usage error no layer.
-    The records need no ``dataclasses``, so a command that leaves numpy
-    unloaded never loads ``inspect`` either; numpy itself imports it."""
+@pytest.mark.parametrize("argv, code, with_numpy, layers", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_each_command_loads_only_its_own_layer(argv, code, with_numpy, layers):
+    """A fresh ``ionlink <argv>`` under ``python -S`` loads the CLI and the import
+    closure of its own layer, and no other: ``--version`` loads ``qfc``, a usage
+    error no layer.  Only a row that loads numpy finds site-packages, after the
+    checkout, so every other row also runs without any third-party package.
+    No row loads a module of ``NEVER_LOADED``, and one of ``NUMPY_LOADS`` only
+    with numpy: ``inspect`` exactly then, ``typing`` unpinned."""
     report = run_fresh("""
         import contextlib, io, json, sys
 
         from ionlink.cli import main
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(sys.argv[1:])
-        print(json.dumps([code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")),
+            code = main(sys.argv[2:])
+        print(json.dumps([code, "numpy" in sys.modules,
+                          [name for name in json.loads(sys.argv[1]) if name in sys.modules],
                           sorted(name for name in sys.modules if name.startswith("ionlink"))]))
-    """, *argv.split())
-    assert report == [code, numpy, False, numpy,
-                      sorted([*CLI_MODULES, *(f"ionlink.{m}" for m in layers)])]
+    """, json.dumps(NEVER_LOADED + NUMPY_LOADS), *argv.split(), flags=("-S",),
+        path=(NUMPY_PATH,) if with_numpy else ())
+    exit_code, numpy_loaded, loaded, modules = report
+    assert [exit_code, numpy_loaded] == [code, with_numpy]
+    assert modules == sorted([*CLI_MODULES, *(f"ionlink.{m}" for m in layers)])
+    assert [name for name in loaded if not (with_numpy and name == "typing")] == (
+        ["inspect"] if with_numpy else [])
 
 
 def test_every_handler_calls_the_layer_functions_a_tracer_patches(tmp_path):
     """The benchmark's tracer patches every function ``perfbench/spans.py``
     names in ``ENTRY_POINTS`` once ``cli`` is loaded, before any handler has
-    imported its layer; one command per handler must reach every patch."""
+    imported its layer, and the ``FORMAT_FUNCTIONS`` where ``cli`` binds them;
+    one command per handler, and one JSON table, must reach every patch."""
     model = tmp_path / "model.txt"
     report = run_fresh("""
         import contextlib, importlib, io, json, sys
 
         from ionlink import atomic, cli
         sys.path.insert(0, sys.argv[1])
-        from spans import ENTRY_POINTS
+        from spans import ENTRY_POINTS, FORMAT_FUNCTIONS
 
         atomic.save_model(atomic.default_barium_model(), sys.argv[2])
+        loaded = sorted(name for name in sys.modules if name.startswith("ionlink"))
         reached = set()
 
-        def patch(module, name):
+        def patch(module, name, span):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                reached.add(f"{module.__name__}.{name}")
+                reached.add(span)
                 return original(*args, **kwargs)
             setattr(module, name, wrapper)
 
-        for layer, names in ENTRY_POINTS.items():
-            for name in names:
-                patch(importlib.import_module(f"ionlink.{layer}"), name)
+        targets = [(importlib.import_module(f"ionlink.{layer}"), layer, name)
+                   for layer, names in ENTRY_POINTS.items() for name in names]
+        targets += [(cli, "format", name) for name in FORMAT_FUNCTIONS]
+        spans = sorted(f"{layer}.{name}" for _, layer, name in targets)
+        for module, layer, name in targets:
+            patch(module, name, f"{layer}.{name}")
         codes = []
-        for argv in (["--version"], ["schemes"], ["fidelity-curve"], ["prob-curve"],
-                     ["chain", "exact", "--model", sys.argv[2]], ["chain", "mc", "--trials", "1000"],
+        for argv in (["--version"], ["schemes", "--output-format", "json"], ["fidelity-curve"],
+                     ["prob-curve"], ["chain", "exact", "--model", sys.argv[2]],
+                     ["chain", "mc", "--trials", "1000"],
                      ["trap", "--v0", "200", "--freq-mhz", "20", "--r-um", "260", "--eta", "0.9",
                       "--mass-amu", "138"],
                      ["qfc", "plan", "--input-nm", "650", "--pump-nm", "1343", "--material", "ppln"],
@@ -390,9 +349,9 @@ def test_every_handler_calls_the_layer_functions_a_tracer_patches(tmp_path):
                      ["fiber", "budget"], ["emission", "pattern"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(cli.main(argv))
-        entry_points = sorted(f"ionlink.{layer}.{name}"
-                              for layer, names in ENTRY_POINTS.items() for name in names)
-        print(json.dumps({"codes": codes, "reached": sorted(reached), "entry_points": entry_points}))
+        print(json.dumps({"loaded": loaded, "codes": codes, "reached": sorted(reached),
+                          "spans": spans}))
     """, str(ROOT / "perfbench"), str(model))
+    assert report["loaded"] == sorted([*CLI_MODULES, "ionlink.atomic"])
     assert report["codes"] == [0] * 13
-    assert report["reached"] == report["entry_points"]
+    assert report["reached"] == report["spans"]
