@@ -29,11 +29,13 @@ The Monte Carlo path is the package's one numpy user, and the package does
 not require numpy: without it, :func:`simulate` raises Python's own
 ``ModuleNotFoundError`` once its arguments pass their checks.  Its kernel
 walks fixed-size chunks of trajectories, so its memory does not grow with
-``n_trials``.  Each cycle jumps the counter of the ``(seed, k)`` stream to
-the chunk's first element (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11), draws up to the chunk's last surviving
-trajectory and walks only the survivors.  Chunks are split between at most
-``workers`` threads, the calling one included, and the counts add up as
+``n_trials``.  Each walking thread holds one Philox generator.  Before each
+cycle of a chunk it sets that generator's counter to the chunk's first
+element of the ``(seed, k)`` stream (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), draws up to the chunk's last
+surviving trajectory and walks only the survivors, kept as ``int32``
+offsets within the chunk.  Chunks are split between at most ``workers``
+threads, the calling one included, and the counts add up as Python
 integers; every thread started is joined before :func:`simulate` returns.
 """
 
@@ -237,42 +239,43 @@ def geometric_branch_probabilities(model: BranchingModel) -> ChainOutcome:
     return ChainOutcome(p_good, p_bad, 1.0 - p_good - p_bad)
 
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 """Trajectories walked together by one thread; bounds the kernel's memory.
 
-Sized by measurement on a 2-vCPU VM (the 18 commands of perfbench's
-``mc-scaling`` workload: peak RSS of the cold processes, and the median of
-6 in-process timings at ``--threads`` 1 / 2):
+Sized by measurement on a 2-vCPU VM with this kernel (the 18 commands of
+perfbench's ``mc-scaling`` workload: the median over 5 passes of the
+largest cold-process peak RSS, and the median of 7 in-process timings of
+its 9 ``simulate`` jobs at ``--threads`` 1 / 2, the sizes interleaved):
 
-==========================  ========  =======================
-kernel                      peak RSS  time, threads 1 / 2
-==========================  ========  =======================
-2^17, float deviates        43.45 MB  1.253 / 0.771 s
-2^16, raw bits (this one)   39.41 MB  0.981 / 0.606 s
-2^15, raw bits              37.58 MB  0.989 / 0.777 s
-==========================  ========  =======================
+=============  ========  ===================
+chunk          peak RSS  time, threads 1 / 2
+=============  ========  ===================
+2^14           35.76 MB  0.544 / 0.483 s
+2^15 (this)    36.16 MB  0.524 / 0.330 s
+2^16           37.17 MB  0.506 / 0.329 s
+=============  ========  ===================
 
-At 2^17 a chunk's 8-byte-per-trajectory arrays no longer fit in cache.
-2^15 saves little more memory and loses at 2 threads: each chunk carries
-more work that holds the GIL, so the threads serialize.  Timed alone and
-interleaved in one process (5e6 trajectories over three models), 2^16 raw
-bits took 457 ms against 553 ms for 2^17 float deviates on one thread,
-and 314 against 313 ms on two.
+A chunk's draw is 8 bytes per trajectory.  Halving 2^16 saves 1.0 MB of
+peak RSS; halving again saves 0.4 MB but costs 46% at two threads, since
+the work per (chunk, cycle) that holds the GIL makes the threads
+serialize.  The kernel before this one (a new generator per (chunk,
+cycle), ``int64`` offsets, 2^16 chunks) peaked at 38.52 MB in the same
+passes.
 """
 
 
-def _jumped_bits(seed: int, cycle: int, lo: int, n: int) -> np.ndarray:
-    """Raw outputs ``lo .. lo+n-1`` of the ``(seed, cycle)`` Philox stream.
+def _seek(bitgen: np.random.Philox, seed: int, cycle: int, lo: int) -> None:
+    """Position ``bitgen`` at output ``lo`` of the ``(seed, cycle)`` Philox stream.
 
-    One counter step yields four 64-bit outputs, so jump ``lo // 4`` steps
-    and discard the ``lo % 4`` outputs before ``lo``.
+    One counter step yields four 64-bit outputs, and the counter steps before
+    each block: set the counter to ``lo // 4`` with the buffer empty, then
+    discard the ``lo % 4`` outputs before ``lo``.
     """
-    import numpy as np
-
-    bitgen = np.random.Philox(key=np.array([seed, cycle], dtype=np.uint64))
-    bitgen.advance(lo // 4)
-    bitgen.random_raw(lo % 4)
-    return bitgen.random_raw(n)
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": (lo // 4, 0, 0, 0), "key": (seed, cycle)},
+                    "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if lo % 4:
+        bitgen.random_raw(lo % 4)
 
 
 class _Walker:
@@ -319,37 +322,52 @@ class _Walker:
             row += bits >= threshold
         return self.table[row]
 
-    def _chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Good and bad counts of trajectories ``lo .. hi-1``.
+    def _chunk(self, bitgen: np.random.Philox, lo: int, hi: int) -> tuple[int, int]:
+        """Good and bad counts of trajectories ``lo .. hi-1``, drawn from ``bitgen``.
 
         Each cycle draws the stream up to the chunk's last survivor and
-        decays only the survivors.
+        decays only the survivors, whose offsets in the chunk ``pos`` holds.
         """
         import numpy as np
 
-        counts = np.zeros(2, dtype=np.int64)
+        good = bad = 0
         state = np.full(hi - lo, self.start, dtype=np.int8)
         pos = None  # every trajectory of the chunk, before the first decay
         for cycle in range(self.max_cycles):
             if not state.size:
                 break
+            _seek(bitgen, self.seed, cycle, lo)
             if pos is None:
-                bits = _jumped_bits(self.seed, cycle, lo, hi - lo)
-            else:
-                bits = _jumped_bits(self.seed, cycle, lo, int(pos[-1]) + 1)[pos]
+                bits = bitgen.random_raw(hi - lo)
+            else:  # the draw is freed once the survivors' bits are gathered
+                bits = bitgen.random_raw(int(pos[-1]) + 1)[pos]
             state = self._decay(state, bits)
-            counts += np.count_nonzero(state == _GOOD), np.count_nonzero(state == _BAD)
+            del bits
+            good += int(np.count_nonzero(state == _GOOD))
+            bad += int(np.count_nonzero(state == _BAD))
             alive = np.flatnonzero(state >= 0)
-            pos, state = (alive if pos is None else pos[alive]), state[alive]
-        return counts  # survivors at the cutoff are dark
+            pos = alive.astype(np.int32) if pos is None else pos[alive]
+            state = state[alive]
+            del alive
+        return good, bad  # survivors at the cutoff are dark
 
-    def walk(self, starts: range) -> np.ndarray:
-        """Good and bad counts over the chunks beginning at ``starts``."""
-        return sum(self._chunk(lo, min(lo + _CHUNK, self.n_trials)) for lo in starts)
+    def walk(self, starts: range) -> tuple[int, int]:
+        """Good and bad counts over the chunks beginning at ``starts``.
+
+        One generator serves the whole walk, repositioned before each draw.
+        """
+        import numpy as np
+
+        bitgen = np.random.Philox(key=0)
+        good = bad = 0
+        for lo in starts:
+            g, b = self._chunk(bitgen, lo, min(lo + _CHUNK, self.n_trials))
+            good, bad = good + g, bad + b
+        return good, bad
 
 
-def _walk_in_threads(walker: _Walker, groups: list[range]) -> np.ndarray:
-    """Counts summed over ``walker.walk(group)`` for each group.
+def _walk_in_threads(walker: _Walker, groups: list[range]) -> tuple[int, int]:
+    """Good and bad counts summed over ``walker.walk(group)`` for each group.
 
     The calling thread walks group 0 and one started thread each other group;
     all are joined, and an exception in any is raised again here.  Plain
@@ -375,7 +393,7 @@ def _walk_in_threads(walker: _Walker, groups: list[range]) -> np.ndarray:
     for result in results:
         if isinstance(result, BaseException):
             raise result
-    return sum(results)
+    return sum(good for good, _ in results), sum(bad for _, bad in results)
 
 
 def simulate(config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1,
@@ -403,14 +421,14 @@ def simulate(config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1
     import numpy as np
 
     chain = _CompiledChain(config)
-    good_bad = np.zeros(2, dtype=np.int64)
+    good = bad = 0
     if chain.start is not None:
         walker = _Walker(chain, n_trials, seed, max_cycles)
         starts = range(0, n_trials, _CHUNK)
         n_threads = min(workers, len(starts), os.cpu_count() or 1)
-        good_bad = _walk_in_threads(walker, [starts[i::n_threads] for i in range(n_threads)])
+        good, bad = _walk_in_threads(walker, [starts[i::n_threads] for i in range(n_threads)])
     # shelved in an undriven sublevel or cut off at max_cycles: dark
-    counts = np.append(good_bad, n_trials - good_bad.sum())
+    counts = np.array([good, bad, n_trials - good - bad], dtype=np.int64)
     p = counts / n_trials
     se = np.sqrt(p * (1.0 - p) / n_trials)
     return ChainOutcome(

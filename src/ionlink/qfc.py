@@ -91,6 +91,17 @@ class MixKind(enum.Enum):
     DFG = "dfg"
 
 
+def _mixed(input_field: LightField, pump: LightField, thz: float) -> LightField:
+    """The output field at ``thz``, refused where the pump is below the input's
+    rounding step, so that the output would be the input itself."""
+    if thz == input_field.frequency_thz:
+        raise DomainError(
+            f"pump out of range: {pump.frequency_thz} THz (lost to rounding against the "
+            f"{input_field.frequency_thz} THz input)"
+        )
+    return LightField.from_frequency_thz(thz)
+
+
 def dfg_output(input_field: LightField, pump: LightField) -> LightField:
     """Difference-frequency output, nu_out = nu_in - nu_pump."""
     if input_field.frequency_thz <= pump.frequency_thz:
@@ -98,12 +109,12 @@ def dfg_output(input_field: LightField, pump: LightField) -> LightField:
             "DFG requires the input above the pump frequency: "
             f"{input_field.frequency_thz} THz <= {pump.frequency_thz} THz"
         )
-    return LightField.from_frequency_thz(input_field.frequency_thz - pump.frequency_thz)
+    return _mixed(input_field, pump, input_field.frequency_thz - pump.frequency_thz)
 
 
 def sfg_output(input_field: LightField, pump: LightField) -> LightField:
     """Sum-frequency output, nu_out = nu_in + nu_pump."""
-    return LightField.from_frequency_thz(input_field.frequency_thz + pump.frequency_thz)
+    return _mixed(input_field, pump, input_field.frequency_thz + pump.frequency_thz)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each oracle avoids the code path it checks: geometric series are summed
 term by term, the pump cycle is iterated as an explicit 9-state matrix
-power (drive and decay as separate steps), phase matching is solved by
+power (drive and decay as separate steps), the Monte Carlo's random stream
+is Philox4x64-10 from its specification, phase matching is solved by
 bracketed bisection, and sphere integrals are done by quadrature.  The
 export kernels and renderers are checked against the loops they replaced:
 one scalar evaluation per grid point or table cell.
@@ -67,6 +68,30 @@ def pump_cycle_power_iteration(model, initial, drive, steps: int = 4000):
     for _ in range(steps):
         v = v @ t
     return float(v[i_good]), float(v[i_bad]), float(v[i_dark])
+
+
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def philox4x64_10(key: tuple[int, int], lo: int, n: int) -> list[int]:
+    """Outputs ``lo .. lo+n-1`` of the Philox4x64-10 stream under ``key``, in Python ints.
+
+    Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): the
+    counter steps before each block of four outputs, each of the ten rounds
+    multiplies counter words 0 and 2 into high and low halves, and the key is
+    bumped by the Weyl constants between rounds.
+    """
+    out = []
+    for block in range(lo // 4 + 1, (lo + n - 1) // 4 + 2):
+        x, (k0, k1) = [block, 0, 0, 0], key
+        for _ in range(10):
+            hi0, lo0 = divmod(PHILOX_M[0] * x[0], 2**64)
+            hi1, lo1 = divmod(PHILOX_M[1] * x[2], 2**64)
+            x = [hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0]
+            k0, k1 = (k0 + PHILOX_W[0]) % 2**64, (k1 + PHILOX_W[1]) % 2**64
+        out += x
+    return out[lo % 4:lo % 4 + n]
 
 
 def bisect_poling_period(dispersion, lam1_nm, lamp_nm, lam2_nm, order=1,

@@ -14,8 +14,8 @@ from ionlink.fiber import (
 )
 from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
 from ionlink.qfc import (
-    ConversionStage, DispersionModel, LightField, MixKind, load_dispersion, noise_audit,
-    plan_stage,
+    ConversionStage, DispersionModel, LightField, MixKind, dfg_output, load_dispersion,
+    noise_audit, plan_stage, sfg_output,
 )
 from ionlink.schemes import (
     D_SHELVING, SchemeSpec, entanglement_probability, fidelity_at_na, mixture_fidelity,
@@ -236,6 +236,14 @@ OUT_OF_RANGE_CASES += [  # a non-finite amplitude, real or complex: the intensit
      lambda: PolarizationVector(complex("inf"), 0j)),
     ("e_phi out of range: -infj", lambda: PolarizationVector(0j, complex(0.0, -math.inf))),
     ("e_phi out of range: (nan+nanj)", lambda: PolarizationVector(1j, complex("nan+nanj"))),
+]
+FAR_UV = LightField.from_wavelength_nm(1e-300)  # 2.99792458e+305 THz
+PUMP = LightField.from_wavelength_nm(1343.0)  # 223.2259553239017 THz
+OUT_OF_RANGE_CASES += [  # a pump below the input's rounding step: the output was the input
+    ("pump out of range: 223.2259553239017 THz (lost to rounding against the 2.99792458e+305",
+     lambda: sfg_output(FAR_UV, PUMP)),
+    ("pump out of range: 223.2259553239017 THz (lost to rounding against the 2.99792458e+305",
+     lambda: dfg_output(FAR_UV, PUMP)),
 ]
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionlink import pump_cycle
 from ionlink.atomic import (
@@ -24,7 +26,12 @@ from ionlink.pump_cycle import (
     solve_exact,
 )
 
-from oracles import geometric_p_good, pump_cycle_power_iteration, random_branching_model
+from oracles import (
+    geometric_p_good,
+    philox4x64_10,
+    pump_cycle_power_iteration,
+    random_branching_model,
+)
 
 # frozen from the 9-state power-iteration oracle
 EXACT_P_GOOD = 0.8441978733240868
@@ -342,14 +349,31 @@ def native_stream(seed, cycle):
     return np.random.Philox(key=np.array([seed, cycle], dtype=np.uint64))
 
 
+def seeked_bits(seed, cycle, lo, n):
+    """``n`` outputs of a used generator after ``_seek`` to ``lo``: nothing it had
+    buffered may reach the draw."""
+    bitgen = np.random.Philox(key=0)
+    bitgen.random_raw(5)
+    pump_cycle._seek(bitgen, seed, cycle, lo)
+    return bitgen.random_raw(n)
+
+
 class TestKernel:
     @pytest.mark.parametrize("lo", (0, 1, 2, 3, 4_097, 131_074))
     def test_jump_and_discard_matches_slicing(self, lo):
         full = native_stream(2**64 - 1, 999).random_raw(lo + 37)
-        bits = pump_cycle._jumped_bits(2**64 - 1, 999, lo, 37)
+        bits = seeked_bits(2**64 - 1, 999, lo, 37)
         assert (bits == full[lo:]).all()
         uniforms = np.random.Generator(native_stream(2**64 - 1, 999)).random(lo + 37)
         assert ((bits >> 11) * 2.0**-53 == uniforms[lo:]).all()
+
+    @pytest.mark.parametrize("residue", range(4))  # every lo % 4: the outputs discarded
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.sampled_from([0, 1, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+           cycle=st.integers(0, 999), block=st.integers(0, 250_000), n=st.integers(1, 9))
+    def test_seek_follows_the_philox_specification(self, residue, seed, cycle, block, n):
+        lo = 4 * block + residue
+        assert seeked_bits(seed, cycle, lo, n).tolist() == philox4x64_10((seed, cycle), lo, n)
 
     def test_decay_matches_searchsorted_on_random_models(self):
         # raw deviates on and one step either side of every edge, plus random ones;
@@ -440,3 +464,19 @@ class TestKernel:
 
         peak(1_000)  # the first call imports numpy.random lazily; that is not growth
         assert peak(2_000_000) <= 1.5 * peak(200_000)
+
+    def test_traced_working_set_of_two_threads(self):
+        """Long-lived trajectories (br_650 0.9) over 8 chunks and two threads: each
+        holds a chunk's draw while it gathers the survivors' bits, their ``int32``
+        offsets and states, ~0.55 MB; the kernel with a new generator per (chunk,
+        cycle), ``int64`` offsets and 2^16 chunks traced 2.6-3.7 MB."""
+        model = BranchingModel(br_493=0.1, br_650=0.9, cg=default_barium_model().cg)
+        config = PumpCycleConfig(model=model)
+        simulate(config, n_trials=1_000, seed=1)  # numpy.random loads lazily; not the working set
+        tracemalloc.start()
+        try:
+            simulate(config, n_trials=262_144, seed=1, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
