@@ -403,7 +403,7 @@ def simulate(config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1
     Parameters
     ----------
     n_trials : int
-        Number of independent trajectories, below 2**63 (counts are int64).
+        Number of independent trajectories, below 2**63.
     seed : int
         64-bit unsigned stream key.  Identical (seed, config, n_trials,
         max_cycles) give bit-identical results for any ``workers`` value.
@@ -418,7 +418,7 @@ def simulate(config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1
     whole("n_trials", n_trials, 1, 2**63 - 1)
     whole("seed", seed, 0, 2**64 - 1)
     whole("workers", workers, 1)
-    import numpy as np
+    import numpy  # noqa: F401  (without numpy, the one place simulate fails)
 
     chain = _CompiledChain(config)
     good = bad = 0
@@ -427,12 +427,9 @@ def simulate(config: PumpCycleConfig, n_trials: int, seed: int, workers: int = 1
         starts = range(0, n_trials, _CHUNK)
         n_threads = min(workers, len(starts), os.cpu_count() or 1)
         good, bad = _walk_in_threads(walker, [starts[i::n_threads] for i in range(n_threads)])
-    # shelved in an undriven sublevel or cut off at max_cycles: dark
-    counts = np.array([good, bad, n_trials - good - bad], dtype=np.int64)
-    p = counts / n_trials
-    se = np.sqrt(p * (1.0 - p) / n_trials)
-    return ChainOutcome(
-        float(p[0]), float(p[1]), float(p[2]),
-        float(se[0]), float(se[1]), float(se[2]),
-        n_trials=n_trials, seed=seed,
-    )
+    # shelved in an undriven sublevel or cut off at max_cycles: dark.  Rounding
+    # the count and n_trials to floats first keeps numpy's int64 quotient bit
+    # for bit; past 2**53 a Python int / int quotient can differ.
+    p = [float(count) / float(n_trials) for count in (good, bad, n_trials - good - bad)]
+    se = [math.sqrt(x * (1.0 - x) / n_trials) for x in p]
+    return ChainOutcome(*p, *se, n_trials=n_trials, seed=seed)

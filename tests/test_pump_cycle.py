@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import re
 import threading
 import tracemalloc
@@ -309,6 +310,24 @@ class TestSimulate:
         assert mc.se_good == pytest.approx(
             (mc.p_good * (1.0 - mc.p_good) / 10_000) ** 0.5, rel=1e-12
         )
+
+    def test_estimates_have_the_bits_numpy_gave(self, monkeypatch):
+        """Each count and ``n_trials`` are rounded to floats, then divided, as
+        numpy's ``counts / n_trials`` did; past 2**53 a Python ``int / int``,
+        rounded once, differs.  The standard errors follow ``np.sqrt``."""
+        rng = random.Random(14)
+        counts = []
+        monkeypatch.setattr(pump_cycle, "_walk_in_threads", lambda walker, groups: counts)
+        for bits in range(1, 64):
+            for _ in range(10):
+                n = rng.randrange(1, 2**bits)
+                good = rng.randint(0, n)
+                counts[:] = [good, rng.randint(0, n - good)]
+                mc = simulate(PumpCycleConfig(), n_trials=n, seed=0)
+                p = np.array([*counts, n - sum(counts)], dtype=np.int64) / n
+                se = np.sqrt(p * (1.0 - p) / n)
+                assert [mc.p_good, mc.p_bad, mc.p_dark, mc.se_good, mc.se_bad, mc.se_dark] == [
+                    *p.tolist(), *se.tolist()], (n, counts)
 
     @pytest.mark.parametrize("br_650", (0.0, 1e-17, 1e-300))
     def test_negligible_shelving_means_good_photon(self, br_650):

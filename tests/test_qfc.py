@@ -187,14 +187,19 @@ class TestDispersionModels:
         with pytest.raises(DomainError, match=fragment):
             load_dispersion(str(path))
 
-    @pytest.mark.parametrize("coefficients", [{}, [1.0], {"a1": "x"}])
-    def test_malformed_coefficients_rejected_on_use(self, tmp_path, coefficients):
+    @pytest.mark.parametrize("form, coefficients, fragment", [
+        *[("mgo_cln_e", coefficients, "cannot be evaluated")
+          for coefficients in ({}, [1.0], {"a1": "x"})],
+        ("sellmeier_poles", {"A": 30.0, "poles": []},
+         "ppln returned non-physical index 5.477225575051661 at 650.0 nm"),
+    ])
+    def test_malformed_coefficients_rejected_on_use(self, tmp_path, form, coefficients, fragment):
         payload = _ppln_payload()
-        payload["coefficients"] = coefficients
+        payload.update(form=form, coefficients=coefficients)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         model = load_dispersion(str(path))
-        with pytest.raises(DomainError, match="cannot be evaluated"):
+        with pytest.raises(DomainError, match=fragment):
             model.index(650.0)
 
     def test_data_version_exposed(self):
