@@ -503,8 +503,11 @@ def run() -> None:
     flushed standard output, the ``--output`` file and the model and material
     files are closed by ``with``, and ``pump_cycle.simulate`` joins its worker
     threads before it returns.  An exception escaping :func:`main` exits the
-    usual way, with its traceback.
+    usual way, with its traceback.  Unless the user has set it,
+    ``OPENBLAS_NUM_THREADS`` is 1: no command calls BLAS, and the idle pool
+    numpy's OpenBLAS would start on import competes with ``chain mc``'s walkers.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     try:
         sys.stderr.flush()

@@ -11,11 +11,8 @@ recycles it or leaves it in a sublevel it cannot address (dark).
 Three routes give this chain's branch probabilities as a :class:`ChainOutcome`:
 
 * :func:`solve_exact` computes absorption probabilities of the underlying
-  absorbing Markov chain by a 2x2 linear solve in plain Python.  It takes
-  the steps of LAPACK's ``dgesv`` as OpenBLAS runs them, fused
-  multiply-subtract included, so it prints the bits ``numpy.linalg.solve``
-  printed without loading numpy; a test compares the two bit for bit.  It
-  serves ``ionlink chain exact``.
+  absorbing Markov chain by a 2x2 linear solve, exact in integers and
+  rounded once per probability.  It serves ``ionlink chain exact``.
 * :func:`simulate` runs Monte Carlo trajectories.  The uniform deviate
   consumed by trajectory ``i`` at cycle ``k`` is element ``i`` of the
   counter-based Philox stream keyed by ``(seed, k)``, so results are
@@ -124,13 +121,6 @@ class _CompiledChain:
             self.dest.append(dests)
 
 
-def _fms(a: float, b: float, c: float) -> float:
-    """``a - b*c`` rounded once, as a fused multiply-subtract does: exact over the
-    floats' integer ratios, then one int true division, which rounds correctly."""
-    (an, ad), (bn, bd), (cn, cd) = (x.as_integer_ratio() for x in (a, b, c))
-    return (an * bd * cd - bn * cn * ad) / (ad * bd * cd)
-
-
 def _absorbing_system(chain: _CompiledChain) -> tuple[list[list[float]], list[list[float]]]:
     """``I - Q`` and ``R`` of the chain over the P1/2 states; R's columns are good, bad, dark."""
     n = len(chain.p_index)
@@ -146,28 +136,24 @@ def _absorbing_system(chain: _CompiledChain) -> tuple[list[list[float]], list[li
 
 
 def _solve_2x2(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    """X with ``a X = b`` for a 2x2 ``a``, rounded as LAPACK ``dgesv`` on OpenBLAS rounds.
+    """X with ``a X = b`` for a 2x2 ``a``, each entry the exact solution correctly rounded.
 
-    LU with partial pivoting (rows swap only when ``|a10| > |a00|``), the
-    multiplier taken as ``l10 = a10 * (1/a00)`` and ``u11 = a11 - l10*a01``
-    rounded twice; the triangular solves then subtract with one rounding
-    (a fused multiply-add in the BLAS kernel) and multiply by the pivot's
-    reciprocal.  Python 3.11 has no ``math.fma``, so :func:`_fms` is exact
-    in integers.  An exactly zero pivot is singular, as in LAPACK.
+    Every float is a dyadic rational, so one power-of-two scale makes all the
+    entries integers.  Cramer's rule is then exact, and each entry of X is one
+    int true division, which Python rounds correctly.
     """
-    (a00, a01), (a10, a11) = a
-    b0, b1 = b
-    if abs(a10) > abs(a00):
-        (a00, a01, b0), (a10, a11, b1) = (a10, a11, b1), (a00, a01, b0)
-    if a00 == 0.0:
+    ratios = [[x.as_integer_ratio() for x in row] for row in (*a, *b)]
+    scale = max(d for row in ratios for _, d in row)
+    (a00, a01), (a10, a11), b0, b1 = ([n * (scale // d) for n, d in row] for row in ratios)
+    det = a00 * a11 - a01 * a10
+    if det == 0:
         raise NumericError("absorbing-chain solve failed: Singular matrix")
-    l10 = a10 * (1.0 / a00)
-    u11 = a11 - l10 * a01
-    if u11 == 0.0:
-        raise NumericError("absorbing-chain solve failed: Singular matrix")
-    x1 = [_fms(y1, l10, y0) * (1.0 / u11) for y0, y1 in zip(b0, b1)]
-    x0 = [_fms(y0, a01, x) * (1.0 / a00) for y0, x in zip(b0, x1)]
-    return [x0, x1]
+    try:
+        return [[(a11 * y0 - a01 * y1) / det for y0, y1 in zip(b0, b1)],
+                [(a00 * y1 - a10 * y0) / det for y0, y1 in zip(b0, b1)]]
+    except OverflowError:  # an entry past the float range, far from any probability
+        raise NumericError("absorbing-chain solve failed: the chain is too nearly closed "
+                           "to solve") from None
 
 
 def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
@@ -177,15 +163,9 @@ def solve_exact(config: PumpCycleConfig) -> ChainOutcome:
     form br_493 / (1 - a^2 br_650) with ``a`` the amplitude of the decay
     back to the initialized sublevel.  Under the default drive and initial
     sublevel that is the ``p_good`` of :func:`geometric_branch_probabilities`,
-    whose ``p_bad`` undercounts this one's.
-
-    The 2x2 solve reproduces the steps of LAPACK ``dgesv`` (see
-    :func:`_solve_2x2`).  Its fused multiply-subtract is there because the
-    BLAS kernel behind ``numpy.linalg.solve`` fuses that step, and without
-    it ~14% of the solves over random models differ in the last bit.
-    ``test_bit_identical_to_lapack_on_random_models`` in
-    ``tests/test_pump_cycle.py`` compares the two, so a BLAS that rounds
-    otherwise fails a test instead of drifting silently.
+    whose ``p_bad`` undercounts this one's.  Each probability is the exact
+    solution of the chain's linear system, as built in floats, correctly
+    rounded (see :func:`_solve_2x2`).
 
     Raises
     ------

@@ -21,11 +21,10 @@ one is the good branch's weight p_good / (p_good + p_bad)
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .emission import CollectionModel, collection_fraction
+from .emission import CollectionModel, _cap_height, collection_fraction
 from .errors import Record, check, steps
 
 __all__ = [
@@ -132,7 +131,7 @@ def _na_fractions(na_step: float, collection: CollectionModel) -> Iterator[tuple
     nas = (min(i * (stop / n) if i < n else stop, 1.0) for i in range(n + 1))
     if quadratic:
         return ((na, na * na / 4.0) for na in nas)
-    return ((na, (1.0 - math.sqrt(1.0 - na * na)) / 2.0) for na in nas)
+    return ((na, _cap_height(na) / 2.0) for na in nas)
 
 
 def fidelity_curve(

@@ -4,7 +4,8 @@ Each oracle avoids the code path it checks: geometric series are summed
 term by term, the pump cycle is iterated as an explicit 9-state matrix
 power (drive and decay as separate steps), the Monte Carlo's random stream
 is Philox4x64-10 from its specification, phase matching is solved by
-bracketed bisection, and sphere integrals are done by quadrature.  The
+bracketed bisection, sphere and cone integrals are done by quadrature, and
+linear solves and Clebsch-Gordan coefficients are exact over fractions.  The
 export kernels and renderers are checked against the loops they replaced:
 one scalar evaluation per grid point or table cell.
 """
@@ -13,7 +14,9 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from ionlink.atomic import (
@@ -124,16 +127,59 @@ def cap_fraction_quadrature(na: float, n: int = 200_001) -> float:
     return float(np.trapezoid(np.sin(alpha), alpha) / 2.0)
 
 
-def cone_mixing_weight_meshgrid(na: float) -> float:
-    """The cone's midpoint-rule average of sin^2 cos^2 / 2 as whole-grid numpy arrays,
-    200 polar x 100 azimuthal cells."""
-    beta = math.asin(na)
-    alpha = (np.arange(200) + 0.5) * (beta / 200)
-    psi = (np.arange(100) + 0.5) * (2.0 * math.pi / 100)
-    a, p = np.meshgrid(alpha, psi, indexing="ij")
-    cos_theta = np.sin(a) * np.sin(p)
-    weight = np.sin(a)
-    return float(((1.0 - cos_theta**2) * cos_theta**2 / 2.0 * weight).sum() / weight.sum())
+def cone_mixing_weight_quadrature(na: float) -> mpmath.mpf:
+    """The cone's average of sin^2(theta) cos^2(theta) / 2 by 40-digit Gauss-Legendre
+    quadrature: cos(theta) = sin(alpha) sin(psi) at angle alpha from the cone's axis
+    (perpendicular to the dipole) and azimuth psi about it; the integrand depends on
+    sin(psi)^2 alone, so psi runs over one quarter turn, counted four times."""
+    with mpmath.workdps(40):
+        beta = mpmath.asin(mpmath.mpf(na))
+
+        def weighted(alpha, psi):
+            x2 = (mpmath.sin(alpha) * mpmath.sin(psi)) ** 2
+            return (1 - x2) * x2 / 2 * mpmath.sin(alpha)
+
+        cone = mpmath.quad(weighted, [0, beta], [0, mpmath.pi / 2], method="gauss-legendre")
+        return +(4 * cone / (2 * mpmath.pi * (1 - mpmath.cos(beta))))
+
+
+def solve_fractions(a, b) -> list[list[Fraction]]:
+    """X with ``a X = b``, exactly: Gauss-Jordan elimination over the floats' Fractions."""
+    rows = [[Fraction(x) for x in (*a_row, *b_row)] for a_row, b_row in zip(a, b)]
+    n = len(rows)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def clebsch_gordan_square(j1, m1, j2, m2, j, m) -> Fraction:
+    """<j1 m1; j2 m2 | j m>^2 with the coefficient's sign, by Racah's formula over
+    Fractions (Condon-Shortley phases); the quantum numbers are Fractions or ints."""
+    if m1 + m2 != m:
+        return Fraction(0)
+
+    def fact(x) -> int:
+        assert Fraction(x).denominator == 1, x
+        return math.factorial(int(x))
+
+    prefactor = Fraction(
+        (2 * j + 1) * fact(j + j1 - j2) * fact(j - j1 + j2) * fact(j1 + j2 - j)
+        * fact(j + m) * fact(j - m) * fact(j1 - m1) * fact(j1 + m1) * fact(j2 - m2) * fact(j2 + m2),
+        fact(j1 + j2 + j + 1))
+    total = Fraction(0)
+    for k in range(int(j1 + j2 - j) + 1):
+        args = (k, j1 + j2 - j - k, j1 - m1 - k, j2 + m2 - k, j - j2 + m1 + k, j - j1 - m2 + k)
+        if min(args) >= 0:
+            term = Fraction(1)
+            for x in args:
+                term /= fact(x)
+            total += (-1) ** k * term
+    return prefactor * total * abs(total)
 
 
 def bell_mixture_fidelity(p_good: float, p_bad: float) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from ionlink.atomic import (
 )
 from ionlink.errors import DomainError
 
-from oracles import random_branching_model
+from oracles import clebsch_gordan_square, random_branching_model
 
 BUNDLED = Path(atomic.__file__).parent / "data" / "ba138_branching.txt"
 
@@ -101,6 +102,22 @@ class TestDefaultModel:
             )
             phase = 1.0 if lower.level is Level.D32 else -1.0
             assert mirror == pytest.approx(phase * amp, abs=1e-15)
+
+    def test_amplitudes_are_clebsch_gordan_coefficients(self):
+        """Each bundled amplitude is <j_low m_low; 1 q | 1/2 m_up>, the module
+        docstring's convention: the square root of Racah's rational square, sign
+        included, to the last bit.  Each upper sublevel's squares sum to exactly
+        1 in each lower manifold, so no channel is missing."""
+        m = default_barium_model()
+        sums = {}
+        for (upper, lower), amp in m.cg.items():
+            j_low, m_low, j_up, m_up = map(Fraction, (lower.level.j, lower.mj, upper.level.j,
+                                                      upper.mj))
+            square = clebsch_gordan_square(j_low, m_low, 1, m_up - m_low, j_up, m_up)
+            assert amp == math.copysign(math.sqrt(abs(square)), square), (upper, lower, square)
+            sums[upper, lower.level] = sums.get((upper, lower.level), 0) + abs(square)
+        assert len(m.cg) == 10 and len(sums) == 4
+        assert set(sums.values()) == {1}
 
     def test_every_entry_obeys_selection_rule(self):
         m = default_barium_model()

@@ -606,7 +606,7 @@ class TestFailuresExitOne:
 
     @pytest.mark.parametrize("br_493, mj, fragment", [
         (0.0, +1.5, "error: absorbing-chain solve failed: Singular matrix\n"),
-        (1e-12, +1.5, "sum to 1.0000221222095025, not 1"),  # printed as p_good once
+        (1e-12, +1.5, "sum to 1.0000221222095027, not 1"),  # printed as p_good once
         # both P1/2 sublevels decay to D3/2 +1/2, so I - Q is [[1, -1], [0, 0]]:
         # the first pivot is 1, the second 0
         (0.0, +0.5, "error: absorbing-chain solve failed: Singular matrix\n"),

@@ -1,6 +1,8 @@
 import cmath
 import math
+import random
 import types
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,7 @@ from ionlink.errors import DomainError
 
 from oracles import (
     cap_fraction_quadrature,
-    cone_mixing_weight_meshgrid,
+    cone_mixing_weight_quadrature,
     pattern_rows_per_point,
     sphere_average,
 )
@@ -159,6 +161,20 @@ class TestCollectionFraction:
                 cap_fraction_quadrature(na), abs=1e-9
             )
 
+    def test_exact_solid_angle_within_two_ulp(self):
+        """Against a 50-digit decimal (1 - sqrt(1 - NA^2)) / 2: at NA 10^-k for
+        k = 1..9, where the subtraction cancelled (it gave 0.0 at 1e-9), at
+        random NAs, and at NAs just below 1, where 1 - NA^2 would cancel."""
+        rng = random.Random(19)
+        nas = ([10.0**-k for k in range(1, 10)] + [rng.random() for _ in range(500)]
+               + [1.0 - rng.random() * 10.0 ** -rng.uniform(3, 15) for _ in range(500)] + [1.0])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for na in nas:
+                reference = (1 - (1 - Decimal(na) ** 2).sqrt()) / 2
+                error = abs(Decimal(collection_fraction(na, "exact")) - reference)
+                assert error <= 2 * Decimal(math.ulp(float(reference))), na
+
     def test_fraction_range_check(self):
         with pytest.raises(DomainError):
             collection_fraction(1.5)
@@ -195,10 +211,13 @@ class TestConeMixing:
     def test_vanishes_for_small_aperture(self):
         assert cone_mixing_weight(0.01) < 1e-4
 
-    def test_matches_the_whole_grid_sum(self):
-        for na in np.linspace(0.01, 1.0, 34):
-            assert cone_mixing_weight(float(na)) == pytest.approx(
-                cone_mixing_weight_meshgrid(float(na)), rel=1e-13, abs=0.0)
+    def test_matches_quadrature_within_two_ulp(self):
+        """The closed form against a 40-digit quadrature of the cone average, at
+        12 NAs from 1e-6 to 1; at NA 1 it is exactly 1/15."""
+        for na in (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.6, 0.7, 0.9, 0.99, 1.0 - 1e-8, 1.0):
+            reference = cone_mixing_weight_quadrature(na)
+            assert abs(cone_mixing_weight(na) - reference) <= 2 * math.ulp(float(reference)), na
+        assert cone_mixing_weight(1.0) == 1.0 / 15.0
 
 
 def axes(rows):

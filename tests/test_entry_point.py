@@ -118,3 +118,35 @@ def test_closed_pipe_exits_1_with_one_line():
         child.stdout.close()
         stderr = child.stderr.read()
     assert (child.returncode, stderr.decode()) == (1, "error: cannot write '-': Broken pipe\n")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_openblas_starts_no_thread_pool_unless_asked(preset):
+    """``cli.run`` sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads, so a
+    ``chain mc`` process ends with its one thread, not with OpenBLAS's pool of
+    one per further CPU; a value the user set is kept.  The child reports its
+    task count and the variable where ``run`` ends the process."""
+    pytest.importorskip("numpy")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    report = ("import os, sys\n"
+              "from ionlink import cli\n"
+              "exit_ = os._exit\n"
+              "def report(code):\n"
+              "    print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+              "          file=sys.stderr, flush=True)\n"
+              "    exit_(code)\n"
+              "os._exit = report\n"
+              "cli.run()\n")
+    env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    child = subprocess.run([sys.executable, "-c", report, "chain", "mc", "--trials", "1000",
+                            "--threads", "2"], env=env, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, timeout=120, text=True)
+    assert child.returncode == 0, child.stderr
+    tasks, value = child.stderr.split()
+    if preset is None:
+        assert (tasks, value) == ("1", "1")
+    else:
+        assert value == preset

@@ -17,8 +17,9 @@ from ionlink.atomic import (
     Polarization,
     ZeemanState,
     default_barium_model,
+    drive_target,
 )
-from ionlink.errors import DomainError
+from ionlink.errors import DomainError, NumericError
 from ionlink.pump_cycle import (
     ChainOutcome,
     PumpCycleConfig,
@@ -32,6 +33,7 @@ from oracles import (
     philox4x64_10,
     pump_cycle_power_iteration,
     random_branching_model,
+    solve_fractions,
 )
 
 # frozen from the 9-state power-iteration oracle
@@ -122,26 +124,47 @@ class TestSolveExact:
         assert plus.p_good == pytest.approx(minus.p_good, rel=1e-12)
         assert plus.p_bad == pytest.approx(minus.p_bad, rel=1e-12)
 
-    def test_bit_identical_to_lapack_on_random_models(self):
-        """The plain-Python solve emulates LAPACK dgesv on this BLAS; a BLAS
-        that rounds differently fails here instead of drifting silently."""
+    def test_correctly_rounded_on_random_models(self, monkeypatch):
+        """Each probability is the exact solution of the chain's system, solved
+        over Fractions here, rounded once: ``float(Fraction)`` rounds correctly,
+        so equality means correctly rounded.  The spy keeps each system that
+        ``solve_exact`` builds, with its solution."""
+        solves, solve_2x2 = [], pump_cycle._solve_2x2
+
+        def spy(a, b):
+            solves.append((a, b, solve_2x2(a, b)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(pump_cycle, "_solve_2x2", spy)
         rng = np.random.default_rng(13)
-        pivots = {False: 0, True: 0}
         for _ in range(2_000):
             model = random_branching_model(rng)
             for drive in (Polarization.SIGMA_MINUS, Polarization.SIGMA_PLUS):
                 for mj in (1.5, 0.5, -0.5, -1.5):
-                    config = PumpCycleConfig(initial=D(mj), drive=drive, model=model)
-                    chain = pump_cycle._CompiledChain(config)
-                    a, r = pump_cycle._absorbing_system(chain)
-                    expected = np.linalg.solve(np.array(a), np.array(r))
-                    solved = np.array(pump_cycle._solve_2x2(a, r))
-                    assert (solved.view(np.int64) == expected.view(np.int64)).all(), (a, r)
-                    pivots[abs(a[1][0]) > abs(a[0][0])] += 1
-            # solve_exact returns the initial state's row of that solve
-            row = expected[chain.p_index[chain.start]].tolist()
-            assert list(solve_exact(config).as_dict().values())[:3] == row
-        assert min(pivots.values()) > 0, pivots  # both pivot branches are exercised
+                    outcome = solve_exact(PumpCycleConfig(initial=D(mj), drive=drive, model=model))
+                    start = drive_target(D(mj), drive)
+                    if start is None:  # no solve: the drive cannot address the shelf sublevel
+                        assert outcome == ChainOutcome(0.0, 0.0, 1.0)
+                        continue
+                    a, r, solved = solves.pop()
+                    expected = [[float(x) for x in row] for row in solve_fractions(a, r)]
+                    assert solved == expected, (a, r)
+                    # solve_exact returns the initial state's row of that solve
+                    row = expected[[P_PLUS, P_MINUS].index(start)]
+                    assert [outcome.p_good, outcome.p_bad, outcome.p_dark] == row
+
+    def test_solution_past_the_float_range_is_refused(self):
+        """Under a pi drive the P1/2 sublevels feed each other, so ``I - Q`` can be
+        nearly singular without being triangular: here its determinant is minus
+        the product of two 5e-324 couplings, and the exact p_dark is -2e634."""
+        cg = {k: v for k, v in default_barium_model().cg.items() if k[1].level is Level.S12}
+        cg.update({(P_PLUS, D(+0.5)): 1.0, (P_PLUS, D(-0.5)): 2.3e-162,
+                   (P_PLUS, D(+1.5)): 0.999e-6, (P_MINUS, D(+0.5)): 2.3e-162,
+                   (P_MINUS, D(-0.5)): math.sqrt(0.5), (P_MINUS, D(-1.5)): math.sqrt(0.5)})
+        model = BranchingModel(br_493=0.0, br_650=1.0, cg=cg)
+        config = PumpCycleConfig(initial=D(+0.5), drive=Polarization.PI, model=model)
+        with pytest.raises(NumericError, match="too nearly closed to solve"):
+            solve_exact(config)
 
 
 def with_shelf_amplitudes(model, plus, minus):
