@@ -55,7 +55,7 @@ class PolarizationVector(Record):
     e_phi: complex
 
     def __post_init__(self) -> None:
-        for name, value in zip(self._fields, self._values()):
+        for name, value in self.__dict__.items():
             if not cmath.isfinite(value):
                 raise DomainError(f"{name} out of range: {value} (must be finite)")
 

@@ -64,19 +64,18 @@ class Record:
 
     A subclass gets an ``__init__`` taking the fields by position or keyword, in
     order, with the class-body values as defaults; it sets them and calls
-    ``__post_init__`` (the subclass's checks) once.  A record equals only a record
-    of its own class with equal fields, hashes as the tuple of its fields, and
-    refuses to have an attribute assigned or deleted; ``__post_init__`` may still
-    replace a field through ``object.__setattr__``.  The standard library's
-    frozen data classes behave so too, but their module loads ``inspect``,
-    ``ast`` and ``dis``: ~10 ms of every command's start-up.
+    ``__post_init__`` (the subclass's checks) once.  The instance ``__dict__`` is
+    the fields in order, and nothing else.  A record equals only a record of its
+    own class with equal fields, hashes as the tuple of its fields, and refuses
+    to have an attribute assigned or deleted; ``__post_init__`` may still
+    replace a field in place through ``object.__setattr__``.  The standard
+    library's frozen data classes behave so too, but their module loads
+    ``inspect``, ``ast`` and ``dis``: ~10 ms of every command's start-up.
     """
-
-    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = fields = tuple(cls.__annotations__)
+        fields = tuple(cls.__annotations__)
         defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
         values = ", ".join(f"{n!r}: {n}" for n in fields)
@@ -92,19 +91,16 @@ class Record:
     def __post_init__(self) -> None:
         """Checks the fields; a record without checks inherits this no-op."""
 
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.__dict__ == other.__dict__
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(self.__dict__.values()))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in self.__dict__.items())
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -94,7 +94,7 @@ class ChainOutcome(Record):
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        return dict(zip(self._fields, self._values()))
+        return dict(self.__dict__)
 
 
 class _CompiledChain:

@@ -472,19 +472,13 @@ class TestFailuresExitOne:
         for fragment in fragments:
             assert fragment in err
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("argv, name", [
-        # non-finite or out-of-range physics inputs
-        (("fidelity-curve", "--f-max", "nan"), "max_fidelity"),
-        (("fidelity-curve", "--f-max", "inf", "--na-step", "0.5"), "max_fidelity"),
-        (("fidelity-curve", "--f-max", "7"), "max_fidelity"),
+        # records: the handler refuses before the output format is reached
         (TRAP + ("--v0", "nan"), "v0"),
         (TRAP + ("--v0", "inf"), "v0"),
         (TRAP + ("--eta", "nan"), "eta"),
         (TRAP + ("--charge-e", "-1"), "charge_e"),
         (TRAP + ("--freq-mhz", "nan"), "f_rf_mhz"),
-        (("fiber", "curves", "--eta-780", "nan"), "eta_780"),
-        (("fiber", "curves", "--eta-1550", "-3"), "eta_1550"),
         (("fiber", "budget", "--db-per-km", "inf"), "attenuation_db_per_km"),
         (QFC_PLAN + ("--srs-threshold-thz", "nan"), "srs_threshold_thz"),
         # finite inputs whose result over- or underflows
@@ -493,6 +487,16 @@ class TestFailuresExitOne:
         (TRAP + ("--r-um", "1e-300"), "r=1e-306"),
         (TRAP + ("--r-um", "1e300"), "r=1e+294"),
         (("fiber", "crossing", "--efficiency", "1e-320"), "efficiency 1e-320"),
+        # integers beyond what the computation can hold
+        (("chain", "mc", "--trials", "1" + "0" * 30), "n_trials"),
+        (QFC_PLAN + ("--order", "1" * 400), "poling order"),
+    ] + [(argv + ("--output-format", fmt), name) for argv, name in [
+        # tables: refused while the first block is rendered, in either format
+        (("fidelity-curve", "--f-max", "nan"), "max_fidelity"),
+        (("fidelity-curve", "--f-max", "inf", "--na-step", "0.5"), "max_fidelity"),
+        (("fidelity-curve", "--f-max", "7"), "max_fidelity"),
+        (("fiber", "curves", "--eta-780", "nan"), "eta_780"),
+        (("fiber", "curves", "--eta-1550", "-3"), "eta_1550"),
         # grids above 2**20 rows
         (("fidelity-curve", "--na-step", "1e-300"), "na_step"),
         (("prob-curve", "--na-step", "1e-7"), "na_step"),
@@ -501,12 +505,9 @@ class TestFailuresExitOne:
         (("emission", "pattern", "--theta-step-deg", "1e-300"), "theta_step_deg"),
         (("emission", "pattern", "--theta-step-deg", "0.01", "--phi-step-deg", "1"),
          "phi_step_deg"),
-        # integers beyond what the computation can hold
-        (("chain", "mc", "--trials", "1" + "0" * 30), "n_trials"),
-        (QFC_PLAN + ("--order", "1" * 400), "poling order"),
-    ])
-    def test_bad_physics_input_is_refused(self, capsys, argv, name, fmt):
-        self.assert_one_line_error(*run(capsys, *argv, "--output-format", fmt), name)
+    ] for fmt in ("csv", "json")])
+    def test_bad_physics_input_is_refused(self, capsys, argv, name):
+        self.assert_one_line_error(*run(capsys, *argv), name)
 
     def test_non_finite_json_result_is_refused(self, capsys, tmp_path):
         """A dispersion file's material must be a string, so a NaN there is

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ionlink.atomic import BranchingModel, Level, Polarization, ZeemanState, default_barium_model
-from ionlink.emission import EmissionDirection, PolarizationVector, collection_fraction
-from ionlink.emission import cone_mixing_weight
+from ionlink.emission import (
+    EmissionDirection, PolarizationVector, collection_fraction, cone_mixing_weight, pattern_rows,
+)
 from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps, whole
 from ionlink.fiber import (
     FiberChannel, conversion_crossing, link_rate, transmission, transmission_curves,
@@ -15,10 +16,11 @@ from ionlink.fiber import (
 from ionlink.pump_cycle import ChainOutcome, PumpCycleConfig, simulate
 from ionlink.qfc import (
     ConversionStage, DispersionModel, LightField, MixKind, dfg_output, load_dispersion,
-    noise_audit, plan_stage, sfg_output,
+    noise_audit, plan_stage, sfg_output, solve_poling_period,
 )
 from ionlink.schemes import (
-    D_SHELVING, SchemeSpec, entanglement_probability, fidelity_at_na, mixture_fidelity,
+    D_SHELVING, SchemeSpec, entanglement_probability, fidelity_at_na, fidelity_curve,
+    mixture_fidelity, probability_curve, scheme_comparison,
 )
 from ionlink.trap import TrapConfig, pseudopotential
 
@@ -110,20 +112,35 @@ def _plan(**kwargs):
     return plan_stage(650.0, 1343.0, MixKind.DFG, load_dispersion("ppln"), **kwargs)
 
 
+def _with(record, name):
+    """The call that rebuilds ``record`` with its field ``name`` set to the argument."""
+    return lambda x: type(record)(**{**vars(record), name: x})
+
+
+def _simulate(n_trials=10, seed=0, **kwargs):
+    return simulate(PumpCycleConfig(), n_trials=n_trials, seed=seed, **kwargs)
+
+
+RED = LightField.from_wavelength_nm(650.0)
+PUMP = LightField.from_wavelength_nm(1343.0)  # 223.2259553239017 THz
+STAGE = ConversionStage(RED, PUMP, dfg_output(RED, PUMP), MixKind.DFG, 7.4)
+
 #: Library calls given a whole-number parameter that is not one, or is out of
-#: its range; each must raise a DomainError naming that parameter.  The bounds
-#: of ``n_trials``, ``seed``, ``workers``, ``max_cycles`` and the even poling
-#: orders are tested beside their functions.
+#: its range; each must raise a DomainError naming that parameter.
 WHOLE_NUMBER_CASES = [
     ("poling order", lambda: _plan(poling_order=2.5)),  # was a 2.5x first-order period
-    ("poling order", lambda: ConversionStage(
-        LightField.from_wavelength_nm(650.0),
-        LightField.from_wavelength_nm(1343.0),
-        _plan()[0].output, MixKind.DFG, 7.4, poling_order=3.0)),
-    ("max_cycles", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0, max_cycles=1.5)),
-    ("n_trials", lambda: simulate(PumpCycleConfig(), n_trials=10.0, seed=0)),  # was a TypeError
-    ("seed", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0.5)),  # ran on seed 0's bits
-    ("workers", lambda: simulate(PumpCycleConfig(), n_trials=10, seed=0, workers=1.5)),  # ran
+    ("poling order", lambda: _with(STAGE, "poling_order")(3.0)),
+    ("poling order", lambda: _with(STAGE, "poling_order")(2)),
+    ("poling order", lambda: solve_poling_period(RED, PUMP, STAGE.output,
+                                                 load_dispersion("ppln"), poling_order=2)),
+    ("max_cycles", lambda: _simulate(max_cycles=1.5)),
+    ("max_cycles", lambda: _simulate(max_cycles=0)),
+    ("n_trials", lambda: _simulate(n_trials=10.0)),  # was a TypeError
+    ("n_trials", lambda: _simulate(n_trials=0)),
+    ("seed", lambda: _simulate(seed=0.5)),  # ran on seed 0's bits
+    ("seed", lambda: _simulate(seed=-1)),
+    ("workers", lambda: _simulate(workers=1.5)),  # ran
+    ("workers", lambda: _simulate(workers=0)),
 ]
 
 
@@ -132,21 +149,6 @@ WHOLE_NUMBER_CASES = [
 def test_library_refuses_what_is_not_a_whole_number_in_range(name, call):
     with pytest.raises(DomainError, match=f"^{name} out of range: "):
         call()
-
-
-#: Records and functions given a non-finite float; each must raise a DomainError naming it.
-NON_FINITE_CASES = [
-    ("mj", lambda x: ZeemanState(Level.D32, x)),  # was a ValueError (nan) or OverflowError (inf)
-    ("p_good", lambda x: mixture_fidelity(x, 0.5)),
-    ("p_bad", lambda x: mixture_fidelity(0.5, x)),
-]
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name, make", NON_FINITE_CASES, ids=[name for name, _ in NON_FINITE_CASES])
-def test_records_refuse_non_finite_fields(name, make, value):
-    with pytest.raises(DomainError, match=fr"^{name} out of range: {value} \(must be finite"):
-        make(value)
 
 
 TRAP = TrapConfig.from_lab_units(v0=200.0, f_rf_mhz=20.0, r_um=260.0, eta=0.9, mass_amu=138.0)
@@ -160,18 +162,21 @@ OUT_OF_RANGE_CASES = [
     (f"pseudopotential of {TRAP} out of range: inf",
      lambda: pseudopotential(TRAP, 1e200, 0.0)),  # returned inf
     (f"pseudopotential of {TRAP} out of range: inf", lambda: pseudopotential(TRAP, 1e-3, 1e160)),
-    ("p_good out of range: -0.1", lambda: mixture_fidelity(-0.1, 0.5)),
-    ("p_bad out of range: -5e-324", lambda: mixture_fidelity(0.5, -5e-324)),
     ("p_good + p_bad out of range: 0.0", lambda: mixture_fidelity(0.0, 0.0)),
     ("p_good + p_bad out of range: -0.0", lambda: mixture_fidelity(-0.0, -0.0)),
     ("p_good + p_bad out of range: inf", lambda: mixture_fidelity(1e308, 1e308)),
 ]
 
 RAW, CONVERTED = FiberChannel(493.0, 50.0), FiberChannel(780.0, 3.5)
-#: Float inputs of the scalar library functions, each with the nearest floats
-#: outside its range (None: unbounded above; none listed: only NaN and +-inf
-#: are tested); NaN, +-inf and those are refused.
+#: Float inputs of the library's functions and records, each with the nearest
+#: floats outside its range (None: unbounded above; none listed: only NaN and
+#: +-inf are tested); NaN, +-inf and those are refused.
 FLOAT_INPUTS = [
+    ("mj", lambda x: ZeemanState(Level.D32, x)),  # was a ValueError (nan) or OverflowError (inf)
+    *[(name, _with(default_barium_model(), name), -5e-324, 1.0000000000000002)
+      for name in ("br_493", "br_650")],
+    ("p_good", lambda x: mixture_fidelity(x, 0.5), -5e-324, None),
+    ("p_bad", lambda x: mixture_fidelity(0.5, x), -5e-324, None),
     ("source_rate", lambda x: link_rate(x, 1e6, 0.05, CONVERTED, 1.0, 0.95),
      -5e-324, 1.0000000000000002),
     ("repetition_rate_hz", lambda x: link_rate(0.085, x, 0.05, CONVERTED, 1.0, 0.95),
@@ -183,18 +188,30 @@ FLOAT_INPUTS = [
      -5e-324, 1.0000000000000002),
     ("length_km", lambda x: transmission(CONVERTED, x), -5e-324, None),
     ("efficiency", lambda x: conversion_crossing(RAW, CONVERTED, x), 0.0, 1.0000000000000002),
+    ("wavelength_nm", _with(CONVERTED, "wavelength_nm"), 0.0, None),
+    ("attenuation_db_per_km", _with(CONVERTED, "attenuation_db_per_km"), -5e-324, None),
     ("NA", collection_fraction, -5e-324, 1.0000000000000002),
     ("max_fidelity", lambda x: fidelity_at_na(x, 0.6), -5e-324, 1.0000000000000002),
     ("NA", lambda x: fidelity_at_na(0.891, x), -5e-324, 1.0000000000000002),
     ("NA", lambda x: entanglement_probability(D_SHELVING, x), -5e-324, 1.0000000000000002),
+    ("NA", scheme_comparison, -5e-324, 1.0000000000000002),
+    *[(name, _with(D_SHELVING, name), -5e-324, 1.0000000000000002)
+      for name in ("excite_prob", "s_decay_prob", "max_fidelity")],
     ("NA", cone_mixing_weight, 0.0, 1.0000000000000002),
+    ("theta", _with(EmissionDirection(1.0, 0.0), "theta"), -5e-324, 3.1415926535897936),
+    ("wavelength_nm", LightField.from_wavelength_nm, 0.0, None),
+    ("frequency_thz", LightField.from_frequency_thz, 0.0, None),
+    ("wavelength_nm", _with(PUMP, "wavelength_nm"), 0.0, None),
+    ("frequency_thz", _with(PUMP, "frequency_thz"), 0.0, None),
     ("wavelength_nm", lambda x: plan_stage(x, 1343.0, MixKind.DFG, load_dispersion("ppln")),
      0.0, None),
     ("wavelength_nm", lambda x: plan_stage(650.0, x, MixKind.DFG, load_dispersion("ppln")),
      0.0, None),
     ("efficiency", lambda x: _plan(efficiency=x), -5e-324, 1.0000000000000002),
     ("srs_threshold_thz", lambda x: _plan(srs_threshold_thz=x), -5e-324, None),
-    ("srs_threshold_thz", lambda x: noise_audit(_plan()[0], x), -5e-324, None),
+    ("srs_threshold_thz", lambda x: noise_audit(STAGE, x), -5e-324, None),
+    ("poling_period_um", _with(STAGE, "poling_period_um"), 0.0, None),
+    ("efficiency", _with(STAGE, "efficiency"), -5e-324, 1.0000000000000002),
     ("v0", lambda x: TrapConfig.from_lab_units(x, 20.0, 260.0, 0.9, 138.0), 0.0, None),
     ("f_rf_mhz", lambda x: TrapConfig.from_lab_units(200.0, x, 260.0, 0.9, 138.0), 0.0, None),
     ("r_um", lambda x: TrapConfig.from_lab_units(200.0, 20.0, x, 0.9, 138.0), 0.0, None),
@@ -203,6 +220,8 @@ FLOAT_INPUTS = [
     ("mass_amu", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, x), 0.0, None),
     ("charge_e", lambda x: TrapConfig.from_lab_units(200.0, 20.0, 260.0, 0.9, 138.0, x),
      0.0, None),
+    *[(name, _with(TRAP, name), 0.0, 1.0000000000000002 if name == "eta" else None)
+      for name in vars(TRAP)],
     # a generator checks its inputs when the first row is pulled
     ("max_km", lambda x: next(transmission_curves(x, 1.0)), -5e-324, None),
     ("step_km", lambda x: next(transmission_curves(10.0, x)), 0.0, None),
@@ -212,11 +231,36 @@ FLOAT_INPUTS = [
      -5e-324, 1.0000000000000002),
     ("eta_1550", lambda x: next(transmission_curves(10.0, 1.0, eta_1550=x)),
      -5e-324, 1.0000000000000002),
+    ("theta_step_deg", lambda x: next(pattern_rows(x, 1.0)), 0.0, None),
+    ("phi_step_deg", lambda x: next(pattern_rows(1.0, x)), 0.0, None),
+    ("na_step", lambda x: next(fidelity_curve(0.891, x)), 0.0, 1.0000000000000002),
+    ("na_step", lambda x: next(probability_curve(D_SHELVING, x)), 0.0, 1.0000000000000002),
+    ("max_fidelity", lambda x: next(fidelity_curve(x, 0.1)), -5e-324, 1.0000000000000002),
 ]
 OUT_OF_RANGE_CASES += [
-    (f"{name} out of range: {value} ", functools.partial(call, value))
+    (f"{name} out of range: {value} (must be finite", functools.partial(call, value))
     for name, call, *outside in FLOAT_INPUTS
     for value in (math.nan, math.inf, -math.inf, *outside) if value is not None
+]
+OUT_OF_RANGE_CASES += [  # an azimuth outside [0, 2*pi), refused with its own message
+    (f"phi must lie in [0, 2*pi), got {phi}", functools.partial(EmissionDirection, 1.0, phi))
+    for phi in (7.0, 2.0 * math.pi, -5e-324, math.nan, math.inf)
+]
+OUT_OF_RANGE_CASES += [  # a grid of MAX_ROWS rows or more
+    ("step_km 1e-320 is too small", lambda: next(transmission_curves(2.0, 1e-320))),
+    ("step_km 1e-300 is too small", lambda: next(transmission_curves(2.0, 1e-300))),
+    ("step_km 1.0 is too small", lambda: next(transmission_curves(2.0**20, 1.0))),
+    ("theta_step_deg 1e-320 is too small", lambda: next(pattern_rows(1e-320, 1.0))),
+    ("theta_step_deg 1e-300 is too small", lambda: next(pattern_rows(1e-300, 1.0))),
+    ("theta_step_deg 0.0001 is too small", lambda: next(pattern_rows(0.0001, 30.0))),
+    ("phi_step_deg 1e-320 is too small", lambda: next(pattern_rows(1.0, 1e-320))),
+    # 18001 x 360 rows: the cap is on the product
+    ("phi_step_deg 1.0 is too small", lambda: next(pattern_rows(0.01, 1.0))),
+    ("na_step 1e-300 is too small", lambda: next(fidelity_curve(0.891, 1e-300))),
+    ("na_step 1e-07 is too small", lambda: next(fidelity_curve(0.891, 1e-7))),
+    ("na_step 1e-320 is too small", lambda: next(probability_curve(D_SHELVING, 1e-320))),
+    # the step is checked before the fidelity
+    ("na_step out of range: 0.0", lambda: next(fidelity_curve(1.5, 0.0))),
 ]
 OUT_OF_RANGE_CASES += [  # a lab-unit trap input whose SI value under- or overflows
     ("f_rf_mhz out of range: 1e+303 (its SI value inf",
@@ -238,7 +282,6 @@ OUT_OF_RANGE_CASES += [  # a non-finite amplitude, real or complex: the intensit
     ("e_phi out of range: (nan+nanj)", lambda: PolarizationVector(1j, complex("nan+nanj"))),
 ]
 FAR_UV = LightField.from_wavelength_nm(1e-300)  # 2.99792458e+305 THz
-PUMP = LightField.from_wavelength_nm(1343.0)  # 223.2259553239017 THz
 OUT_OF_RANGE_CASES += [  # a pump below the input's rounding step: the output was the input
     ("pump out of range: 223.2259553239017 THz (lost to rounding against the 2.99792458e+305",
      lambda: sfg_output(FAR_UV, PUMP)),
@@ -325,6 +368,7 @@ class TestRecord:
     @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
     def test_frozen_value_semantics(self, cls, fields, text):
         a, b = cls(**fields), cls(*fields.values())
+        assert list(vars(a)) == list(fields)  # what equality, hashing and repr read
         assert repr(a) == repr(b) == text
         values = tuple(getattr(a, name) for name in fields)
 

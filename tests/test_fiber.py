@@ -55,19 +55,6 @@ class TestChannels:
         with pytest.raises(DomainError, match=expected):
             standard_channel(nm)
 
-    def test_negative_attenuation_rejected(self):
-        with pytest.raises(DomainError):
-            FiberChannel(493.0, -50.0)
-
-    @pytest.mark.parametrize("wavelength_nm, attenuation, name", [
-        (math.nan, 1.0, "wavelength_nm"), (math.inf, 1.0, "wavelength_nm"),
-        (0.0, 1.0, "wavelength_nm"), (780.0, math.inf, "attenuation_db_per_km"),
-        (780.0, math.nan, "attenuation_db_per_km"),
-    ])
-    def test_non_finite_channel_rejected(self, wavelength_nm, attenuation, name):
-        with pytest.raises(DomainError, match=f"^{name} out of range"):
-            FiberChannel(wavelength_nm, attenuation)
-
 
 class TestTransmission:
     def test_visible_over_one_km(self):
@@ -90,11 +77,6 @@ class TestTransmission:
             combined = transmission(ch, l1 + l2)
             product = transmission(ch, l1) * transmission(ch, l2)
             assert combined == pytest.approx(product, rel=1e-12)
-
-    @pytest.mark.parametrize("length_km", [-1.0, math.nan, math.inf])
-    def test_negative_length_rejected(self, length_km):
-        with pytest.raises(DomainError, match="length_km"):
-            transmission(standard_channel(493), length_km)
 
 
 class TestCrossing:
@@ -122,12 +104,6 @@ class TestCrossing:
         with pytest.raises(DomainError, match=r"^converted channel \(\S+ dB/km\) does not improve "
                                               r"on the raw one \(\S+ dB/km\): no crossover$"):
             conversion_crossing(standard_channel(1550), standard_channel(493), 0.5)
-
-    def test_efficiency_bounds(self):
-        with pytest.raises(DomainError):
-            conversion_crossing(standard_channel(493), standard_channel(780), 0.0)
-        with pytest.raises(DomainError):
-            conversion_crossing(standard_channel(493), standard_channel(780), 1.5)
 
     def test_non_finite_crossing_rejected(self):
         # 1/efficiency overflows to inf for a subnormal efficiency
@@ -167,16 +143,6 @@ class TestLinkRate:
         rate = link_rate(0.085, 1e6, chain_efficiency((stage,)), standard_channel(780), 1.0, 0.95)
         assert rate == pytest.approx(BUDGET_EXAMPLE_RATE_HZ, rel=1e-12)
 
-    @pytest.mark.parametrize("field, value", [
-        ("conversion_efficiency", 2.0), ("conversion_efficiency", -0.1),
-        ("conversion_efficiency", math.nan), ("source_rate", math.nan), ("source_rate", 2.0),
-        ("detector_efficiency", math.inf), ("repetition_rate_hz", math.inf),
-        ("repetition_rate_hz", -1.0), ("length_km", math.nan), ("length_km", -math.inf),
-    ])
-    def test_non_finite_or_out_of_range_rejected(self, field, value):
-        with pytest.raises(DomainError, match=f"^{field} out of range"):
-            link_rate(**{**LINK_INPUTS, field: value})
-
     def test_first_bad_input_is_named(self):
         """The [0, 1] fractions are checked first, then the rate and the length."""
         order = ["source_rate", "detector_efficiency", "conversion_efficiency",
@@ -200,22 +166,6 @@ class TestCurves:
         beyond = [r for r in rows if r[0] > CROSSING_493_TO_780_AT_5PCT + 0.01]
         for row in beyond:
             assert row[2] > row[1]
-
-    @pytest.mark.parametrize("max_km, step_km, name", [
-        (2.0, 0.0, "step_km"), (2.0, -0.5, "step_km"), (2.0, math.nan, "step_km"),
-        (2.0, math.inf, "step_km"), (-1.0, 0.01, "max_km"), (math.inf, 0.01, "max_km"),
-        (math.nan, 0.01, "max_km"), (2.0, 1e-320, "step_km"), (2.0, 1e-300, "step_km"),
-        (2.0**20, 1.0, "step_km"),
-    ])
-    def test_bad_grid_rejected(self, max_km, step_km, name):
-        with pytest.raises(DomainError, match=name):
-            list(transmission_curves(max_km, step_km))
-
-    @pytest.mark.parametrize("name", ["eta_780", "eta_1259", "eta_1550"])
-    @pytest.mark.parametrize("value", [-3.0, 1.5, math.nan, math.inf])
-    def test_bad_efficiency_scale_rejected(self, name, value):
-        with pytest.raises(DomainError, match=f"^{name} out of range"):
-            list(transmission_curves(2.0, 0.5, **{name: value}))
 
     @pytest.mark.parametrize("args", [
         (200.0, 0.01), (3.7, 0.013, 0.07, 0.11, 0.3), (0.0, 1.0), (1e4, 0.7), (5.0, 7.0),

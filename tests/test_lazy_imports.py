@@ -81,10 +81,11 @@ CLI_MODULES = ("ionlink", "ionlink._format", "ionlink.cli", "ionlink.errors")
 
 #: What no command loads.  The records need no ``dataclasses``; ``chain mc``
 #: builds its decay table without ``np.unique`` (which loads ``numpy.ma``); the
-#: exact solve's fused multiply-subtract is integer arithmetic (no ``fractions``);
-#: the Monte Carlo's worker threads are plain ``threading.Thread``s (no
-#: ``concurrent.futures`` or ``logging``); and the bundled data files are opened
-#: beside the modules, so the data directory is never imported as a package.
+#: exact solve is Cramer's rule over the entries' ``as_integer_ratio()``
+#: integers (no ``fractions``); the Monte Carlo's worker threads are plain
+#: ``threading.Thread``s (no ``concurrent.futures`` or ``logging``); and the
+#: bundled data files are opened beside the modules, so the data directory is
+#: never imported as a package.
 NEVER_LOADED = ("dataclasses", "numpy.ma", "fractions", "concurrent.futures", "logging",
                 "importlib.resources", "ionlink.data")
 #: What a command loads only with numpy, which imports both (``typing`` as of numpy 2.4).
