@@ -38,36 +38,6 @@ def parse_csv(text):
 
 
 class TestSchemes:
-    def test_table_at_reference_aperture(self, capsys):
-        code, out, err = run(capsys, "schemes", "--na", "0.6")
-        assert code == 0 and err == ""
-        header, rows, footnotes = parse_csv(out)
-        assert header == ["scheme", "pe_ps", "probability", "fidelity"]
-        table = {r[0]: [float(v) for v in r[1:]] for r in rows}
-        assert table["d-shelving"] == pytest.approx([0.947, 0.08523, 0.8694], abs=1e-6)
-        assert table["weak"][1] == pytest.approx(0.0131472, abs=1e-6)
-        assert table["strong"][1] == pytest.approx(0.065736, abs=1e-6)
-        assert any("0.014" in note and "0.068" in note for note in footnotes)
-
-    def test_aperture_out_of_range_is_domain_error(self, capsys):
-        code, out, err = run(capsys, "schemes", "--na", "1.5")
-        assert code == 1
-        assert out == ""
-        assert "NA out of range" in err
-
-    def test_unknown_flag_is_usage_error(self, capsys):
-        code, _out, _err = run(capsys, "schemes", "--frobnicate", "1")
-        assert code == 2
-
-    def test_missing_subcommand_is_usage_error(self, capsys):
-        code, _out, _err = run(capsys)
-        assert code == 2
-
-    def test_byte_identical_repeat(self, capsys):
-        _, first, _ = run(capsys, "schemes", "--na", "0.6")
-        _, second, _ = run(capsys, "schemes", "--na", "0.6")
-        assert first == second
-
     def test_csv_and_json_encode_identical_values(self, capsys):
         _, csv_text, _ = run(capsys, "schemes", "--na", "0.6")
         _, json_text, _ = run(capsys, "schemes", "--na", "0.6", "--output-format", "json")
@@ -79,74 +49,7 @@ class TestSchemes:
                 assert cell == format(value, ".6g")
 
 
-class TestCurves:
-    def test_fidelity_curve_header_and_grid(self, capsys):
-        code, out, _ = run(capsys, "fidelity-curve", "--scheme", "d-shelving")
-        assert code == 0
-        header, rows, _ = parse_csv(out)
-        assert header == ["na", "fidelity"]
-        assert len(rows) == 101
-        assert float(rows[0][1]) == pytest.approx(0.891, abs=1e-9)
-        assert float(rows[-1][1]) == pytest.approx(0.831, abs=1e-6)
-
-    def test_probability_curve_default_step(self, capsys):
-        code, out, _ = run(capsys, "prob-curve", "--scheme", "strong", "--na-step", "0.1")
-        assert code == 0
-        header, rows, _ = parse_csv(out)
-        assert header == ["na", "probability"]
-        assert len(rows) == 11
-        assert float(rows[-1][1]) == pytest.approx(0.7304 / 4.0, abs=1e-6)
-
-    @pytest.mark.parametrize("command", ["fidelity-curve", "prob-curve"])
-    def test_no_na_above_one(self, capsys, command):
-        for step, last in (("0.6", "0.6"), ("0.65", "0.65"), ("0.18", "0.9"), ("0.15", "0.9")):
-            _, rows, _ = parse_csv(run(capsys, command, "--na-step", step)[1])
-            assert rows[-1][0] == last
-
-    def test_f_max_override(self, capsys):
-        _, out, _ = run(capsys, "fidelity-curve", "--f-max", "1.0", "--na-step", "0.5")
-        _, rows, _ = parse_csv(out)
-        assert float(rows[0][1]) == 1.0
-
-
 class TestChain:
-    def test_exact_json(self, capsys):
-        code, out, _ = run(capsys, "chain", "exact")
-        assert code == 0
-        record = json.loads(out)
-        assert record["p_good"] == pytest.approx(0.8441978733240868, rel=1e-9)
-        assert record["p_bad"] == pytest.approx(0.07943450601988476, rel=1e-9)
-        assert record["se_good"] is None and record["n_trials"] is None
-
-    def test_mc_deterministic_and_thread_invariant(self, capsys):
-        args = ("chain", "mc", "--trials", "40000", "--seed", "5")
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args)
-        _, threaded, _ = run(capsys, *args, "--threads", "3")
-        assert first == second == threaded
-        record = json.loads(first)
-        assert record["n_trials"] == 40000 and record["seed"] == 5
-        assert record["p_good"] + record["p_bad"] + record["p_dark"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_mc_matches_exact_loosely(self, capsys):
-        _, exact_text, _ = run(capsys, "chain", "exact")
-        _, mc_text, _ = run(capsys, "chain", "mc", "--trials", "200000", "--seed", "1")
-        exact = json.loads(exact_text)
-        mc = json.loads(mc_text)
-        for key in ("p_good", "p_bad", "p_dark"):
-            assert abs(mc[key] - exact[key]) < 4.0 * max(mc["se_" + key.split("_")[1]], 1e-9)
-
-    def test_sigma_plus_mirror_via_flags(self, capsys):
-        _, minus, _ = run(capsys, "chain", "exact")
-        _, plus, _ = run(capsys, "chain", "exact", "--drive", "sigma-plus")
-        assert json.loads(plus)["p_good"] == pytest.approx(json.loads(minus)["p_good"], rel=1e-12)
-
-    def test_explicit_initial_state(self, capsys):
-        # the '=' form keeps argparse from reading '-3/2' as a flag
-        code, out, _ = run(capsys, "chain", "exact", "--initial-mj=-3/2")
-        assert code == 0
-        assert json.loads(out)["p_dark"] == 1.0
-
     @pytest.mark.parametrize("drive, mj", [("sigma-minus", +1.5), ("sigma-plus", -1.5)])
     def test_library_default_sublevel_is_the_cli_default(self, capsys, drive, mj):
         from ionlink.atomic import Level, Polarization, ZeemanState
@@ -156,14 +59,6 @@ class TestChain:
         assert config.initial == ZeemanState(Level.D32, mj)
         _, out, _ = run(capsys, "chain", "exact", "--drive", drive)
         assert solve_exact(config).as_dict() == json.loads(out)  # p_dark was 1.0 under sigma+
-
-    def test_model_file_flag(self, capsys, tmp_path):
-        from ionlink.atomic import default_barium_model, save_model
-
-        path = tmp_path / "model.txt"
-        save_model(default_barium_model(), path)
-        _, out, _ = run(capsys, "chain", "exact", "--model", str(path))
-        assert json.loads(out)["p_good"] == pytest.approx(0.8441978733240868, rel=1e-12)
 
 
 class TestQuotedNumbers:
@@ -200,99 +95,16 @@ class TestQuotedNumbers:
         assert args.source_rate == 0.085 == float(f"{layer:.2g}")
 
 
-class TestTrap:
-    def test_reference_numbers(self, capsys):
-        code, out, _ = run(
-            capsys, "trap", "--v0", "200", "--freq-mhz", "20",
-            "--r-um", "260", "--eta", "0.9", "--mass-amu", "138",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert record["omega_s_rad_s"] == pytest.approx(
-            record["f_s_mhz"] * 1e6 * 2.0 * math.pi, rel=1e-12
-        )
-        assert 0.1 < record["f_s_mhz"] < 10.0
-        assert "depth" in record["depth_note"]
-
-    def test_missing_required_flag_is_usage_error(self, capsys):
-        code, _out, err = run(capsys, "trap", "--v0", "200")
-        assert code == 2
-        assert "freq-mhz" in err
-
-
 class TestQfc:
-    def test_plan_json_keys(self, capsys):
-        code, out, _ = run(
-            capsys, "qfc", "plan", "--input-nm", "650", "--pump-nm", "1343",
-            "--kind", "dfg", "--material", "ppln", "--order", "1",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert record["output_nm"] == pytest.approx(1259.6681096681098, rel=1e-9)
-        assert record["output_thz"] == pytest.approx(237.99321082994442, rel=1e-9)
-        assert record["poling_period_um"] == pytest.approx(12.537762022437104, rel=1e-9)
-        assert record["noise_findings"][0]["code"] == "PASS"
-
-    def test_plan_accepts_material_alias(self, capsys):
-        code, out, _ = run(
-            capsys, "qfc", "plan", "--input-nm", "650", "--pump-nm", "1343",
-            "--material", "pplne",
-        )
-        assert code == 0
-        assert json.loads(out)["material"] == "ppln"
-
-    def test_plan_bad_material_is_domain_error(self, capsys):
-        code, _out, err = run(
-            capsys, "qfc", "plan", "--input-nm", "650", "--pump-nm", "1343",
-            "--material", "bbo",
-        )
-        assert code == 1
-        assert "dispersion" in err
-
-    def test_plan_impossible_dfg_is_domain_error(self, capsys):
-        code, _out, err = run(
-            capsys, "qfc", "plan", "--input-nm", "1343", "--pump-nm", "650",
-            "--material", "ppln",
-        )
-        assert code == 1
-        assert "DFG" in err
-
-    def test_reference_table(self, capsys):
-        code, out, _ = run(capsys, "qfc", "table2")
-        assert code == 0
-        header, rows, footnotes = parse_csv(out)
-        assert header == ["conversion", "input_thz", "output_thz", "pump_thz", "device"]
-        cells = [row[1:] for row in rows]
-        assert cells == [
-            ["608", "385", "223", "PPKTP"],
-            ["461", "238", "223", "PPLN"],
-            ["384", "193", "191", "PPLN"],
-        ]
-        assert any("384" in note for note in footnotes)
-
-    def test_version_embeds_dispersion_data_version(self, capsys):
-        code, out, _ = run(capsys, "--version")
-        assert code == 0
-        assert "dispersion-data 2026.08" in out
-
-    def test_version_is_the_package_version(self, capsys):
+    def test_version_line(self, capsys):
+        """``--version`` prints pyproject.toml's version and the dispersion data's."""
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
         assert ionlink.__version__ == version
-        _, out, _ = run(capsys, "--version")
-        assert out.startswith(f"ionlink {version} (")
+        assert run(capsys, "--version") == (0, f"ionlink {version} (dispersion-data 2026.08)\n", "")
 
 
 class TestFiber:
-    def test_curves_header_and_values(self, capsys):
-        code, out, _ = run(capsys, "fiber", "curves", "--max-km", "1", "--step-km", "0.5")
-        assert code == 0
-        header, rows, _ = parse_csv(out)
-        assert header == ["length_km", "t_493", "t_780_x0.05", "t_650",
-                          "t_1259_x0.05", "t_1550_x0.18"]
-        assert len(rows) == 3
-        assert float(rows[2][1]) == pytest.approx(1e-5, rel=1e-5)
-
     def test_curves_header_reflects_efficiencies(self, capsys):
         """The handler names the columns: each converted trace carries its efficiency."""
         etas = ("--eta-780", "0.07", "--eta-1259", "1", "--eta-1550", "2.5e-05")
@@ -303,30 +115,6 @@ class TestFiber:
         _, out, _ = run(capsys, "fiber", "curves", "--max-km", "1", *etas, "--output-format", "json")
         assert json.loads(out)["columns"] == header
 
-    def test_crossing_value(self, capsys):
-        code, out, _ = run(
-            capsys, "fiber", "crossing", "--raw-nm", "493",
-            "--converted-nm", "780", "--efficiency", "0.05",
-        )
-        assert code == 0
-        assert json.loads(out)["crossing_km"] == pytest.approx(0.27979139691698524, rel=1e-9)
-
-    def test_crossing_without_benefit_is_domain_error(self, capsys):
-        code, _out, err = run(
-            capsys, "fiber", "crossing", "--raw-nm", "1550", "--converted-nm", "493",
-        )
-        assert code == 1
-        assert "crossover" in err
-
-    def test_budget_worked_example(self, capsys):
-        code, out, _ = run(
-            capsys, "fiber", "budget", "--source-rate", "0.085", "--rep-rate-hz", "1e6",
-            "--qfc-efficiency", "0.05", "--fiber-nm", "780", "--length-km", "1",
-            "--detector", "0.95",
-        )
-        assert code == 0
-        assert json.loads(out)["rate_hz"] == pytest.approx(1803.4850033095138, rel=1e-9)
-
     def test_budget_calls_link_rate_once(self, capsys, monkeypatch):
         calls = []
         link_rate = fiber.link_rate
@@ -336,61 +124,8 @@ class TestFiber:
             assert code == 0
             assert len(calls) == 1 and json.loads(out)["rate_hz"] == link_rate(*calls.pop())
 
-    def test_budget_efficiencies_multiply(self, capsys):
-        _, out, _ = run(
-            capsys, "fiber", "budget", "--qfc-efficiency", "0.05",
-            "--qfc-efficiency", "0.18", "--length-km", "0",
-        )
-        assert json.loads(out)["conversion_efficiency"] == pytest.approx(0.009, rel=1e-12)
-
-    def test_attenuation_override(self, capsys):
-        _, out, _ = run(
-            capsys, "fiber", "crossing", "--raw-nm", "369", "--raw-db-per-km", "70",
-            "--converted-nm", "1550", "--efficiency", "0.05",
-        )
-        record = json.loads(out)
-        assert record["raw_db_per_km"] == 70.0
-        assert record["crossing_km"] == pytest.approx(
-            10.0 * math.log10(20.0) / (70.0 - 0.18), rel=1e-9
-        )
-
-
-class TestEmission:
-    def test_pattern_grid(self, capsys):
-        code, out, _ = run(
-            capsys, "emission", "pattern", "--theta-step-deg", "30", "--phi-step-deg", "90",
-        )
-        assert code == 0
-        header, rows, _ = parse_csv(out)
-        assert header == ["theta", "phi", "i_pi", "i_sigma_plus", "i_sigma_minus", "overlap_abs"]
-        assert len(rows) == 7 * 4
-        # cells carry 6 significant digits, so locate the pi/2 rows loosely
-        middle = [r for r in rows if abs(float(r[0]) - math.pi / 2.0) < 1e-4]
-        assert middle and all(float(r[2]) == pytest.approx(1.0, abs=1e-9) for r in middle)
-        assert all(float(r[5]) <= 1e-12 for r in middle)
-
 
 class TestOutputAndConfig:
-    def test_output_file(self, capsys, tmp_path):
-        target = tmp_path / "table.csv"
-        code, out, _ = run(capsys, "schemes", "--na", "0.6", "--output", str(target))
-        assert code == 0 and out == ""
-        assert target.read_text().startswith("scheme,pe_ps,probability,fidelity")
-
-    def test_config_supplies_defaults(self, capsys, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text("na = 0.4\ncollection = quadratic\n")
-        _, from_config, _ = run(capsys, "schemes", "--config", str(config))
-        _, explicit, _ = run(capsys, "schemes", "--na", "0.4")
-        assert from_config.splitlines()[1] == explicit.splitlines()[1]
-
-    def test_flags_override_config(self, capsys, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text("na = 0.4\n")
-        _, out, _ = run(capsys, "schemes", "--config", str(config), "--na", "0.6")
-        _, reference, _ = run(capsys, "schemes", "--na", "0.6")
-        assert out == reference
-
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("na = banana\n")
@@ -421,6 +156,8 @@ class TestOutputAndConfig:
         ("trials = 5\nscheme = weak\noutput_format = json\noutput = {tmp}/x.csv\n"
          "config = {tmp}/other.conf\ncommand = trap\n", ("schemes",), ("schemes",)),
         ("\ufeffna = 0.3\n", ("schemes",), ("schemes", "--na", "0.3")),  # a byte-order mark
+        ("trials = 5000\nseed = 17\n", ("chain", "mc"),
+         ("chain", "mc", "--trials", "5000", "--seed", "17")),
     ])
     def test_config_contract(self, capsys, tmp_path, config_text, argv, reference):
         """argv > config > default; only the chosen subcommand's keys are read."""
@@ -455,59 +192,112 @@ class TestOutputAndConfig:
         code, _out, _err = run(capsys, "schemes", "--config", str(tmp_path / "absent.conf"))
         assert code == 2
 
-    def test_config_seed_for_mc(self, capsys, tmp_path):
-        config = tmp_path / "run.conf"
-        config.write_text("trials = 5000\nseed = 17\n")
-        _, from_config, _ = run(capsys, "chain", "mc", "--config", str(config))
-        _, explicit, _ = run(capsys, "chain", "mc", "--trials", "5000", "--seed", "17")
-        assert from_config == explicit
+
+#: (argv, exit code, fragment): bad input is refused, never with a traceback,
+#: and nothing reaches standard output.  Exit 1 prints one ``error:`` line
+#: holding the fragment; a usage error (exit 2) ends standard error with it.
+REFUSED = [
+    # domain errors
+    (("schemes", "--na", "1.5"), 1, "NA out of range: 1.5"),
+    (QFC_PLAN[:-1] + ("bbo",), 1, "unknown dispersion model 'bbo'"),
+    (("qfc", "plan", "--input-nm", "1343", "--pump-nm", "650", "--material", "ppln"), 1,
+     "DFG requires the input above the pump frequency"),
+    (("fiber", "crossing", "--raw-nm", "1550", "--converted-nm", "493"), 1, "no crossover"),
+    # records: the handler refuses before the output format is reached
+    (TRAP + ("--v0", "nan"), 1, "v0"),
+    (TRAP + ("--v0", "inf"), 1, "v0"),
+    (TRAP + ("--eta", "nan"), 1, "eta"),
+    (TRAP + ("--charge-e", "-1"), 1, "charge_e"),
+    (TRAP + ("--freq-mhz", "nan"), 1, "f_rf_mhz"),
+    (("fiber", "budget", "--db-per-km", "inf"), 1, "attenuation_db_per_km"),
+    (QFC_PLAN + ("--srs-threshold-thz", "nan"), 1, "srs_threshold_thz"),
+    # finite inputs whose result over- or underflows
+    (TRAP + ("--freq-mhz", "1e-320"), 1, "omega_rf"),
+    (TRAP + ("--r-um", "1e-320"), 1, "r_um out of range: 1e-320"),
+    (TRAP + ("--r-um", "1e-300"), 1, "r=1e-306"),
+    (TRAP + ("--r-um", "1e300"), 1, "r=1e+294"),
+    (("fiber", "crossing", "--efficiency", "1e-320"), 1, "efficiency 1e-320"),
+    # integers beyond what the computation can hold
+    (("chain", "mc", "--trials", "1" + "0" * 30), 1, "n_trials"),
+    (QFC_PLAN + ("--order", "1" * 400), 1, "poling order"),
+    # non-finite, zero or too fine grid steps
+    (("fiber", "curves", "--max-km", "inf"), 1, "max_km"),
+    (("fiber", "curves", "--max-km", "nan"), 1, "max_km"),
+    (("fiber", "curves", "--step-km", "nan"), 1, "step_km"),
+    (("fiber", "curves", "--step-km", "inf"), 1, "step_km"),
+    (("emission", "pattern", "--theta-step-deg", "nan"), 1, "theta_step_deg"),
+    (("emission", "pattern", "--theta-step-deg", "inf"), 1, "theta_step_deg"),
+    (("emission", "pattern", "--theta-step-deg", "0"), 1, "theta_step_deg"),
+    (("emission", "pattern", "--phi-step-deg=-inf"), 1, "phi_step_deg"),
+    (("fiber", "curves", "--step-km", "1e-320"), 1, "step_km"),
+    (("emission", "pattern", "--theta-step-deg", "1e-320"), 1, "theta_step_deg"),
+    (("emission", "pattern", "--phi-step-deg", "1e-320"), 1, "phi_step_deg"),
+    (("fidelity-curve", "--na-step", "1e-320"), 1, "na_step"),
+    (("prob-curve", "--na-step", "1e-320"), 1, "na_step"),
+    # files and link inputs
+    (("chain", "exact", "--model", "/nonexistent/model.txt"), 1, "/nonexistent/model.txt"),
+    (("chain", "mc", "--trials", "10", "--model", "/nonexistent/model.txt"), 1,
+     "/nonexistent/model.txt"),
+    (("fiber", "crossing", "--raw-nm", "nan"), 1, "nan nm"),
+    (("fiber", "crossing", "--raw-nm=-inf"), 1, "-inf nm"),
+    (("fiber", "budget", "--fiber-nm", "nan"), 1, "nan nm"),
+    # a finite wavelength is rounded to look it up, but printed compactly
+    (("fiber", "crossing", "--raw-nm", "1e308"), 1, "for 1e+308 nm"),
+    (("fiber", "budget", "--fiber-nm", "1e308"), 1, "for 1e+308 nm"),
+    (("fiber", "budget", "--length-km", "nan"), 1, "length_km"),
+    (("fiber", "budget", "--rep-rate-hz", "inf"), 1, "repetition_rate_hz"),
+    (("fiber", "budget", "--source-rate", "2"), 1, "source_rate"),
+    (("fiber", "budget", "--qfc-efficiency", "1.5"), 1, "qfc_efficiency"),
+    (("fiber", "budget", "--qfc-efficiency", "2", "--qfc-efficiency", "0.1"), 1, "qfc_efficiency"),
+    # the cutoff is checked after the model file is read and before the trial count
+    (("chain", "mc", "--max-cycles", "0"), 1,
+     "max_cycles out of range: 0 (must be an integer in [1, inf))"),
+    (("chain", "mc", "--trials", "0", "--max-cycles", "0"), 1, "max_cycles out of range: 0"),
+    (("chain", "mc", "--model", "/nonexistent/model.txt", "--max-cycles", "0"), 1,
+     "/nonexistent/model.txt"),
+    (("chain", "exact", "--initial-mj", "banana"), 1,
+     "cannot parse mj value 'banana' (expected e.g. +1/2)"),
+    # usage errors: argparse's synopsis and error, or one ``usage error:`` line
+    (("schemes", "--frobnicate", "1"), 2, "error: unrecognized arguments: --frobnicate 1"),
+    ((), 2, "error: the following arguments are required: command"),
+    (("trap", "--v0", "200"), 2, "usage error: missing required option --freq-mhz"),
+] + [(argv + ("--output-format", fmt), 1, name) for argv, name in [
+    # tables: refused while the first block is rendered, in either format
+    (("fidelity-curve", "--f-max", "nan"), "max_fidelity"),
+    (("fidelity-curve", "--f-max", "inf", "--na-step", "0.5"), "max_fidelity"),
+    (("fidelity-curve", "--f-max", "7"), "max_fidelity"),
+    (("fiber", "curves", "--eta-780", "nan"), "eta_780"),
+    (("fiber", "curves", "--eta-1550", "-3"), "eta_1550"),
+    # grids above 2**20 rows
+    (("fidelity-curve", "--na-step", "1e-300"), "na_step"),
+    (("prob-curve", "--na-step", "1e-7"), "na_step"),
+    (("fiber", "curves", "--step-km", "1e-300"), "step_km"),
+    (("fiber", "curves", "--max-km", "1048576", "--step-km", "1"), "step_km"),
+    (("emission", "pattern", "--theta-step-deg", "1e-300"), "theta_step_deg"),
+    (("emission", "pattern", "--theta-step-deg", "0.01", "--phi-step-deg", "1"),
+     "phi_step_deg"),
+] for fmt in ("csv", "json")]
+
+
+def assert_one_line_error(code, out, err, *fragments):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("argv, code, fragment", REFUSED)
+def test_bad_input_is_refused(capsys, argv, code, fragment):
+    if code == 1:
+        assert_one_line_error(*run(capsys, *argv), fragment)
+    else:
+        exit_code, out, err = run(capsys, *argv)
+        assert (exit_code, out) == (code, "")
+        assert fragment in err.splitlines()[-1]
 
 
 class TestFailuresExitOne:
-    """Bad input ends with exit 1 and a one-line message, never a traceback."""
-
-    def assert_one_line_error(self, code, out, err, *fragments):
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        for fragment in fragments:
-            assert fragment in err
-
-    @pytest.mark.parametrize("argv, name", [
-        # records: the handler refuses before the output format is reached
-        (TRAP + ("--v0", "nan"), "v0"),
-        (TRAP + ("--v0", "inf"), "v0"),
-        (TRAP + ("--eta", "nan"), "eta"),
-        (TRAP + ("--charge-e", "-1"), "charge_e"),
-        (TRAP + ("--freq-mhz", "nan"), "f_rf_mhz"),
-        (("fiber", "budget", "--db-per-km", "inf"), "attenuation_db_per_km"),
-        (QFC_PLAN + ("--srs-threshold-thz", "nan"), "srs_threshold_thz"),
-        # finite inputs whose result over- or underflows
-        (TRAP + ("--freq-mhz", "1e-320"), "omega_rf"),
-        (TRAP + ("--r-um", "1e-320"), "r_um out of range: 1e-320"),
-        (TRAP + ("--r-um", "1e-300"), "r=1e-306"),
-        (TRAP + ("--r-um", "1e300"), "r=1e+294"),
-        (("fiber", "crossing", "--efficiency", "1e-320"), "efficiency 1e-320"),
-        # integers beyond what the computation can hold
-        (("chain", "mc", "--trials", "1" + "0" * 30), "n_trials"),
-        (QFC_PLAN + ("--order", "1" * 400), "poling order"),
-    ] + [(argv + ("--output-format", fmt), name) for argv, name in [
-        # tables: refused while the first block is rendered, in either format
-        (("fidelity-curve", "--f-max", "nan"), "max_fidelity"),
-        (("fidelity-curve", "--f-max", "inf", "--na-step", "0.5"), "max_fidelity"),
-        (("fidelity-curve", "--f-max", "7"), "max_fidelity"),
-        (("fiber", "curves", "--eta-780", "nan"), "eta_780"),
-        (("fiber", "curves", "--eta-1550", "-3"), "eta_1550"),
-        # grids above 2**20 rows
-        (("fidelity-curve", "--na-step", "1e-300"), "na_step"),
-        (("prob-curve", "--na-step", "1e-7"), "na_step"),
-        (("fiber", "curves", "--step-km", "1e-300"), "step_km"),
-        (("fiber", "curves", "--max-km", "1048576", "--step-km", "1"), "step_km"),
-        (("emission", "pattern", "--theta-step-deg", "1e-300"), "theta_step_deg"),
-        (("emission", "pattern", "--theta-step-deg", "0.01", "--phi-step-deg", "1"),
-         "phi_step_deg"),
-    ] for fmt in ("csv", "json")])
-    def test_bad_physics_input_is_refused(self, capsys, argv, name):
-        self.assert_one_line_error(*run(capsys, *argv), name)
+    """Bad input files and outputs end with exit 1 and a one-line message."""
 
     def test_non_finite_json_result_is_refused(self, capsys, tmp_path):
         """A dispersion file's material must be a string, so a NaN there is
@@ -517,52 +307,7 @@ class TestFailuresExitOne:
         path = tmp_path / "nan-material.json"
         path.write_text(json.dumps({**payload, "material": math.nan}))
         argv = QFC_PLAN[:-1] + (str(path),)
-        self.assert_one_line_error(*run(capsys, *argv), "malformed dispersion file", str(path))
-
-    @pytest.mark.parametrize("argv, name", [
-        (("fiber", "curves", "--max-km", "inf"), "max_km"),
-        (("fiber", "curves", "--max-km", "nan"), "max_km"),
-        (("fiber", "curves", "--step-km", "nan"), "step_km"),
-        (("fiber", "curves", "--step-km", "inf"), "step_km"),
-        (("emission", "pattern", "--theta-step-deg", "nan"), "theta_step_deg"),
-        (("emission", "pattern", "--theta-step-deg", "inf"), "theta_step_deg"),
-        (("emission", "pattern", "--theta-step-deg", "0"), "theta_step_deg"),
-        (("emission", "pattern", "--phi-step-deg=-inf"), "phi_step_deg"),
-        (("fiber", "curves", "--step-km", "1e-320"), "step_km"),
-        (("emission", "pattern", "--theta-step-deg", "1e-320"), "theta_step_deg"),
-        (("emission", "pattern", "--phi-step-deg", "1e-320"), "phi_step_deg"),
-        (("fidelity-curve", "--na-step", "1e-320"), "na_step"),
-        (("prob-curve", "--na-step", "1e-320"), "na_step"),
-    ])
-    def test_non_finite_grid_arguments(self, capsys, argv, name):
-        self.assert_one_line_error(*run(capsys, *argv), name)
-
-    @pytest.mark.parametrize("argv, fragment", [
-        (("chain", "exact", "--model", "/nonexistent/model.txt"), "/nonexistent/model.txt"),
-        (("chain", "mc", "--trials", "10", "--model", "/nonexistent/model.txt"),
-         "/nonexistent/model.txt"),
-        (("fiber", "crossing", "--raw-nm", "nan"), "nan nm"),
-        (("fiber", "crossing", "--raw-nm=-inf"), "-inf nm"),
-        (("fiber", "budget", "--fiber-nm", "nan"), "nan nm"),
-        # a finite wavelength is rounded to look it up, but printed compactly
-        (("fiber", "crossing", "--raw-nm", "1e308"), "for 1e+308 nm"),
-        (("fiber", "budget", "--fiber-nm", "1e308"), "for 1e+308 nm"),
-        (("fiber", "budget", "--length-km", "nan"), "length_km"),
-        (("fiber", "budget", "--rep-rate-hz", "inf"), "repetition_rate_hz"),
-        (("fiber", "budget", "--source-rate", "2"), "source_rate"),
-        (("fiber", "budget", "--qfc-efficiency", "1.5"), "qfc_efficiency"),
-        (("fiber", "budget", "--qfc-efficiency", "2", "--qfc-efficiency", "0.1"), "qfc_efficiency"),
-        # the cutoff is checked after the model file is read and before the trial count
-        (("chain", "mc", "--max-cycles", "0"),
-         "max_cycles out of range: 0 (must be an integer in [1, inf))"),
-        (("chain", "mc", "--trials", "0", "--max-cycles", "0"), "max_cycles out of range: 0"),
-        (("chain", "mc", "--model", "/nonexistent/model.txt", "--max-cycles", "0"),
-         "/nonexistent/model.txt"),
-        (("chain", "exact", "--initial-mj", "banana"),
-         "cannot parse mj value 'banana' (expected e.g. +1/2)"),
-    ])
-    def test_bad_files_and_link_inputs(self, capsys, argv, fragment):
-        self.assert_one_line_error(*run(capsys, *argv), fragment)
+        assert_one_line_error(*run(capsys, *argv), "malformed dispersion file", str(path))
 
     @pytest.mark.parametrize("flag, content, fragment", [
         ("--model", b"\xff\xfe", "codec can't decode"),
@@ -589,7 +334,7 @@ class TestFailuresExitOne:
         path = tmp_path / "malformed"
         path.write_bytes(content)
         head = ("chain", "exact") if flag == "--model" else QFC_PLAN[:-2]
-        self.assert_one_line_error(*run(capsys, *head, flag, str(path)), fragment, str(path))
+        assert_one_line_error(*run(capsys, *head, flag, str(path)), fragment, str(path))
 
     @pytest.mark.parametrize("flag, data, head", [
         ("--model", "ba138_branching.txt", ("chain", "exact")),
@@ -624,19 +369,19 @@ class TestFailuresExitOne:
         path = tmp_path / "closed.txt"
         save_model(BranchingModel(br_493=br_493, br_650=1.0 - br_493, cg=cg), path)
         argv = ("chain", "exact", "--drive", "sigma-minus", "--model", str(path))
-        self.assert_one_line_error(*run(capsys, *argv), fragment)
+        assert_one_line_error(*run(capsys, *argv), fragment)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unwritable_output_path(self, capsys, tmp_path, fmt):
         target = tmp_path / "missing" / "x"
         code, out, err = run(capsys, "schemes", "--output-format", fmt, "--output", str(target))
-        self.assert_one_line_error(code, out, err, "cannot write", str(target))
+        assert_one_line_error(code, out, err, "cannot write", str(target))
         code, out, err = run(capsys, "qfc", "table2", "--output", str(tmp_path))
-        self.assert_one_line_error(code, out, err, "cannot write", str(tmp_path))
+        assert_one_line_error(code, out, err, "cannot write", str(tmp_path))
 
     def test_empty_output_path_is_named(self, capsys):
         code, out, err = run(capsys, "schemes", "--output", "")
-        self.assert_one_line_error(code, out, err, "cannot write '':")
+        assert_one_line_error(code, out, err, "cannot write '':")
 
 
 #: The cap steps: the finest emission grid (1.03 M rows) and NA grid (1.05 M) under 2**20 rows.
@@ -739,6 +484,7 @@ class TestStreamedExport:
         degree grid) cost no more than a few MB over ~10^3 rows (that grid)."""
         assert (self.peak_rss_kb(*argv, *large) - self.peak_rss_kb(*argv, *small)
                 < slack_mb * 1024)
+
 
 def subcommands(parser, words=()):
     """(words, parser) for the top level and every subcommand below it."""

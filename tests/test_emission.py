@@ -72,10 +72,6 @@ class TestFieldComponents:
         ratio = pi_emission(d).intensity / sigma_emission(d, +1).intensity
         assert math.isclose(ratio, 2.0, rel_tol=1e-15)
 
-    def test_bad_sign_rejected(self):
-        with pytest.raises(DomainError):
-            sigma_emission(EmissionDirection(1.0, 0.0), 2)
-
 
 class TestOverlap:
     def test_zero_in_observation_plane(self):

@@ -8,6 +8,7 @@ import pytest
 from ionlink.atomic import BranchingModel, Level, Polarization, ZeemanState, default_barium_model
 from ionlink.emission import (
     EmissionDirection, PolarizationVector, collection_fraction, cone_mixing_weight, pattern_rows,
+    sigma_emission,
 )
 from ionlink.errors import MAX_ROWS, DomainError, Record, check, steps, whole
 from ionlink.fiber import (
@@ -287,6 +288,12 @@ OUT_OF_RANGE_CASES += [  # a pump below the input's rounding step: the output wa
      lambda: sfg_output(FAR_UV, PUMP)),
     ("pump out of range: 223.2259553239017 THz (lost to rounding against the 2.99792458e+305",
      lambda: dfg_output(FAR_UV, PUMP)),
+]
+OUT_OF_RANGE_CASES += [  # a crossing past the float range (1/efficiency overflows), a bad sign
+    ("crossing_km at efficiency 1e-320 out of range: inf",
+     lambda: conversion_crossing(RAW, CONVERTED, 1e-320)),
+    *[(f"sign must be +1 or -1, got {sign}",
+       functools.partial(sigma_emission, EmissionDirection(1.0, 0.0), sign)) for sign in (2, 0, -2)],
 ]
 
 

@@ -242,7 +242,7 @@ def test_everything_but_the_monte_carlo_runs_without_numpy(without_numpy):
     assert without_numpy["no_site"] == 1
     assert without_numpy["blocked"] is True
     assert without_numpy["loaded"] == []
-    assert sum(case.startswith("chain mc ") for case in GOLDEN) == 2
+    assert sum(case.startswith("chain mc ") for case in GOLDEN) == 5
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
